@@ -188,6 +188,22 @@ pub mod replay {
         .unwrap()
     }
 
+    /// The same statement as [`stencil_2d`] written by hand over two dense
+    /// column-major `n × n` arrays — the "no abstraction" reference the
+    /// `stencil_2d_block_vs_dense_loop` gate entry divides by. Terms are
+    /// added in the statement's order, so the values match bit for bit.
+    pub fn dense_stencil_step(n: usize, p: &mut [f64], u: &[f64]) {
+        assert!(p.len() == n * n && u.len() == n * n && n >= 3);
+        for j in 1..n - 1 {
+            let (west, mid, east) =
+                (&u[(j - 1) * n..j * n], &u[j * n..(j + 1) * n], &u[(j + 1) * n..(j + 2) * n]);
+            let out = &mut p[j * n..(j + 1) * n];
+            for i in 1..n - 1 {
+                out[i] = mid[i - 1] + mid[i + 1] + west[i] + east[i];
+            }
+        }
+    }
+
     /// Block array reading a CYCLIC(1) array over the full domain: every
     /// cyclic period scatters across all processors — the worst case for
     /// coalescing, the analogue of a transpose's all-to-all.

@@ -42,10 +42,10 @@ pub use hpf_runtime::{
     CheckpointSpec, CkptError, CkptReport, Combine, CommAnalysis, CopyRun, Diagnostic,
     DiagnosticKind, DistArray, ExchangeBackend, ExchangeError, ExecPlan, Fault, FaultPlan,
     FusedPair, FusedSegment, FusedWorkspace, FusionReport, FusionStats, GatherRef,
-    GhostReport, MessagePlan, MsgSegment, PairSchedule, ParExecutor, PlanCache,
+    GhostReport, MessagePlan, MsgSegment, PairSchedule, ParExecutor, PieceSrc, PlanCache,
     PlanWorkspace, ProcPlan, Program, ProgramPlan, ProgramStats, Property, RecoveryPolicy,
     RemapAnalysis, RestoreReport, SeqExecutor, Session, SessionReport, SharedMemBackend,
     StatementReport, StatementTrace, StoreRun, Superstep, Term, TermSchedule,
-    TrajectoryReport, UnitMeta, VerifyReport, VerifyStats,
+    TrajectoryReport, UnitMeta, VerifyReport, VerifyStats, DIRECT_MIN_RUN,
 };
 pub use hpf_template::{TemplateError, TemplateModel};

@@ -1,7 +1,105 @@
 use hpf_core::EffectiveDist;
 use hpf_index::{Idx, IndexDomain, Rect, Region};
 use hpf_procs::ProcId;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
+
+/// Bytes of a page: the distance at which two addresses look alike to the
+/// load/store disambiguation of current x86 cores ("4K aliasing").
+const PAGE: usize = 4096;
+/// Positions within the page a shard can be seated at, [`PAGE`]` / LANES`
+/// bytes apart.
+const LANES: usize = 8;
+/// Shards smaller than this stay where the allocator put them: they live
+/// in cache and a page of slack would be a visible share of them.
+const SEAT_MIN_BYTES: usize = 8 * PAGE;
+
+/// One processor's local buffer of one array, seated at a fixed position
+/// within the 4 KiB page.
+///
+/// The compute kernels stream a statement's operands out of one shard per
+/// array and its result into another. When the store stream runs a few
+/// dozen bytes ahead of a load stream *modulo 4096*, every load falsely
+/// depends on a store still in flight and the kernel loses a third of its
+/// speed. Where the allocator puts a buffer decides that distance, so the
+/// same program ran in a fast or a slow regime depending on what had been
+/// allocated and freed before it. A shard therefore over-allocates by one
+/// page and starts its elements at the address whose low twelve bits are
+/// its array's *lane* (derived from the array name): equal for the shards
+/// of one array, [`PAGE`]` / `[`LANES`] bytes or a multiple apart between
+/// arrays, whatever the allocator does. The slack in front is never read.
+#[derive(Debug)]
+pub(crate) struct Shard<T> {
+    buf: Vec<T>,
+    /// Elements of slack in front of the data.
+    head: usize,
+    /// Wanted position of the data within the page, in bytes.
+    lane: usize,
+}
+
+impl<T> Default for Shard<T> {
+    /// The empty placeholder [`DistArray::take_local`] leaves behind.
+    fn default() -> Self {
+        Shard { buf: Vec::new(), head: 0, lane: 0 }
+    }
+}
+
+impl<T: Clone> Shard<T> {
+    /// A shard of exactly `len` elements drawn from `items`, seated at
+    /// byte `lane` of the page when it is large enough to matter.
+    fn seated(lane: usize, len: usize, items: impl IntoIterator<Item = T>) -> Self {
+        let size = std::mem::size_of::<T>();
+        let seat = size > 0 && PAGE % size == 0 && len * size >= SEAT_MIN_BYTES;
+        let mut items = items.into_iter().peekable();
+        let mut buf: Vec<T> = Vec::with_capacity(len + if seat { PAGE / size } else { 0 });
+        let mut head = 0;
+        if let (true, Some(first)) = (seat, items.peek()) {
+            // within its capacity the buffer never moves, so the address
+            // seen now is the address the data keeps
+            let slack = (lane + PAGE - buf.as_ptr() as usize % PAGE) % PAGE;
+            // allocations are aligned to the element size; were one not,
+            // the shard would stay where it is
+            if slack % size == 0 {
+                head = slack / size;
+                buf.extend(std::iter::repeat_n(first.clone(), head));
+            }
+        }
+        buf.extend(items);
+        debug_assert_eq!(buf.len(), head + len);
+        Shard { buf, head, lane }
+    }
+}
+
+impl<T: Clone> Clone for Shard<T> {
+    /// A copy seated at the same lane (a plain `Vec` clone would land
+    /// wherever the allocator likes).
+    fn clone(&self) -> Self {
+        Shard::seated(self.lane, self.len(), self.iter().cloned())
+    }
+}
+
+impl<T> Deref for Shard<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.buf[self.head..]
+    }
+}
+
+impl<T> DerefMut for Shard<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.head..]
+    }
+}
+
+/// The page position of every shard of the array called `name`: FNV-1a
+/// of the name, folded onto the lanes.
+fn lane_of(name: &str) -> usize {
+    let hash = name
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    (hash % LANES as u64) as usize * (PAGE / LANES)
+}
 
 /// An array distributed over the simulated machine's processors.
 ///
@@ -18,7 +116,7 @@ pub struct DistArray<T> {
     /// Per processor: cumulative base offset of each rect of its region in
     /// the local buffer, so addressing never re-sums preceding rect volumes.
     rect_bases: Vec<Vec<usize>>,
-    locals: Vec<Vec<T>>,
+    locals: Vec<Shard<T>>,
     /// Per-shard write epochs: bumped on every mutable access to a shard
     /// (element writes, executor stores, SPMD shard restores). The fused
     /// program path snapshots these to detect out-of-band writes that
@@ -42,12 +140,10 @@ impl<T: Clone> DistArray<T> {
         let mut regions = Vec::with_capacity(np);
         let mut rect_bases = Vec::with_capacity(np);
         let mut locals = Vec::with_capacity(np);
+        let lane = lane_of(name);
         for p in 1..=np as u32 {
             let region = mapping.owned_region(ProcId(p));
-            let mut buf = Vec::with_capacity(region.volume_disjoint());
-            for i in region.iter() {
-                buf.push(f(&i));
-            }
+            let buf = Shard::seated(lane, region.volume_disjoint(), region.iter().map(|i| f(&i)));
             let mut bases = Vec::with_capacity(region.rects().len());
             let mut base = 0usize;
             for rect in region.rects() {
@@ -94,7 +190,7 @@ impl<T: Clone> DistArray<T> {
 
     /// Total storage over all processors (> domain size iff replicated).
     pub fn total_storage(&self) -> usize {
-        self.locals.iter().map(Vec::len).sum()
+        self.locals.iter().map(|l| l.len()).sum()
     }
 
     /// Position of global index `i` within `p`'s local buffer: the
@@ -157,6 +253,7 @@ impl<T: Clone> DistArray<T> {
         let dom = self.domain();
         let mut dense: Vec<Option<T>> = vec![None; dom.size()];
         for (region, buf) in self.regions.iter().zip(&self.locals) {
+            let buf: &[T] = buf;
             let mut k = 0usize;
             for rect in region.rects() {
                 for i in rect.iter() {
@@ -175,7 +272,7 @@ impl<T: Clone> DistArray<T> {
     /// Per-processor `(region, mutable local buffer)` views, for the
     /// parallel executor. Every shard epoch is bumped: the caller gets
     /// mutable access to all of them, so all must be assumed written.
-    pub(crate) fn parts_mut(&mut self) -> (&[Region], &mut [Vec<T>]) {
+    pub(crate) fn parts_mut(&mut self) -> (&[Region], &mut [Shard<T>]) {
         for v in &mut self.versions {
             *v += 1;
         }
@@ -192,7 +289,7 @@ impl<T: Clone> DistArray<T> {
     /// placeholder until [`DistArray::put_local`] restores the shard; any
     /// access in between (even a read of a supposedly untouched element)
     /// fails loudly instead of returning stale data.
-    pub(crate) fn take_local(&mut self, p0: usize) -> Vec<T> {
+    pub(crate) fn take_local(&mut self, p0: usize) -> Shard<T> {
         std::mem::take(&mut self.locals[p0])
     }
 
@@ -201,7 +298,7 @@ impl<T: Clone> DistArray<T> {
     /// # Panics
     /// Panics if `buf` does not have exactly the owned-region volume — a
     /// worker returning the wrong shard must not silently corrupt storage.
-    pub(crate) fn put_local(&mut self, p0: usize, buf: Vec<T>) {
+    pub(crate) fn put_local(&mut self, p0: usize, buf: Shard<T>) {
         assert_eq!(
             buf.len(),
             self.regions[p0].volume_disjoint(),
@@ -211,6 +308,22 @@ impl<T: Clone> DistArray<T> {
         );
         self.locals[p0] = buf;
         self.versions[p0] += 1;
+    }
+
+    /// Overwrite processor `p0`'s (zero-based) shard with `data` — the
+    /// whole-shard checkpoint restore. A shard a dead worker took with it
+    /// is rebuilt.
+    ///
+    /// # Panics
+    /// Panics if `data` does not have exactly the owned-region volume.
+    pub(crate) fn restore_local(&mut self, p0: usize, data: &[T]) {
+        if self.locals[p0].len() == data.len() {
+            self.locals[p0].clone_from_slice(data);
+            self.versions[p0] += 1;
+        } else {
+            let shard = Shard::seated(lane_of(&self.name), data.len(), data.iter().cloned());
+            self.put_local(p0, shard);
+        }
     }
 
     /// Re-establish the storage invariant after a fault: any local buffer
@@ -224,11 +337,11 @@ impl<T: Clone> DistArray<T> {
     where
         T: Default,
     {
+        let lane = lane_of(&self.name);
         for (p0, buf) in self.locals.iter_mut().enumerate() {
             let want = self.regions[p0].volume_disjoint();
             if buf.len() != want {
-                buf.clear();
-                buf.resize(want, T::default());
+                *buf = Shard::seated(lane, want, std::iter::repeat_n(T::default(), want));
                 self.versions[p0] += 1;
             }
         }
@@ -256,6 +369,35 @@ mod tests {
         let a = ds.declare("A", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
         ds.distribute(a, &DistributeSpec::new(vec![FormatSpec::Block])).unwrap();
         DistArray::from_fn("A", ds.effective(a).unwrap(), np, |i| i[0] as f64)
+    }
+
+    #[test]
+    fn large_shards_sit_at_their_lane() {
+        let n = SEAT_MIN_BYTES / 8;
+        for lane in [0, 512, 3584] {
+            let shard = Shard::seated(lane, n, (0..n).map(|k| k as f64));
+            assert_eq!(shard.as_ptr() as usize % PAGE, lane);
+            assert_eq!(shard.len(), n);
+            assert!(shard.iter().enumerate().all(|(k, v)| *v == k as f64));
+            // a copy is a new allocation seated at the same lane
+            let copy = shard.clone();
+            assert_eq!(copy.as_ptr() as usize % PAGE, lane);
+            assert_eq!(&copy[..], &shard[..]);
+        }
+        // the shards of one array share a lane whatever the allocator does
+        let a = block_array(4 * n, 4);
+        let lanes: Vec<usize> = (0..4).map(|p| a.local(p).as_ptr() as usize % PAGE).collect();
+        assert_eq!(lanes, vec![lane_of("A"); 4]);
+    }
+
+    #[test]
+    fn small_and_empty_shards_carry_no_slack() {
+        let small = Shard::seated(512, 7, (0..7).map(f64::from));
+        assert_eq!((small.head, small.buf.capacity()), (0, 7));
+        assert_eq!(&small[..], &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let empty: Shard<f64> = Shard::seated(512, 0, std::iter::empty());
+        assert!(empty.is_empty());
+        assert!(Shard::<f64>::default().is_empty());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   unpacks). This is exactly the vectorized-message aggregation the
 //!   machine model prices: one message per pair per statement;
 //! * [`ExchangeBackend`] abstracts *how* those messages move. A replay is
-//!   always the same BSP superstep — local pack → exchange → compute —
-//!   but the exchange leg is backend-owned;
+//!   always the same BSP superstep — stage → exchange → compute (see
+//!   [`crate::plan`] for which operands are staged and which the kernel
+//!   reads in place) — but the exchange leg is backend-owned;
 //! * [`SharedMemBackend`] keeps today's direct-copy semantics (stage each
 //!   pair's segments through a persistent, preallocated buffer in the
 //!   [`PlanWorkspace`], then unpack into the receiver's operand buffers),
@@ -37,7 +38,7 @@
 use crate::array::DistArray;
 use crate::commsets::CommAnalysis;
 use crate::fault::{Fault, FaultPlan, FaultSwitch};
-use crate::plan::{compute_proc, ExecPlan, ProcPlan};
+use crate::plan::{stage_own, ExecPlan, ProcPlan};
 use crate::workspace::PlanWorkspace;
 use hpf_core::HpfError;
 use hpf_procs::ProcId;
@@ -369,7 +370,7 @@ pub trait ExchangeBackend {
     /// Human-readable backend name (for reports and benches).
     fn name(&self) -> &'static str;
 
-    /// Execute one superstep: local pack → exchange → compute.
+    /// Execute one superstep: stage → exchange → compute.
     ///
     /// Exchange failures (worker death, lost or damaged messages, a
     /// wedged fleet) come back as a typed [`ExchangeError`] — the arrays
@@ -519,8 +520,9 @@ impl SharedMemBackend {
     }
 
     /// Execute one whole fused timestep (see [`crate::ProgramPlan`]):
-    /// per superstep, pack local runs, stage the *effective* segments of
-    /// every fused pair hoisted to the phase (clean units are skipped —
+    /// per superstep, snapshot the staged local runs, ship the
+    /// *effective* segments of every fused pair hoisted to the phase
+    /// (clean units are skipped —
     /// their receiver-side data is still current from an earlier
     /// timestep), and compute. Returns the elements actually staged,
     /// which the caller cross-checks against the dirty-tracking state's
@@ -546,24 +548,6 @@ impl SharedMemBackend {
     }
 }
 
-/// Pack phase for one processor restricted to its *own* data: copy the
-/// local runs (`src == me`) into the packed operand buffers, leaving the
-/// remote positions for the exchange phase to fill.
-pub(crate) fn pack_local_runs(
-    arrays: &[DistArray<f64>],
-    pp: &ProcPlan,
-    bufs: &mut [Vec<f64>],
-) {
-    let me = pp.proc.zero_based() as u32;
-    for (ts, buf) in pp.terms.iter().zip(bufs) {
-        let src_arr = &arrays[ts.array];
-        for r in ts.runs.iter().filter(|r| r.src == me) {
-            let src = &src_arr.local(r.src as usize)[r.src_off..r.src_off + r.len];
-            buf[r.dst_off..r.dst_off + r.len].copy_from_slice(src);
-        }
-    }
-}
-
 impl ExchangeBackend for SharedMemBackend {
     fn name(&self) -> &'static str {
         "shared-mem"
@@ -579,7 +563,7 @@ impl ExchangeBackend for SharedMemBackend {
         self.injected_failure()?;
         ws.ensure(plan);
         for (pp, bufs) in plan.per_proc().iter().zip(ws.bufs.iter_mut()) {
-            pack_local_runs(arrays, pp, bufs);
+            stage_own(arrays, pp, bufs);
         }
         // exchange: pack each pair's message into its persistent staging
         // buffer from the sender's locals, then unpack into the
@@ -613,17 +597,11 @@ impl ExchangeBackend for SharedMemBackend {
         );
         self.bytes_sent += staged * std::mem::size_of::<f64>() as u64;
         self.steps += 1;
-        let combine = plan.combine();
         if self.rank_ns.len() != plan.per_proc().len() {
             self.rank_ns.resize(plan.per_proc().len(), 0);
         }
         self.rank_ns.fill(0);
-        let (_, locals) = arrays[plan.lhs()].parts_mut();
-        for (pp, bufs) in plan.per_proc().iter().zip(&ws.bufs) {
-            let t0 = std::time::Instant::now();
-            compute_proc(pp, &mut locals[pp.proc.zero_based()], bufs, combine);
-            self.rank_ns[pp.proc.zero_based()] += t0.elapsed().as_nanos() as u64;
-        }
+        plan.compute_seq(arrays, &ws.bufs, Some(&mut self.rank_ns));
         Ok(())
     }
 

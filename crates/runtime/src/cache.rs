@@ -12,8 +12,9 @@
 //!
 //! Each entry also keeps a [`PlanWorkspace`] sized for its plan, so
 //! [`PlanCache::replay_seq`] performs **zero heap allocations** on a warm
-//! hit: one cache lookup, block-copy pack into the preallocated buffers,
-//! slice-kernel compute, and an `Arc`-handle return of the frozen
+//! hit: one cache lookup, staged and ghost operands block-copied into the
+//! preallocated buffers, single-pass slice-kernel compute (local operands
+//! read in place), and an `Arc`-handle return of the frozen
 //! analysis. [`PlanCache::replay_par`] reuses the same buffers but pays
 //! the scoped-thread spawn cost (and its allocations) per replay.
 

@@ -788,7 +788,7 @@ fn restore_fast(
                 p0 + 1
             ),
         })?;
-        arr.put_local(p0, data);
+        arr.restore_local(p0, &data);
     }
     Ok(())
 }

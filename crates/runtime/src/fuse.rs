@@ -11,10 +11,14 @@
 //! 1. **Superstep DAG** — the timestep's statements are level-scheduled at
 //!    array granularity: statement `s` must run after an earlier statement
 //!    `r` iff `s` reads `r`'s LHS array (RAW) or writes the same array
-//!    (WAW). WAR is *not* a conflict: the pack phase snapshots every
-//!    operand before any same-superstep store (Fortran 90 array-assignment
-//!    semantics), so an earlier reader and a later writer fuse safely into
-//!    one superstep.
+//!    (WAW). WAR — `s` overwrites an array an earlier `r` reads — only
+//!    forbids `s` from landing in a superstep *before* `r`'s; the same
+//!    superstep is legal. A staged operand was snapshotted before any
+//!    same-superstep store (Fortran 90 array-assignment semantics), and an
+//!    operand read in place (see [`crate::plan`]) is read by `r`'s kernel
+//!    before `s`'s kernel runs, because every executor computes a
+//!    superstep's statements in program order and a processor's in-place
+//!    reads touch only its own shards.
 //! 2. **Message coalescing** — within a superstep, every constituent
 //!    plan's [`PairSchedule`](crate::PairSchedule)s for the same
 //!    `(sender, receiver)` pair merge into one [`FusedPair`]: one
@@ -43,8 +47,7 @@
 
 use crate::array::DistArray;
 use crate::assign::Assignment;
-use crate::backend::pack_local_runs;
-use crate::plan::{compute_proc, ExecPlan};
+use crate::plan::{stage_own, ExecPlan};
 use crate::workspace::FusedWorkspace;
 use std::sync::Arc;
 
@@ -179,20 +182,25 @@ impl ProgramPlan {
         assert_eq!(stmts.len(), plans.len(), "one plan per statement");
         let n = stmts.len();
 
-        // 1. greedy level scheduling at array granularity: s conflicts
-        // with an earlier r iff s reads r's LHS (RAW) or writes the same
-        // array (WAW). WAR fuses (pack snapshots operands before stores).
+        // 1. greedy level scheduling at array granularity: s must land in
+        // a strictly later superstep than an earlier r iff s reads r's LHS
+        // (RAW) or writes the same array (WAW), and in a superstep no
+        // earlier than r's iff s overwrites an array r reads (WAR) — a
+        // writer hoisted past a deeper-levelled reader would destroy the
+        // values that reader still needs. The same superstep stays legal
+        // for WAR (see the module docs).
         let mut level = vec![0usize; n];
         for s in 0..n {
-            let mut lv = 0usize;
             for r in 0..s {
                 let raw = stmts[s].terms.iter().any(|t| t.array == stmts[r].lhs);
                 let waw = stmts[s].lhs == stmts[r].lhs;
+                let war = stmts[r].terms.iter().any(|t| t.array == stmts[s].lhs);
                 if raw || waw {
-                    lv = lv.max(level[r] + 1);
+                    level[s] = level[s].max(level[r] + 1);
+                } else if war {
+                    level[s] = level[s].max(level[r]);
                 }
             }
-            level[s] = lv;
         }
         let depth = level.iter().map(|l| l + 1).max().unwrap_or(0);
         let mut supersteps: Vec<Superstep> =
@@ -713,9 +721,11 @@ fn stage_phase(
     staged_total
 }
 
-/// Sequential fused timestep over one address space: per phase, pack the
-/// superstep's local runs, stage the effective segments of every pair
-/// hoisted to the phase, then compute the superstep's statements. Returns
+/// Sequential fused timestep over one address space: per phase, snapshot
+/// the staged local runs of the superstep's statements, deliver the
+/// effective segments of every pair hoisted to the phase, then compute
+/// the superstep's statements in program order — direct operands are read
+/// in place from the shards (see [`crate::plan`]). Returns
 /// the elements staged (the timestep's wire traffic). Warm calls perform
 /// zero heap allocations.
 pub(crate) fn execute_fused_seq(
@@ -732,29 +742,22 @@ pub(crate) fn execute_fused_seq(
         for &s in &plan.supersteps[phase].stmts {
             let sp = &plan.plans[s];
             for (pp, bufs) in sp.per_proc().iter().zip(ws.per_stmt[s].bufs.iter_mut()) {
-                pack_local_runs(arrays, pp, bufs);
+                stage_own(arrays, pp, bufs);
             }
         }
         staged_total += stage_phase(plan, arrays, state, ws, phase);
         for &s in &plan.supersteps[phase].stmts {
-            let sp = &plan.plans[s];
-            let combine = sp.combine();
-            let (_, locals) = arrays[sp.lhs()].parts_mut();
-            for (pp, bufs) in sp.per_proc().iter().zip(&ws.per_stmt[s].bufs) {
-                // per-rank compute-time sample: what the simulated
-                // processor would spend on its kernels, measured — the
-                // adaptive controller's observed load vector
-                let t0 = std::time::Instant::now();
-                compute_proc(pp, &mut locals[pp.proc.zero_based()], bufs, combine);
-                ws.rank_ns[pp.proc.zero_based()] += t0.elapsed().as_nanos() as u64;
-            }
+            // per-rank compute-time sample: what the simulated processor
+            // would spend on its kernels, measured — the adaptive
+            // controller's observed load vector
+            plan.plans[s].compute_seq(arrays, &ws.per_stmt[s].bufs, Some(&mut ws.rank_ns));
         }
     }
     staged_total
 }
 
 /// Scoped-thread fused timestep honoring a thread cap below the simulated
-/// processor count: each statement's pack and compute phases spread over
+/// processor count: each statement's stage and compute phases spread over
 /// `threads` scoped threads (chunked by processor, like
 /// [`ExecPlan::execute_par_with`]); staging stays serial — it is exactly
 /// the leg clean-unit skipping shrinks. Returns the elements staged.
@@ -785,7 +788,7 @@ pub(crate) fn execute_fused_par(
                 {
                     scope.spawn(move |_| {
                         for (pp, bufs) in pps.iter().zip(bufss) {
-                            pack_local_runs(arrays_ref, pp, bufs);
+                            stage_own(arrays_ref, pp, bufs);
                         }
                     });
                 }
@@ -794,25 +797,7 @@ pub(crate) fn execute_fused_par(
         }
         staged_total += stage_phase(plan, arrays, state, ws, phase);
         for &s in &plan.supersteps[phase].stmts {
-            let sp = &plan.plans[s];
-            let combine = sp.combine();
-            let per_proc = sp.per_proc();
-            let bufs_all = &ws.per_stmt[s].bufs;
-            let (_, locals) = arrays[sp.lhs()].parts_mut();
-            crossbeam::thread::scope(|scope| {
-                for ((pps, bufss), locs) in per_proc
-                    .chunks(chunk)
-                    .zip(bufs_all.chunks(chunk))
-                    .zip(locals.chunks_mut(chunk))
-                {
-                    scope.spawn(move |_| {
-                        for ((pp, bufs), local) in pps.iter().zip(bufss).zip(locs) {
-                            compute_proc(pp, local, bufs, combine);
-                        }
-                    });
-                }
-            })
-            .expect("worker thread panicked");
+            plan.plans[s].compute_par(arrays, &ws.per_stmt[s].bufs, chunk);
         }
     }
     staged_total

@@ -17,8 +17,10 @@
 //! * [`ExecPlan`] / [`PlanCache`] — the inspector–executor split: a
 //!   statement is lowered **once** into per-processor *run-length
 //!   compressed* store/gather schedules ([`StoreRun`]/[`CopyRun`] block
-//!   transfers instead of per-element entries), then replayed every
-//!   timestep from a cache keyed by statement shape and mapping identity;
+//!   transfers instead of per-element entries) plus a compute-piece table
+//!   saying which local operands the kernel reads in place and which are
+//!   staged first, then replayed every timestep from a cache keyed by
+//!   statement shape and mapping identity;
 //!   each cached plan carries a preallocated [`PlanWorkspace`], making
 //!   warm replays zero-allocation;
 //! * [`ExchangeBackend`] — the transport-neutral boundary between
@@ -41,8 +43,10 @@
 //!   operand (the paper's reference \[11\]);
 //! * [`ProgramPlan`] — program-level plan fusion: the statements of a
 //!   timestep scheduled into a superstep DAG (level scheduling over
-//!   RAW/WAW hazards — Fortran 90 copy-in/copy-out semantics make WAR
-//!   safe inside a superstep), their [`MessagePlan`]s coalesced into one
+//!   RAW/WAW hazards; a WAR pair may share a superstep — operands are
+//!   snapshotted or read before the later statement's kernel runs — but a
+//!   writer is never hoisted before its reader), their [`MessagePlan`]s
+//!   coalesced into one
 //!   aggregated schedule per (sender, receiver, superstep), and every
 //!   coalesced segment bound to a dirty-tracking unit so ghost data whose
 //!   source shard no statement wrote is never re-packed or re-sent on
@@ -119,7 +123,9 @@ pub use exec::{apply_dense, dense_reference, SeqExecutor};
 pub use fuse::{FusedPair, FusedSegment, FusionStats, ProgramPlan, Superstep, UnitMeta};
 pub use ghost::{ghost_regions, GhostReport};
 pub use par::ParExecutor;
-pub use plan::{CopyRun, ExecPlan, GatherRef, ProcPlan, StoreRun, TermSchedule};
+pub use plan::{
+    CopyRun, ExecPlan, GatherRef, PieceSrc, ProcPlan, StoreRun, TermSchedule, DIRECT_MIN_RUN,
+};
 pub use program::{Program, ProgramStats};
 pub use remap::{remap_analysis, RemapAnalysis};
 pub use session::{Session, SessionReport};

@@ -21,13 +21,54 @@
 //!   owner's local buffer that receive consecutive computed elements.
 //!
 //! A replay therefore moves data with `copy_from_slice` block transfers
-//! and combines operands with slice kernels specialized by
-//! `(Combine, term count)`, instead of per-element indexed loads. With a
+//! and combines operands with single-pass slice kernels specialized by
+//! `(Combine, term count)`, instead of per-element indexed loads.
+//!
+//! ## What is staged and what is read in place
+//!
+//! Which references are local is known statically from an array's own
+//! distribution — the point of the paper's model — so a replay does not
+//! copy local operands anywhere. Each [`ProcPlan`] carries a
+//! **compute-piece table** ([`ProcPlan::pieces`]): its store runs refined
+//! at the run boundaries of every *direct* term. A piece names, per term,
+//! either an offset into the processor's **own shard** (read in place by
+//! the kernel) or its position in the term's **packed operand buffer**.
+//! A replay is then stage → exchange → compute:
+//!
+//! * **stage** ([`pack_staged_runs`]) snapshots the local runs of the
+//!   *staged* terms only;
+//! * **exchange** delivers every remote run (the ghost data) into the
+//!   packed buffers at its `dst_off` — the layout messages, fused
+//!   segments, and dirty tracking address;
+//! * **compute** ([`compute_pieces`]) walks the pieces once, reading
+//!   direct operands from the shard and ghost/staged operands from the
+//!   packed buffers.
+//!
+//! A term is direct ([`TermSchedule::direct`]) iff both hold:
+//!
+//! * its array is **not the statement's LHS**. Fortran 90 array
+//!   assignment reads every operand before any store, so a shifted
+//!   self-reference such as `A(2:N) = A(1:N-1)` must read a snapshot taken
+//!   before the kernel overwrites the shard — the staged pack *is* that
+//!   snapshot. Any other array is not written by this statement, and the
+//!   executors compute a superstep's statements in program order, so an
+//!   in-place read sees exactly the values the pack would have copied;
+//! * its local runs average at least [`DIRECT_MIN_RUN`] elements. A
+//!   BLOCK↔CYCLIC reference degrades to length-1 runs; refining the store
+//!   runs at each of them would turn one long vectorized kernel call into
+//!   a table walk with a piece per element, which is slower and larger
+//!   than the block-copy pack it replaces. Such terms stay staged.
+//!
+//! Both are properties of the compiled schedule, identical for every
+//! executor, and [`crate::verify::verify_plan`] proves them. Reading in
+//! place makes the kernel's speed depend on where the shards of different
+//! arrays sit relative to each other within the 4 KiB page; the storage
+//! fixes that position per array (see `Shard` in `array.rs`), so a replay
+//! costs the same whatever the allocator did before it. With a
 //! reusable [`PlanWorkspace`](crate::PlanWorkspace) holding the packed
-//! operand buffers, a warm replay performs **zero heap allocations**:
-//! pack → exchange → compute touches only preallocated storage. The frozen
-//! [`CommAnalysis`] rides along, so replays also skip the region-algebraic
-//! analysis.
+//! operand buffers, a warm replay performs **zero heap allocations**. The
+//! frozen [`CommAnalysis`] rides along, so replays also skip the
+//! region-algebraic analysis.
 //!
 //! [`EffectiveDist`]: hpf_core::EffectiveDist
 
@@ -84,6 +125,22 @@ pub struct StoreRun {
     pub len: usize,
 }
 
+/// Minimum average length, in elements, of a term's local runs for the
+/// term to be read in place (see the module docs for why short runs stay
+/// staged).
+pub const DIRECT_MIN_RUN: usize = 32;
+
+/// Where one compute piece reads one term's operand from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PieceSrc {
+    /// The term's packed operand buffer, at the piece's own `pos` — ghost
+    /// data delivered by the exchange, or a staged term's snapshot.
+    Packed,
+    /// The processor's own shard of the term's array, starting at this
+    /// flat offset — read in place.
+    Own(usize),
+}
+
 /// The gather schedule of one processor for one RHS term.
 #[derive(Debug, Clone)]
 pub struct TermSchedule {
@@ -97,6 +154,10 @@ pub struct TermSchedule {
     /// How many of the gathered elements are remote — the term's ghost
     /// volume on this processor.
     pub ghost_elements: usize,
+    /// True iff the kernel reads this term's local runs in place from the
+    /// processor's own shard (they are then never packed); false iff they
+    /// are staged into the packed operand buffer first.
+    pub direct: bool,
 }
 
 impl TermSchedule {
@@ -122,9 +183,86 @@ pub struct ProcPlan {
     pub lhs_runs: Vec<StoreRun>,
     /// Per-term gather schedules (parallel to the statement's terms).
     pub terms: Vec<TermSchedule>,
+    /// The compute-piece table: `lhs_runs` refined at the run boundaries
+    /// of every direct term, so each piece reads each operand from one
+    /// contiguous source. Empty iff no term is direct — the kernel then
+    /// walks `lhs_runs` with every operand packed.
+    pub pieces: Vec<StoreRun>,
+    /// Operand sources, piece-major: entry `i * terms.len() + t` is where
+    /// piece `i` reads term `t`.
+    pub piece_srcs: Vec<PieceSrc>,
 }
 
 impl ProcPlan {
+    /// The pieces the compute kernel walks: the refined table when some
+    /// term is direct, otherwise the store runs themselves.
+    pub(crate) fn effective_pieces(&self) -> &[StoreRun] {
+        if self.pieces.is_empty() {
+            &self.lhs_runs
+        } else {
+            &self.pieces
+        }
+    }
+
+    /// Where piece `i` of [`ProcPlan::effective_pieces`] reads term `t`.
+    pub(crate) fn piece_src(&self, i: usize, t: usize) -> PieceSrc {
+        if self.pieces.is_empty() {
+            PieceSrc::Packed
+        } else {
+            self.piece_srcs[i * self.terms.len() + t]
+        }
+    }
+
+    /// Refine `lhs_runs` at the run boundaries of every direct term into
+    /// the compute-piece table (both stay empty when no term is direct).
+    fn build_pieces(&mut self) {
+        if !self.terms.iter().any(|ts| ts.direct) {
+            return;
+        }
+        let me = self.proc.zero_based() as u32;
+        let mut cuts: Vec<usize> = self
+            .lhs_runs
+            .iter()
+            .map(|r| r.pos)
+            .chain(
+                self.terms
+                    .iter()
+                    .filter(|ts| ts.direct)
+                    .flat_map(|ts| ts.runs.iter().map(|r| r.dst_off)),
+            )
+            .collect();
+        cuts.push(self.volume);
+        cuts.sort_unstable();
+        cuts.dedup();
+        // store runs and every term's copy runs tile 0..volume in order,
+        // so one forward cursor each finds the run covering a piece
+        let mut store = 0usize;
+        let mut cursors = vec![0usize; self.terms.len()];
+        for w in cuts.windows(2) {
+            let (pos, len) = (w[0], w[1] - w[0]);
+            while self.lhs_runs[store].pos + self.lhs_runs[store].len <= pos {
+                store += 1;
+            }
+            let sr = self.lhs_runs[store];
+            self.pieces.push(StoreRun { pos, dst_off: sr.dst_off + (pos - sr.pos), len });
+            for (ts, cur) in self.terms.iter().zip(cursors.iter_mut()) {
+                if !ts.direct {
+                    self.piece_srcs.push(PieceSrc::Packed);
+                    continue;
+                }
+                while ts.runs[*cur].dst_off + ts.runs[*cur].len <= pos {
+                    *cur += 1;
+                }
+                let r = ts.runs[*cur];
+                self.piece_srcs.push(if r.src == me {
+                    PieceSrc::Own(r.src_off + (pos - r.dst_off))
+                } else {
+                    PieceSrc::Packed
+                });
+            }
+        }
+    }
+
     /// Total ghost elements this processor receives across all terms.
     pub fn ghost_elements(&self) -> usize {
         self.terms.iter().map(|t| t.ghost_elements).sum()
@@ -222,14 +360,29 @@ impl ExecPlan {
                         }),
                     }
                 }
+                let me = p.zero_based() as u32;
+                let local_runs = runs.iter().filter(|r| r.src == me).count();
+                let direct = term.array != stmt.lhs
+                    && local_runs > 0
+                    && volume - ghost_elements >= DIRECT_MIN_RUN * local_runs;
                 terms.push(TermSchedule {
                     array: term.array,
                     runs,
                     elements: volume,
                     ghost_elements,
+                    direct,
                 });
             }
-            per_proc.push(ProcPlan { proc: p, volume, lhs_runs, terms });
+            let mut pp = ProcPlan {
+                proc: p,
+                volume,
+                lhs_runs,
+                terms,
+                pieces: Vec::new(),
+                piece_srcs: Vec::new(),
+            };
+            pp.build_pieces();
+            per_proc.push(pp);
         }
 
         let maps: Vec<Arc<hpf_core::EffectiveDist>> =
@@ -306,10 +459,13 @@ impl ExecPlan {
         &self.mappings
     }
 
-    /// Mutable per-processor schedules — only for the verifier's mutation
-    /// tests, which corrupt frozen plans to prove the diagnostics fire.
-    #[cfg(test)]
-    pub(crate) fn per_proc_mut(&mut self) -> &mut Vec<ProcPlan> {
+    /// Mutable per-processor schedules.
+    ///
+    /// Only for mutation tests that corrupt a frozen schedule to prove
+    /// [`verify_plan`](crate::verify::verify_plan) catches it — never
+    /// mutate a plan that will execute.
+    #[doc(hidden)]
+    pub fn per_proc_mut(&mut self) -> &mut Vec<ProcPlan> {
         &mut self.per_proc
     }
 
@@ -346,12 +502,14 @@ impl ExecPlan {
             .sum()
     }
 
-    /// Memory held by the compressed schedule entries, in bytes.
+    /// Memory held by the compressed schedule entries (store runs, copy
+    /// runs, and the compute-piece table), in bytes.
     pub fn schedule_bytes(&self) -> usize {
         self.per_proc
             .iter()
             .map(|pp| {
-                pp.lhs_runs.len() * std::mem::size_of::<StoreRun>()
+                (pp.lhs_runs.len() + pp.pieces.len()) * std::mem::size_of::<StoreRun>()
+                    + pp.piece_srcs.len() * std::mem::size_of::<PieceSrc>()
                     + pp.terms
                         .iter()
                         .map(|t| t.runs.len() * std::mem::size_of::<CopyRun>())
@@ -395,9 +553,10 @@ impl ExecPlan {
             .all(|(k, id)| arrays.get(*k).is_some_and(|a| id.is(a.mapping())))
     }
 
-    /// Replay the plan sequentially: pack/exchange every processor's
-    /// operand buffers (reads only — Fortran 90 semantics even when the
-    /// LHS appears on the RHS), then compute into the LHS local buffers.
+    /// Replay the plan sequentially: stage every processor's snapshot and
+    /// ghost operands (reads only — Fortran 90 semantics even when the LHS
+    /// appears on the RHS), then compute into the LHS local buffers,
+    /// reading every other local operand in place.
     ///
     /// Allocates a throwaway [`PlanWorkspace`]; hot loops should hold one
     /// and call [`ExecPlan::execute_seq_with`] (or replay through a
@@ -414,9 +573,9 @@ impl ExecPlan {
 
     /// Replay the plan sequentially into a reusable workspace. When `ws`
     /// was built for this plan (or has already been used with it), the
-    /// replay performs **zero heap allocations**: block copies into the
-    /// preallocated pack buffers, then slice-kernel compute into the LHS
-    /// local storage.
+    /// replay performs **zero heap allocations**: block copies of the
+    /// staged and ghost operands into the preallocated pack buffers, then
+    /// slice-kernel compute into the LHS local storage.
     ///
     /// # Panics
     /// Panics if the plan is stale for `arrays` (see
@@ -425,12 +584,59 @@ impl ExecPlan {
         assert!(self.is_valid_for(arrays), "stale plan: an involved array was remapped");
         ws.ensure(self);
         for (pp, bufs) in self.per_proc.iter().zip(ws.bufs.iter_mut()) {
-            pack_proc(arrays, pp, bufs);
+            stage_proc(arrays, pp, bufs);
         }
-        let (_, locals) = arrays[self.lhs].parts_mut();
-        for (pp, bufs) in self.per_proc.iter().zip(&ws.bufs) {
-            compute_proc(pp, &mut locals[pp.proc.zero_based()], bufs, self.combine);
+        self.compute_seq(arrays, &ws.bufs, None);
+    }
+
+    /// Compute phase over every processor in order, from packed operand
+    /// buffers `bufs[p]` already staged and exchanged. With `rank_ns`, the
+    /// wall-nanoseconds each processor's kernel took are *added* to its
+    /// slot — the adaptive controller's measured load sample.
+    pub(crate) fn compute_seq(
+        &self,
+        arrays: &mut [DistArray<f64>],
+        bufs: &[Vec<Vec<f64>>],
+        mut rank_ns: Option<&mut [u64]>,
+    ) {
+        let (lhs_arr, others) = split_lhs(arrays, self.lhs);
+        let (_, locals) = lhs_arr.parts_mut();
+        for (pp, bufs) in self.per_proc.iter().zip(bufs) {
+            let p0 = pp.proc.zero_based();
+            let t0 = std::time::Instant::now();
+            compute_pieces(pp, self.combine, &mut locals[p0], bufs, |k| others.local(k, p0));
+            if let Some(ns) = rank_ns.as_deref_mut() {
+                ns[p0] += t0.elapsed().as_nanos() as u64;
+            }
         }
+    }
+
+    /// [`ExecPlan::compute_seq`] spread over scoped threads, `chunk`
+    /// processors per thread (disjoint LHS shards; direct operands come
+    /// from arrays the statement does not store to).
+    pub(crate) fn compute_par(
+        &self,
+        arrays: &mut [DistArray<f64>],
+        bufs: &[Vec<Vec<f64>>],
+        chunk: usize,
+    ) {
+        let combine = self.combine;
+        // per_proc is ordered 1..=np, matching the local-buffer order
+        let (lhs_arr, others) = split_lhs(arrays, self.lhs);
+        let (_, locals) = lhs_arr.parts_mut();
+        crossbeam::thread::scope(|scope| {
+            for ((pps, bufss), locs) in
+                self.per_proc.chunks(chunk).zip(bufs.chunks(chunk)).zip(locals.chunks_mut(chunk))
+            {
+                scope.spawn(move |_| {
+                    for ((pp, bufs), local) in pps.iter().zip(bufss).zip(locs) {
+                        let p0 = pp.proc.zero_based();
+                        compute_pieces(pp, combine, local, bufs, |k| others.local(k, p0));
+                    }
+                });
+            }
+        })
+        .expect("worker thread panicked");
     }
 
     /// Replay the plan with both the pack and compute phases spread over
@@ -448,11 +654,12 @@ impl ExecPlan {
     /// Replay the plan with both phases parallel, into a reusable
     /// workspace. `threads` is capped at the simulated processor count —
     /// one simulated processor's buffers are the unit of work, so extra OS
-    /// threads would only pay spawn cost. The pack phase runs as its own
-    /// parallel wave (all packs read the arrays immutably and write
+    /// threads would only pay spawn cost. The stage/gather phase runs as
+    /// its own parallel wave (it reads the arrays immutably and writes
     /// disjoint workspace buffers), then a barrier, then the compute wave
-    /// (disjoint LHS local buffers) — a BSP superstep, bit-identical to
-    /// the sequential replay.
+    /// (disjoint LHS local buffers; direct operands are read from arrays
+    /// the statement does not store to) — a BSP superstep, bit-identical
+    /// to the sequential replay.
     ///
     /// # Panics
     /// Panics if the plan is stale for `arrays` (see
@@ -476,11 +683,11 @@ impl ExecPlan {
             return self.execute_seq_with(arrays, ws);
         }
         // plain chunked partition: ceil(np / threads) processors per thread.
-        // Pack and compute are two separate spawn waves rather than one
-        // wave with a barrier: pack holds a shared borrow of *all* arrays
-        // (the statement may read the LHS), so safe Rust cannot also hand
-        // the compute half a mutable borrow of the LHS locals within the
-        // same scope.
+        // Stage and compute are two separate spawn waves rather than one
+        // wave with a barrier: staging holds a shared borrow of *all*
+        // arrays (the statement may read the LHS), so safe Rust cannot
+        // also hand the compute half a mutable borrow of the LHS locals
+        // within the same scope.
         let chunk = np.div_ceil(threads);
         let arrays_ref: &[DistArray<f64>] = arrays;
         crossbeam::thread::scope(|scope| {
@@ -488,30 +695,13 @@ impl ExecPlan {
             {
                 scope.spawn(move |_| {
                     for (pp, bufs) in pps.iter().zip(bufss) {
-                        pack_proc(arrays_ref, pp, bufs);
+                        stage_proc(arrays_ref, pp, bufs);
                     }
                 });
             }
         })
         .expect("worker thread panicked");
-        let combine = self.combine;
-        // per_proc is ordered 1..=np, matching the local-buffer order
-        let (_, locals) = arrays[self.lhs].parts_mut();
-        crossbeam::thread::scope(|scope| {
-            for ((pps, bufss), locs) in self
-                .per_proc
-                .chunks(chunk)
-                .zip(ws.bufs.chunks(chunk))
-                .zip(locals.chunks_mut(chunk))
-            {
-                scope.spawn(move |_| {
-                    for ((pp, bufs), local) in pps.iter().zip(bufss).zip(locs) {
-                        compute_proc(pp, local, bufs, combine);
-                    }
-                });
-            }
-        })
-        .expect("worker thread panicked");
+        self.compute_par(arrays, &ws.bufs, chunk);
     }
 
     /// Replay through the *uncompressed* per-element schedule (expanding
@@ -555,88 +745,219 @@ impl ExecPlan {
     }
 }
 
-/// Pack phase for one processor: assemble its per-term operand buffers
-/// from its own local segment plus ghost data, one block copy per
-/// compressed run.
-pub(crate) fn pack_proc(
-    arrays: &[DistArray<f64>],
-    pp: &ProcPlan,
-    bufs: &mut [Vec<f64>],
-) {
-    for (ts, buf) in pp.terms.iter().zip(bufs) {
-        let src_arr = &arrays[ts.array];
-        for r in &ts.runs {
-            let src = &src_arr.local(r.src as usize)[r.src_off..r.src_off + r.len];
-            buf[r.dst_off..r.dst_off + r.len].copy_from_slice(src);
+/// Read-only view of every array except the statement's LHS — what the
+/// compute kernels read direct operands from while the LHS shards are
+/// mutably borrowed. Direct terms never name the LHS array (see the
+/// module docs), so the view has no need to reach it.
+#[derive(Clone, Copy)]
+struct Others<'a> {
+    before: &'a [DistArray<f64>],
+    after: &'a [DistArray<f64>],
+}
+
+impl<'a> Others<'a> {
+    /// Processor `p0`'s (zero-based) shard of array `array`.
+    ///
+    /// # Panics
+    /// Panics if `array` is the LHS array — a direct read of the array the
+    /// statement stores to would bypass the snapshot.
+    fn local(&self, array: usize, p0: usize) -> &'a [f64] {
+        let lhs = self.before.len();
+        match array.cmp(&lhs) {
+            std::cmp::Ordering::Less => self.before[array].local(p0),
+            std::cmp::Ordering::Greater => self.after[array - lhs - 1].local(p0),
+            std::cmp::Ordering::Equal => {
+                panic!("direct operand read of the LHS array #{array}")
+            }
         }
     }
 }
 
-/// Compute phase for one processor: combine the packed operand buffers
-/// into the LHS local buffer, one contiguous slice per store run.
-///
-/// Kernels are specialized by `(Combine, term count)` — 1-term copy is a
-/// block move, the 2-term sum is a vectorizable slice loop, and the n-term
-/// fallback accumulates directly into the LHS slice (safe because the pack
-/// phase already snapshotted every operand).
-pub(crate) fn compute_proc(
+/// Borrow the LHS array mutably and every other array read-only.
+fn split_lhs(
+    arrays: &mut [DistArray<f64>],
+    lhs: usize,
+) -> (&mut DistArray<f64>, Others<'_>) {
+    let (before, rest) = arrays.split_at_mut(lhs);
+    let (lhs_arr, after) = rest.split_first_mut().expect("the LHS array exists");
+    (lhs_arr, Others { before, after })
+}
+
+/// Stage phase for one processor: snapshot the local runs of every
+/// *staged* term from the processor's own shards (`own(k)` is its shard of
+/// array `k`) into the packed operand buffers. Direct terms are skipped —
+/// the kernel reads them in place — and remote positions are left for the
+/// exchange to fill.
+pub(crate) fn pack_staged_runs<'a>(
     pp: &ProcPlan,
-    local: &mut [f64],
-    bufs: &[Vec<f64>],
-    combine: Combine,
+    packed: &mut [Vec<f64>],
+    own: impl Fn(usize) -> &'a [f64],
 ) {
-    match (combine, bufs) {
-        (Combine::Copy, [b]) => {
-            for r in &pp.lhs_runs {
-                local[r.dst_off..r.dst_off + r.len]
-                    .copy_from_slice(&b[r.pos..r.pos + r.len]);
+    let me = pp.proc.zero_based() as u32;
+    for (ts, buf) in pp.terms.iter().zip(packed).filter(|(ts, _)| !ts.direct) {
+        let shard = own(ts.array);
+        for r in ts.runs.iter().filter(|r| r.src == me) {
+            buf[r.dst_off..r.dst_off + r.len]
+                .copy_from_slice(&shard[r.src_off..r.src_off + r.len]);
+        }
+    }
+}
+
+/// [`pack_staged_runs`] for one processor of arrays held in one address
+/// space.
+pub(crate) fn stage_own(arrays: &[DistArray<f64>], pp: &ProcPlan, bufs: &mut [Vec<f64>]) {
+    let p0 = pp.proc.zero_based();
+    pack_staged_runs(pp, bufs, |k| arrays[k].local(p0));
+}
+
+/// Stage and exchange for one processor in one shared address space,
+/// without a message layer: snapshot the staged local runs, then gather
+/// every remote run straight from its owner's shard.
+fn stage_proc(arrays: &[DistArray<f64>], pp: &ProcPlan, bufs: &mut [Vec<f64>]) {
+    let p0 = pp.proc.zero_based();
+    stage_own(arrays, pp, bufs);
+    for (ts, buf) in pp.terms.iter().zip(bufs) {
+        let src_arr = &arrays[ts.array];
+        for r in ts.runs.iter().filter(|r| r.src as usize != p0) {
+            buf[r.dst_off..r.dst_off + r.len]
+                .copy_from_slice(&src_arr.local(r.src as usize)[r.src_off..r.src_off + r.len]);
+        }
+    }
+}
+
+/// Compute phase for one processor — the one kernel entry point of every
+/// executor: walk the compute pieces once, combining each piece's
+/// operands into `out` (the processor's LHS shard). A piece reads a term
+/// either in place from the processor's own shard (`own(k)` is its shard
+/// of array `k`; only arrays other than the LHS are asked for) or from
+/// `packed` (ghost or staged data).
+///
+/// Kernels are single-pass and specialized by `(Combine, term count)` for
+/// 1..=8 terms, associating left to right exactly like
+/// [`Combine::apply`]; longer statements fall back to one pass per term.
+pub(crate) fn compute_pieces<'a>(
+    pp: &ProcPlan,
+    combine: Combine,
+    out: &mut [f64],
+    packed: &'a [Vec<f64>],
+    own: impl Fn(usize) -> &'a [f64],
+) {
+    match pp.terms.len() {
+        1 => walk_pieces::<1>(pp, combine, out, packed, own),
+        2 => walk_pieces::<2>(pp, combine, out, packed, own),
+        3 => walk_pieces::<3>(pp, combine, out, packed, own),
+        4 => walk_pieces::<4>(pp, combine, out, packed, own),
+        5 => walk_pieces::<5>(pp, combine, out, packed, own),
+        6 => walk_pieces::<6>(pp, combine, out, packed, own),
+        7 => walk_pieces::<7>(pp, combine, out, packed, own),
+        8 => walk_pieces::<8>(pp, combine, out, packed, own),
+        _ => walk_pieces_many(pp, combine, out, packed, own),
+    }
+}
+
+fn walk_pieces<'a, const N: usize>(
+    pp: &ProcPlan,
+    combine: Combine,
+    out: &mut [f64],
+    packed: &'a [Vec<f64>],
+    own: impl Fn(usize) -> &'a [f64],
+) {
+    // each term's two possible sources, resolved once per processor
+    let bufs: [&[f64]; N] = std::array::from_fn(|t| packed[t].as_slice());
+    let shards: [&[f64]; N] = std::array::from_fn(|t| {
+        let ts = &pp.terms[t];
+        if ts.direct {
+            own(ts.array)
+        } else {
+            &[]
+        }
+    });
+    let mut kernel = |piece: &StoreRun, srcs: &[PieceSrc]| {
+        let xs: [&[f64]; N] = std::array::from_fn(|t| match srcs[t] {
+            PieceSrc::Packed => &bufs[t][piece.pos..piece.pos + piece.len],
+            PieceSrc::Own(off) => &shards[t][off..off + piece.len],
+        });
+        combine_slices(combine, &mut out[piece.dst_off..piece.dst_off + piece.len], xs);
+    };
+    if pp.pieces.is_empty() {
+        for run in &pp.lhs_runs {
+            kernel(run, &[PieceSrc::Packed; N]);
+        }
+    } else {
+        for (piece, srcs) in pp.pieces.iter().zip(pp.piece_srcs.chunks_exact(N)) {
+            kernel(piece, srcs);
+        }
+    }
+}
+
+/// `out[k] = combine(xs[0][k], …, xs[N-1][k])` in one pass, folding left
+/// to right.
+#[inline(always)]
+fn combine_slices<const N: usize>(combine: Combine, out: &mut [f64], xs: [&[f64]; N]) {
+    let len = out.len();
+    // equal, known lengths let the loops below vectorize without bounds
+    // checks
+    let xs = xs.map(|x| &x[..len]);
+    let (first, rest) = xs.split_first().expect("validated: ≥ 1 term");
+    match combine {
+        Combine::Copy => out.copy_from_slice(first),
+        Combine::Sum => {
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = rest.iter().fold(first[k], |acc, x| acc + x[k]);
             }
         }
-        (Combine::Sum, [a, b]) => {
-            for r in &pp.lhs_runs {
-                let out = &mut local[r.dst_off..r.dst_off + r.len];
-                let (xs, ys) = (&a[r.pos..r.pos + r.len], &b[r.pos..r.pos + r.len]);
-                for ((o, x), y) in out.iter_mut().zip(xs).zip(ys) {
-                    *o = x + y;
+        Combine::Average => {
+            let n = N as f64;
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = rest.iter().fold(first[k], |acc, x| acc + x[k]) / n;
+            }
+        }
+        Combine::Max => {
+            // fold from −∞ exactly like `Combine::apply`
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = xs.iter().fold(f64::NEG_INFINITY, |acc, x| acc.max(x[k]));
+            }
+        }
+    }
+}
+
+/// More than eight terms: one pass per term, accumulating into the LHS
+/// slice (safe because a direct operand never aliases the LHS shard and a
+/// staged one was snapshotted).
+fn walk_pieces_many<'a>(
+    pp: &ProcPlan,
+    combine: Combine,
+    out: &mut [f64],
+    packed: &'a [Vec<f64>],
+    own: impl Fn(usize) -> &'a [f64],
+) {
+    let n = pp.terms.len();
+    for (i, piece) in pp.effective_pieces().iter().enumerate() {
+        let out = &mut out[piece.dst_off..piece.dst_off + piece.len];
+        let x = |t: usize| match pp.piece_src(i, t) {
+            PieceSrc::Packed => &packed[t][piece.pos..piece.pos + piece.len],
+            PieceSrc::Own(off) => &own(pp.terms[t].array)[off..off + piece.len],
+        };
+        match combine {
+            Combine::Copy => unreachable!("validation rejects multi-term Copy"),
+            Combine::Sum | Combine::Average => {
+                out.copy_from_slice(x(0));
+                for t in 1..n {
+                    for (o, v) in out.iter_mut().zip(x(t)) {
+                        *o += v;
+                    }
+                }
+                if matches!(combine, Combine::Average) {
+                    for o in out.iter_mut() {
+                        *o /= n as f64;
+                    }
                 }
             }
-        }
-        _ => {
-            let (first, rest) = bufs.split_first().expect("validated: ≥ 1 term");
-            for r in &pp.lhs_runs {
-                let out = &mut local[r.dst_off..r.dst_off + r.len];
-                match combine {
-                    Combine::Copy => unreachable!(
-                        "1-term Copy takes the specialized arm; validation \
-                         rejects multi-term Copy"
-                    ),
-                    Combine::Sum | Combine::Average => {
-                        out.copy_from_slice(&first[r.pos..r.pos + r.len]);
-                        for b in rest {
-                            for (o, x) in out.iter_mut().zip(&b[r.pos..r.pos + r.len])
-                            {
-                                *o += x;
-                            }
-                        }
-                        if matches!(combine, Combine::Average) {
-                            let n = bufs.len() as f64;
-                            for o in out.iter_mut() {
-                                *o /= n;
-                            }
-                        }
-                    }
-                    Combine::Max => {
-                        // fold from −∞ exactly like `Combine::apply`
-                        for (o, x) in out.iter_mut().zip(&first[r.pos..r.pos + r.len])
-                        {
-                            *o = f64::NEG_INFINITY.max(*x);
-                        }
-                        for b in rest {
-                            for (o, x) in out.iter_mut().zip(&b[r.pos..r.pos + r.len])
-                            {
-                                *o = o.max(*x);
-                            }
-                        }
+            Combine::Max => {
+                out.fill(f64::NEG_INFINITY);
+                for t in 0..n {
+                    for (o, v) in out.iter_mut().zip(x(t)) {
+                        *o = o.max(*v);
                     }
                 }
             }
@@ -803,6 +1124,116 @@ mod tests {
         let expect = dense_reference(&arrays, &stmt);
         ExecPlan::inspect(&arrays, &stmt).unwrap().execute_seq(&mut arrays);
         assert_eq!(arrays[0].to_dense(), expect);
+    }
+
+    #[test]
+    fn piece_table_refines_store_runs_at_direct_boundaries() {
+        // BLOCK ← BLOCK shift over 64-element blocks: every processor but
+        // the first computes one ghost element, then its own block
+        let arrays = setup(256, 4, &[FormatSpec::Block, FormatSpec::Block]);
+        let stmt = shift_stmt(256, &arrays);
+        let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
+        let first = &plan.per_proc()[0];
+        assert!(first.terms[0].direct);
+        assert_eq!(first.pieces, vec![StoreRun { pos: 0, dst_off: 1, len: 63 }]);
+        assert_eq!(first.piece_srcs, vec![PieceSrc::Own(0)]);
+        let second = &plan.per_proc()[1];
+        assert_eq!(
+            second.pieces,
+            vec![
+                StoreRun { pos: 0, dst_off: 0, len: 1 },
+                StoreRun { pos: 1, dst_off: 1, len: 63 },
+            ]
+        );
+        assert_eq!(second.piece_srcs, vec![PieceSrc::Packed, PieceSrc::Own(0)]);
+        // the pieces tile exactly what the store runs cover
+        for pp in plan.per_proc() {
+            assert_eq!(pp.pieces.iter().map(|p| p.len).sum::<usize>(), pp.volume);
+        }
+    }
+
+    #[test]
+    fn staged_statements_get_no_piece_table() {
+        // length-1 local runs (BLOCK ← CYCLIC) and LHS aliasing both keep
+        // the snapshot: no refinement, no extra schedule bytes
+        let arrays = setup(256, 4, &[FormatSpec::Block, FormatSpec::Cyclic(1)]);
+        let cyclic = ExecPlan::inspect(&arrays, &shift_stmt(256, &arrays)).unwrap();
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let alias = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(2, 256)]),
+            vec![Term::new(0, Section::from_triplets(vec![span(1, 255)]))],
+            Combine::Copy,
+            &doms,
+        )
+        .unwrap();
+        let alias = ExecPlan::inspect(&arrays, &alias).unwrap();
+        for plan in [&cyclic, &alias] {
+            let runs_only: usize = plan
+                .per_proc()
+                .iter()
+                .map(|pp| {
+                    assert!(pp.pieces.is_empty() && pp.piece_srcs.is_empty());
+                    assert!(pp.terms.iter().all(|ts| !ts.direct));
+                    pp.lhs_runs.len() * std::mem::size_of::<StoreRun>()
+                        + pp.terms
+                            .iter()
+                            .map(|ts| ts.runs.len() * std::mem::size_of::<CopyRun>())
+                            .sum::<usize>()
+                })
+                .sum();
+            assert_eq!(plan.schedule_bytes(), runs_only);
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_oracle_bit_for_bit_at_every_term_count() {
+        // 1..=8 terms take the single-pass kernels, 9 and 10 the per-term
+        // fallback; the operands mix an in-place array (B), the aliased
+        // LHS (A, staged) and a cyclic array (C, staged), with non-dyadic
+        // values so a different association would show in the last bit
+        let n = 256i64;
+        let mut arrays =
+            setup(n as usize, 4, &[FormatSpec::Block, FormatSpec::Block, FormatSpec::Cyclic(1)]);
+        for (k, a) in arrays.iter_mut().enumerate() {
+            let dom = a.domain().clone();
+            for i in dom.iter() {
+                a.set(&i, ((i[0] * 37 + k as i64 * 11) % 101) as f64 * 0.1 + 1e-3);
+            }
+        }
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        for nterms in 1..=10usize {
+            for combine in [Combine::Sum, Combine::Average, Combine::Max] {
+                let terms = (0..nterms)
+                    .map(|t| {
+                        let shift = (t % 3) as i64;
+                        Term::new(
+                            [1, 0, 2][t % 3],
+                            Section::from_triplets(vec![span(1 + shift, n - 2 + shift)]),
+                        )
+                    })
+                    .collect();
+                let stmt = Assignment::new(
+                    0,
+                    Section::from_triplets(vec![span(2, n - 1)]),
+                    terms,
+                    combine,
+                    &doms,
+                )
+                .unwrap();
+                let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
+                assert!(plan.per_proc()[1].terms[0].direct);
+                let expect = dense_reference(&arrays, &stmt);
+                let mut got = arrays.clone();
+                plan.execute_seq(&mut got);
+                let same = got[0]
+                    .to_dense()
+                    .iter()
+                    .zip(&expect)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(same, "{nterms} term(s), {combine:?}");
+            }
+        }
     }
 
     #[test]

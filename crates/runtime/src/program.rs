@@ -192,9 +192,10 @@ impl Program {
     /// backend, returning the per-statement analyses (shared handles into
     /// the frozen plans). Plans are cached: repeated calls replay
     /// compiled schedules instead of re-inspecting, and a fully-warm call
-    /// performs **zero heap allocations** — block-copy pack into cached
-    /// workspaces, staged per-pair exchange through preallocated message
-    /// buffers, slice-kernel compute, `Arc` bumps for the analyses.
+    /// performs **zero heap allocations** — staged operands block-copied
+    /// into cached workspaces, per-pair exchange through preallocated
+    /// message buffers, slice-kernel compute reading local operands in
+    /// place, `Arc` bumps for the analyses.
     /// Equivalent to [`Program::step_on`]`(Backend::SharedMem)`.
     pub(crate) fn step_seq(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
         self.step_on(Backend::SharedMem)

@@ -14,7 +14,10 @@
 //!
 //! 1. the driver moves each processor's local buffers *by value* into its
 //!    worker (an ownership handoff — pointer moves, no copying);
-//! 2. every worker packs its local gather runs from its own shards, then
+//! 2. every worker snapshots the local runs of its *staged* terms from
+//!    its own shards (terms naming the LHS array, whose old values the
+//!    kernel must still see once it starts storing, and terms with runs
+//!    too short to be worth reading piecewise — see [`crate::plan`]), then
 //!    packs **one message per outgoing pair** from the plan's
 //!    [`MessagePlan`] and ships it; spent message buffers are recycled
 //!    through a shared free-list, so warm steps reuse wire buffers
@@ -25,7 +28,8 @@
 //!    different plans, surfaces as a typed [`ExchangeError`] before any
 //!    garbage is unpacked), unpacks them into its packed operand buffers
 //!    (kept across steps, per worker), and computes into its own LHS
-//!    shard;
+//!    shard — reading ghost and staged operands from those buffers and
+//!    every other local operand **in place** from the shards it owns;
 //! 4. the driver collects the shards back and reinstalls them. The
 //!    schedule itself was already cross-checked pair for pair against the
 //!    independent region-algebraic [`CommAnalysis`](crate::CommAnalysis)
@@ -55,11 +59,11 @@
 //! exactly what a crashed distributed-memory node does: recovery is
 //! restore-and-replay, never patch-up.
 
-use crate::array::DistArray;
+use crate::array::{DistArray, Shard};
 use crate::backend::{ExchangeBackend, ExchangeError};
 use crate::fault::{FaultPlan, FaultSwitch, SendAction};
 use crate::fuse::ProgramPlan;
-use crate::plan::{compute_proc, ExecPlan};
+use crate::plan::{compute_pieces, pack_staged_runs, ExecPlan, ProcPlan};
 use crate::workspace::PlanWorkspace;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -91,7 +95,7 @@ impl Cmd {
 #[derive(Debug)]
 struct Step {
     plan: Arc<ExecPlan>,
-    shards: Vec<Vec<f64>>,
+    shards: Vec<Shard<f64>>,
     /// Backend superstep counter at dispatch.
     step: u64,
 }
@@ -106,7 +110,7 @@ struct FusedStep {
     /// Mask rebuild stamp from [`crate::fuse::FusedState`] — workers
     /// re-derive their per-pair effective totals only when it moves.
     eff_version: u64,
-    shards: Vec<Vec<f64>>,
+    shards: Vec<Shard<f64>>,
     /// Backend superstep counter at dispatch.
     step: u64,
 }
@@ -117,7 +121,7 @@ struct FusedStep {
 #[derive(Debug)]
 struct Done {
     proc: usize,
-    result: Result<Vec<Vec<f64>>, ExchangeError>,
+    result: Result<Vec<Shard<f64>>, ExchangeError>,
     /// Wall-nanoseconds this worker spent in its compute kernels during
     /// the step — the measured per-processor load sample the adaptive
     /// controller consumes (see [`ExchangeBackend::rank_compute_ns`]).
@@ -266,7 +270,7 @@ fn run_unfused_step(
     ctx: &WorkerCtx,
     step: u64,
     plan: &Arc<ExecPlan>,
-    shards: &mut [Vec<f64>],
+    shards: &mut [Shard<f64>],
     packed: &mut Vec<Vec<f64>>,
     compute_ns: &mut u64,
 ) -> Result<bool, ExchangeError> {
@@ -278,13 +282,8 @@ fn run_unfused_step(
     {
         *packed = pp.terms.iter().map(|t| vec![0.0f64; t.elements]).collect();
     }
-    // phase 1: pack local runs from this worker's own shards
-    for (ts, buf) in pp.terms.iter().zip(packed.iter_mut()) {
-        for r in ts.runs.iter().filter(|r| r.src == me32) {
-            buf[r.dst_off..r.dst_off + r.len]
-                .copy_from_slice(&shards[ts.array][r.src_off..r.src_off + r.len]);
-        }
-    }
+    // phase 1: snapshot the staged local runs from this worker's shards
+    pack_staged_runs(pp, packed, |k| &shards[k]);
     // phase 2a: pack and ship one message per outgoing pair
     let msgs = plan.message_plan();
     for pair in msgs.pairs().iter().filter(|p| p.sender == me32) {
@@ -336,19 +335,22 @@ fn run_unfused_step(
     // phase 3: compute into this worker's own LHS shard (timed — the
     // per-processor load sample reported back with the completion)
     let t0 = Instant::now();
-    compute_proc(pp, &mut shards[plan.lhs()], packed, plan.combine());
+    compute_shard(pp, plan, shards, packed);
     *compute_ns += t0.elapsed().as_nanos() as u64;
     Ok(true)
 }
 
 /// One whole fused timestep on a worker: run the [`ProgramPlan`]'s
-/// supersteps **without global barriers** — pack the superstep's local
-/// runs, ship every outgoing fused pair *hoisted* to this phase (only its
-/// effective segments; an all-clean pair sends nothing and the receiver,
-/// holding the same mask, skips it too), unpack whatever has arrived
+/// supersteps **without global barriers** — snapshot the superstep's
+/// staged local runs, ship every outgoing fused pair *hoisted* to this
+/// phase (only its effective segments; an all-clean pair sends nothing and
+/// the receiver, holding the same mask, skips it too), unpack whatever has
+/// arrived
 /// (messages for later supersteps are welcome early — remote and local
 /// runs fill disjoint buffer positions), block only on the arrivals this
-/// superstep's kernels actually read, then compute. A pair packed at an
+/// superstep's kernels actually read, then compute the superstep's
+/// statements in program order (which is what lets an earlier statement
+/// read in place an array a later one in the same superstep overwrites). A pair packed at an
 /// earlier phase than its home superstep is therefore in flight while
 /// the intervening supersteps compute — the pack/exchange-overlap leg of
 /// the fusion design. Returns `Ok(false)` iff abandoned on shutdown;
@@ -360,7 +362,7 @@ fn run_fused_step(
     plan: &Arc<ProgramPlan>,
     eff: &[bool],
     eff_version: u64,
-    shards: &mut [Vec<f64>],
+    shards: &mut [Shard<f64>],
     scratch: &mut FusedScratch,
     compute_ns: &mut u64,
 ) -> Result<bool, ExchangeError> {
@@ -388,15 +390,11 @@ fn run_fused_step(
     }
 
     for phase in 0..plan.supersteps().len() {
-        // pack this superstep's local runs from this worker's own shards
+        // snapshot this superstep's staged local runs from this worker's
+        // own shards
         for &s in &plan.supersteps()[phase].stmts {
             let pp = &plan.plans()[s].per_proc()[me];
-            for (ts, buf) in pp.terms.iter().zip(scratch.packed[s].iter_mut()) {
-                for r in ts.runs.iter().filter(|r| r.src == me32) {
-                    buf[r.dst_off..r.dst_off + r.len]
-                        .copy_from_slice(&shards[ts.array][r.src_off..r.src_off + r.len]);
-                }
-            }
+            pack_staged_runs(pp, &mut scratch.packed[s], |k| &shards[k]);
         }
         // ship every outgoing pair hoisted to this phase
         for (k, pair) in plan.pairs().iter().enumerate() {
@@ -466,16 +464,20 @@ fn run_fused_step(
         let t0 = Instant::now();
         for &s in &plan.supersteps()[phase].stmts {
             let sp = &plan.plans()[s];
-            compute_proc(
-                &sp.per_proc()[me],
-                &mut shards[sp.lhs()],
-                &scratch.packed[s],
-                sp.combine(),
-            );
+            compute_shard(&sp.per_proc()[me], sp, shards, &scratch.packed[s]);
         }
         *compute_ns += t0.elapsed().as_nanos() as u64;
     }
     Ok(true)
+}
+
+/// Run this worker's kernel for one statement: the LHS shard is moved out
+/// for the duration (a pointer move), so the kernel can write it while
+/// reading direct operands in place from the worker's other shards.
+fn compute_shard(pp: &ProcPlan, plan: &ExecPlan, shards: &mut [Shard<f64>], packed: &[Vec<f64>]) {
+    let mut out = std::mem::take(&mut shards[plan.lhs()]);
+    compute_pieces(pp, plan.combine(), &mut out, packed, |k| &shards[k]);
+    shards[plan.lhs()] = out;
 }
 
 fn worker_loop(ctx: WorkerCtx, cmds: Receiver<Cmd>, done: Sender<Done>) {
@@ -687,7 +689,7 @@ impl ChannelsBackend {
         self.ensure_workers(np);
         let step = self.steps;
         for (p, cmd) in self.cmd_txs.iter().enumerate() {
-            let shards: Vec<Vec<f64>> =
+            let shards: Vec<Shard<f64>> =
                 arrays.iter_mut().map(|a| a.take_local(p)).collect();
             // a send can only fail if the worker already died; the
             // completion scan below pins and reports the death
@@ -850,7 +852,7 @@ impl ExchangeBackend for ChannelsBackend {
         let step = self.steps;
         // ownership handoff: every worker gets exactly its own shards
         for (p, cmd) in self.cmd_txs.iter().enumerate() {
-            let shards: Vec<Vec<f64>> =
+            let shards: Vec<Shard<f64>> =
                 arrays.iter_mut().map(|a| a.take_local(p)).collect();
             let _ = cmd.send(Cmd::Step(Step { plan: plan.clone(), shards, step }));
         }

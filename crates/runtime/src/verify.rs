@@ -17,11 +17,13 @@
 //!    shard*, and every destination stays inside the pack-buffer extents.
 //! 3. **Race freedom** — the parallel executor's partitioning gives every
 //!    simulated processor to exactly one worker (store sets cannot
-//!    intersect), and the pack → exchange → compute happens-before order
-//!    is sound: every pack-buffer position is filled exactly once before
-//!    compute reads it, and no remote read bypasses the exchange (the
-//!    RAW/WAR hazard check that makes LHS-aliasing statements under
-//!    shifted sections safe).
+//!    intersect), and the stage → exchange → compute happens-before order
+//!    is sound: every pack-buffer position compute reads is filled
+//!    exactly once before, no remote read bypasses the exchange, and the
+//!    compute-piece table reads in place only what is safe to — own-shard
+//!    elements the gather schedule names, never the array the statement
+//!    stores to (the RAW/WAR hazard check that makes LHS-aliasing
+//!    statements under shifted sections safe).
 //! 4. **Deadlock freedom** — the per-pair [`PairSchedule`](crate::PairSchedule)s form a
 //!    schedulable BSP superstep: no self-message, a strict total order
 //!    over pairs, every send matched by the receive the receiver's gather
@@ -51,7 +53,7 @@ use crate::array::DistArray;
 use crate::assign::Assignment;
 use crate::backend::AnalysisVerdict;
 use crate::commsets::project_region;
-use crate::plan::{ExecPlan, ProcPlan};
+use crate::plan::{ExecPlan, PieceSrc, ProcPlan};
 use hpf_index::Idx;
 use hpf_procs::ProcId;
 use std::collections::HashMap;
@@ -438,6 +440,98 @@ pub enum DiagnosticKind {
         /// Elements the analysis froze.
         analysis: u64,
     },
+    /// The compute-piece table's source list is not `pieces × terms` long
+    /// — the kernel would pair pieces with the wrong operand sources.
+    PieceTableMalformed {
+        /// Zero-based processor.
+        proc: u32,
+        /// Pieces in the table.
+        pieces: usize,
+        /// Operand sources recorded.
+        sources: usize,
+        /// RHS terms of the statement.
+        terms: usize,
+    },
+    /// The compute pieces do not tile `0..volume` in order: a position
+    /// would be computed twice, never, or out of sequence.
+    PieceTilingMismatch {
+        /// Zero-based processor.
+        proc: u32,
+        /// Piece index (the piece count when the table ends short of, or
+        /// past, the volume).
+        piece: usize,
+        /// Position the piece starts at (where the table ends, for the
+        /// final check).
+        pos: usize,
+        /// Position the tiling requires there.
+        expected: usize,
+    },
+    /// A compute piece stores to a different LHS offset than the store
+    /// runs (and the statement) assign to its positions.
+    PieceStoreMismatch {
+        /// Zero-based processor.
+        proc: u32,
+        /// Piece index.
+        piece: usize,
+        /// Offset the piece writes.
+        offset: usize,
+        /// Offset the statement assigns to that position.
+        expected: usize,
+    },
+    /// A piece's in-place operand read runs past the end of the
+    /// processor's own shard.
+    DirectSourceOutOfShard {
+        /// Zero-based processor.
+        proc: u32,
+        /// RHS term index.
+        term: usize,
+        /// Piece index.
+        piece: usize,
+        /// One-past-the-end shard offset of the read.
+        end: usize,
+        /// The processor's shard length.
+        extent: usize,
+    },
+    /// A piece reads an operand in place from an address that is not what
+    /// the term's gather schedule says for that position (a different
+    /// offset, an element another processor owns, or any in-place read of
+    /// a term the schedule marks staged).
+    DirectSourceMismatch {
+        /// Zero-based processor.
+        proc: u32,
+        /// RHS term index.
+        term: usize,
+        /// Piece index.
+        piece: usize,
+        /// First computed position whose in-place read is wrong.
+        pos: usize,
+        /// Own-shard offset the piece reads there.
+        offset: usize,
+    },
+    /// A piece reads in place from the array the statement stores to —
+    /// the kernel would see elements it has already overwritten instead
+    /// of the pre-assignment snapshot.
+    DirectReadsStoredArray {
+        /// Zero-based processor.
+        proc: u32,
+        /// RHS term index.
+        term: usize,
+        /// The array both read in place and stored to.
+        array: usize,
+    },
+    /// A piece reads packed-buffer positions the stage phase never fills:
+    /// they are local, and the term is marked direct, so its local runs
+    /// are not staged.
+    UnpackedLocalRead {
+        /// Zero-based processor.
+        proc: u32,
+        /// RHS term index.
+        term: usize,
+        /// First unfilled pack position read.
+        offset: usize,
+        /// Consecutive unfilled positions read.
+        len: usize,
+    },
     /// A fused plan's constituent plan list disagrees with the statement
     /// list it claims to implement.
     FusedShapeMismatch {
@@ -447,7 +541,10 @@ pub enum DiagnosticKind {
         plans: usize,
     },
     /// Two statements fused into the same superstep have a RAW or WAW
-    /// conflict — their kernels would race on the shared array.
+    /// conflict — their kernels would race on the shared array — or a
+    /// statement sits on a different level than the re-derived schedule
+    /// assigns it (reported with `earlier == later`), e.g. a writer
+    /// hoisted into a superstep before an earlier reader of its array.
     FusedHazard {
         /// The superstep holding both statements.
         superstep: usize,
@@ -687,6 +784,42 @@ impl fmt::Display for DiagnosticKind {
                 f,
                 "plan moves {planned} wire element(s), analysis froze {analysis}"
             ),
+            PieceTableMalformed { proc, pieces, sources, terms } => write!(
+                f,
+                "p{proc}: piece table records {sources} operand source(s) for \
+                 {pieces} piece(s) × {terms} term(s)"
+            ),
+            PieceTilingMismatch { proc, piece, pos, expected } => write!(
+                f,
+                "p{proc} piece {piece}: at position {pos} where the tiling of the \
+                 computed volume requires {expected}"
+            ),
+            PieceStoreMismatch { proc, piece, offset, expected } => write!(
+                f,
+                "p{proc} piece {piece}: stores to offset {offset} where the statement \
+                 assigns {expected}"
+            ),
+            DirectSourceOutOfShard { proc, term, piece, end, extent } => write!(
+                f,
+                "p{proc} term {term} piece {piece}: in-place read ends at {end}, \
+                 beyond the own shard extent {extent}"
+            ),
+            DirectSourceMismatch { proc, term, piece, pos, offset } => write!(
+                f,
+                "p{proc} term {term} piece {piece} position {pos}: in-place read of \
+                 own offset {offset} is not what the gather schedule names"
+            ),
+            DirectReadsStoredArray { proc, term, array } => write!(
+                f,
+                "p{proc} term {term}: reads array #{array} in place while the \
+                 statement stores to it — the snapshot is bypassed"
+            ),
+            UnpackedLocalRead { proc, term, offset, len } => write!(
+                f,
+                "p{proc} term {term}: pack position(s) {offset}..{} are local to a \
+                 direct term, never staged, yet read from the packed buffer",
+                offset + len
+            ),
             FusedShapeMismatch { statements, plans } => write!(
                 f,
                 "fused plan carries {plans} constituent plan(s) for {statements} \
@@ -695,7 +828,7 @@ impl fmt::Display for DiagnosticKind {
             FusedHazard { superstep, earlier, later, array } => write!(
                 f,
                 "superstep {superstep}: statements #{earlier} and #{later} conflict \
-                 on array #{array} (RAW/WAW) yet fused into one level"
+                 on array #{array} (RAW/WAW/WAR-hoist) at this level"
             ),
             FusedSegmentOrphan { pair, segment } => write!(
                 f,
@@ -1064,6 +1197,12 @@ pub fn verify_plan(
         }
 
         // -- gather bounds + correctness + pack happens-before --
+        // per term, the (source, offset) its gather runs name for every
+        // computed position — what the compute pieces are held to below
+        /// `(source processor, offset)` per computed position; `None`
+        /// where no gather run fills it.
+        type Sources = Vec<Option<(u32, usize)>>;
+        let mut gathered: Vec<Option<Sources>> = vec![None; pp.terms.len()];
         for (t, ts) in pp.terms.iter().enumerate() {
             let Some(term) = stmt.terms.get(t) else { continue };
             if ts.array != term.array {
@@ -1092,7 +1231,7 @@ pub fn verify_plan(
                 );
             }
             let src_arr = &arrays[ts.array];
-            let mut filled = vec![false; ts.elements];
+            let mut filled: Sources = vec![None; ts.elements];
             let mut pack_overlaps = Vec::new();
             let mut remote = 0usize;
             for (ri, r) in ts.runs.iter().enumerate() {
@@ -1150,7 +1289,7 @@ pub fn verify_plan(
                 let mut wrong = false;
                 for i in 0..r.len {
                     let k = r.dst_off + i;
-                    if std::mem::replace(&mut filled[k], true) {
+                    if filled[k].replace((r.src, r.src_off + i)).is_some() {
                         pack_overlaps.push(k);
                     }
                     if !wrong && k < volume {
@@ -1191,11 +1330,145 @@ pub fn verify_plan(
                     &mut diags,
                 );
             }
-            let gaps: Vec<usize> = (0..ts.elements).filter(|&k| !filled[k]).collect();
+            let gaps: Vec<usize> =
+                (0..ts.elements).filter(|&k| filled[k].is_none()).collect();
             for (offset, len) in coalesce(gaps) {
                 push(
                     Property::RaceFreedom,
                     DiagnosticKind::PackGap { proc: me, term: t, offset, len },
+                    &mut diags,
+                );
+            }
+            gathered[t] = Some(filled);
+        }
+
+        // -- compute-piece table: what the kernel actually walks --
+        let nt = pp.terms.len();
+        if pp.piece_srcs.len() != pp.pieces.len() * nt {
+            push(
+                Property::Bounds,
+                DiagnosticKind::PieceTableMalformed {
+                    proc: me,
+                    pieces: pp.pieces.len(),
+                    sources: pp.piece_srcs.len(),
+                    terms: nt,
+                },
+                &mut diags,
+            );
+            continue; // the source lookups below would index out of extent
+        }
+        let pieces = pp.effective_pieces();
+        let refined = !pp.pieces.is_empty(); // else `lhs_runs`, checked above
+        let mut next = 0usize;
+        let mut stored_array_read = vec![false; nt];
+        let mut unpacked: Vec<Vec<usize>> = vec![Vec::new(); nt];
+        for (i, piece) in pieces.iter().enumerate() {
+            if refined && piece.pos != next {
+                push(
+                    Property::WriteCoverage,
+                    DiagnosticKind::PieceTilingMismatch {
+                        proc: me,
+                        piece: i,
+                        pos: piece.pos,
+                        expected: next,
+                    },
+                    &mut diags,
+                );
+            }
+            next = piece.pos + piece.len;
+            if next > volume {
+                continue; // diagnosed by the tiling check (or as a store run)
+            }
+            if refined {
+                if let Some(k) =
+                    (0..piece.len).find(|&k| expected[piece.pos + k] != piece.dst_off + k)
+                {
+                    push(
+                        Property::WriteCoverage,
+                        DiagnosticKind::PieceStoreMismatch {
+                            proc: me,
+                            piece: i,
+                            offset: piece.dst_off + k,
+                            expected: expected[piece.pos + k],
+                        },
+                        &mut diags,
+                    );
+                }
+            }
+            for (t, ts) in pp.terms.iter().enumerate() {
+                let Some(named) = &gathered[t] else { continue };
+                let named = |k: usize| named.get(piece.pos + k).copied().flatten();
+                match pp.piece_src(i, t) {
+                    PieceSrc::Own(off) => {
+                        if ts.array == plan.lhs()
+                            && !std::mem::replace(&mut stored_array_read[t], true)
+                        {
+                            push(
+                                Property::RaceFreedom,
+                                DiagnosticKind::DirectReadsStoredArray {
+                                    proc: me,
+                                    term: t,
+                                    array: ts.array,
+                                },
+                                &mut diags,
+                            );
+                        }
+                        let extent = arrays[ts.array].local_len(p);
+                        if off + piece.len > extent {
+                            push(
+                                Property::Bounds,
+                                DiagnosticKind::DirectSourceOutOfShard {
+                                    proc: me,
+                                    term: t,
+                                    piece: i,
+                                    end: off + piece.len,
+                                    extent,
+                                },
+                                &mut diags,
+                            );
+                        } else if let Some(k) = (0..piece.len)
+                            // a staged term has no in-place source at all
+                            .find(|&k| !ts.direct || named(k) != Some((me, off + k)))
+                        {
+                            push(
+                                Property::Bounds,
+                                DiagnosticKind::DirectSourceMismatch {
+                                    proc: me,
+                                    term: t,
+                                    piece: i,
+                                    pos: piece.pos + k,
+                                    offset: off + k,
+                                },
+                                &mut diags,
+                            );
+                        }
+                    }
+                    PieceSrc::Packed if ts.direct => unpacked[t].extend(
+                        (0..piece.len)
+                            .filter(|&k| named(k).is_some_and(|(src, _)| src == me))
+                            .map(|k| piece.pos + k),
+                    ),
+                    PieceSrc::Packed => {}
+                }
+            }
+        }
+        if refined && next != volume {
+            push(
+                Property::WriteCoverage,
+                DiagnosticKind::PieceTilingMismatch {
+                    proc: me,
+                    piece: pieces.len(),
+                    pos: next,
+                    expected: volume,
+                },
+                &mut diags,
+            );
+        }
+        for (t, positions) in unpacked.into_iter().enumerate() {
+            for (offset, len) in coalesce(positions) {
+                push(
+                    Property::RaceFreedom,
+                    DiagnosticKind::UnpackedLocalRead { proc: me, term: t, offset, len },
                     &mut diags,
                 );
             }
@@ -1545,8 +1818,13 @@ pub fn verify_program_plan(
         for r in 0..s {
             let raw = stmts[s].terms.iter().any(|t| t.array == stmts[r].lhs);
             let waw = stmts[s].lhs == stmts[r].lhs;
+            // WAR: a writer may share its earlier reader's superstep but
+            // must never be hoisted before it
+            let war = stmts[r].terms.iter().any(|t| t.array == stmts[s].lhs);
             if raw || waw {
                 level[s] = level[s].max(level[r] + 1);
+            } else if war {
+                level[s] = level[s].max(level[r]);
             }
         }
     }

@@ -1,8 +1,19 @@
 //! Reusable execution scratch — the zero-allocation warm-replay contract.
 //!
 //! A [`PlanWorkspace`] owns the per-processor, per-term packed operand
-//! buffers a plan replay fills during its pack phase. Building one costs
-//! the allocations once; every subsequent
+//! buffers of a plan replay. What lands in them is decided per term at
+//! inspect time (see [`crate::plan`]): the exchange delivers **ghost**
+//! data at the positions the message schedules name, and the stage phase
+//! snapshots the local runs of **staged** terms — those naming the
+//! statement's LHS array, whose pre-assignment values the kernel must
+//! still see after it starts storing, and those whose local runs are too
+//! short to be worth a piece each. A *direct* term's local positions are
+//! never written: the kernel reads them in place from the processor's own
+//! shard. Every buffer keeps the full `dst_off` layout either way (so
+//! message schedules, fused segments and dirty tracking address it
+//! unchanged); the untouched stretches of a zero-initialised buffer are
+//! never paged in. Building a workspace costs the allocations once; every
+//! subsequent
 //! [`ExecPlan::execute_seq_with`](crate::ExecPlan::execute_seq_with) /
 //! [`ExecPlan::execute_par_with`](crate::ExecPlan::execute_par_with)
 //! against the same plan reuses the buffers, so a **warm replay performs
@@ -18,7 +29,8 @@ use crate::plan::ExecPlan;
 
 /// Preallocated pack buffers for one [`ExecPlan`]: `bufs[p][t]` is the
 /// packed operand buffer of simulated processor `p` for RHS term `t`,
-/// sized to exactly the processor's computed volume. `stage[k]` is the
+/// sized to exactly the processor's computed volume (ghost positions
+/// always; local positions only for staged terms — see the module docs). `stage[k]` is the
 /// persistent message staging buffer for the plan's `k`-th communicating
 /// processor pair (in [`MessagePlan`](crate::MessagePlan) order), sized
 /// to exactly that pair's message length — the shared-memory backend's

@@ -238,3 +238,141 @@ fn rebalanced_program_verifies_clean_after_remap() {
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.statements[0].verdict, AnalysisVerdict::Exact);
 }
+
+// ---- compute-piece table: one mutation per diagnostic ---------------------
+
+/// `A(2:n) = A(1:n-1) + B(1:n-1)` over 64-element blocks: term 0 names the
+/// LHS array and is staged, term 1 is read in place, and every processor
+/// but the first has a ghost piece ahead of its local piece.
+fn direct_setup() -> (Vec<DistArray<f64>>, Assignment, ExecPlan) {
+    let n = 256i64;
+    let arrays = build_arrays(n as usize, 4, 0, 0, 7);
+    let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+    let rhs = Section::from_triplets(vec![span(1, n - 1)]);
+    let stmt = Assignment::new(
+        0,
+        Section::from_triplets(vec![span(2, n)]),
+        vec![Term::new(0, rhs.clone()), Term::new(1, rhs)],
+        Combine::Sum,
+        &doms,
+    )
+    .unwrap();
+    let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
+    assert!(verify_plan(&arrays, &stmt, &plan).is_clean());
+    let pp = &plan.per_proc()[1];
+    assert!(!pp.terms[0].direct && pp.terms[1].direct);
+    assert_eq!(pp.piece_srcs.len(), pp.pieces.len() * 2);
+    (arrays, stmt, plan)
+}
+
+/// Corrupt processor 1's schedule with `mutate` and return the kinds the
+/// verifier reports.
+fn kinds_after(mutate: impl FnOnce(&mut ProcPlan)) -> Vec<DiagnosticKind> {
+    let (arrays, stmt, mut plan) = direct_setup();
+    mutate(&mut plan.per_proc_mut()[1]);
+    verify_plan(&arrays, &stmt, &plan).diagnostics.into_iter().map(|d| d.kind).collect()
+}
+
+/// Index into `piece_srcs` of processor 1's first in-place read of term 1.
+fn first_own(pp: &ProcPlan) -> usize {
+    pp.piece_srcs
+        .iter()
+        .position(|s| matches!(s, PieceSrc::Own(_)))
+        .expect("term 1 is direct")
+}
+
+#[test]
+fn truncated_source_list_is_a_malformed_piece_table() {
+    let kinds = kinds_after(|pp| {
+        pp.piece_srcs.pop();
+    });
+    assert!(
+        kinds.iter().any(|k| matches!(k, DiagnosticKind::PieceTableMalformed { proc: 1, .. })),
+        "{kinds:?}"
+    );
+}
+
+#[test]
+fn dropped_piece_breaks_the_tiling() {
+    let kinds = kinds_after(|pp| {
+        pp.pieces.remove(0);
+        pp.piece_srcs.drain(..2);
+    });
+    assert!(
+        kinds.iter().any(|k| matches!(
+            k,
+            DiagnosticKind::PieceTilingMismatch { proc: 1, piece: 0, expected: 0, .. }
+        )),
+        "{kinds:?}"
+    );
+}
+
+#[test]
+fn piece_storing_beside_its_store_run_is_caught() {
+    let kinds = kinds_after(|pp| pp.pieces[1].dst_off -= 1);
+    assert!(
+        kinds.iter().any(|k| matches!(k, DiagnosticKind::PieceStoreMismatch { proc: 1, piece: 1, .. })),
+        "{kinds:?}"
+    );
+}
+
+#[test]
+fn in_place_read_past_the_own_shard_is_caught() {
+    let kinds = kinds_after(|pp| {
+        let i = first_own(pp);
+        pp.piece_srcs[i] = PieceSrc::Own(usize::MAX / 2);
+    });
+    assert!(
+        kinds.iter().any(|k| matches!(k, DiagnosticKind::DirectSourceOutOfShard { proc: 1, term: 1, .. })),
+        "{kinds:?}"
+    );
+}
+
+#[test]
+fn in_place_read_of_the_wrong_element_is_caught() {
+    // stays inside the shard, but is no longer the element the gather
+    // schedule names for that position
+    let kinds = kinds_after(|pp| {
+        let i = first_own(pp);
+        let PieceSrc::Own(off) = pp.piece_srcs[i] else { unreachable!() };
+        pp.piece_srcs[i] = PieceSrc::Own(off + 1);
+        let piece = i / 2;
+        pp.pieces[piece].len -= 1; // keep the shifted read inside the shard
+    });
+    assert!(
+        kinds.iter().any(|k| matches!(k, DiagnosticKind::DirectSourceMismatch { proc: 1, term: 1, .. })),
+        "{kinds:?}"
+    );
+}
+
+#[test]
+fn in_place_read_of_the_stored_array_is_caught() {
+    // term 0 names the LHS array: reading it in place would see elements
+    // the kernel already overwrote
+    let kinds = kinds_after(|pp| {
+        let i = first_own(pp);
+        let PieceSrc::Own(off) = pp.piece_srcs[i] else { unreachable!() };
+        pp.piece_srcs[i - 1] = PieceSrc::Own(off);
+    });
+    assert!(
+        kinds.iter().any(|k| matches!(
+            k,
+            DiagnosticKind::DirectReadsStoredArray { proc: 1, term: 0, array: 0 }
+        )),
+        "{kinds:?}"
+    );
+}
+
+#[test]
+fn packed_read_of_an_unstaged_local_run_is_caught() {
+    // a direct term's local runs are never staged, so pointing its piece
+    // back at the packed buffer reads positions nothing fills
+    let kinds = kinds_after(|pp| {
+        let i = first_own(pp);
+        pp.piece_srcs[i] = PieceSrc::Packed;
+    });
+    assert!(
+        kinds.iter().any(|k| matches!(k, DiagnosticKind::UnpackedLocalRead { proc: 1, term: 1, .. })),
+        "{kinds:?}"
+    );
+}

@@ -50,15 +50,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Extent at which the stencil's operands are all staged.
+const STAGED_N: i64 = 24;
+
+/// Extent at which the stencil's operands are all read in place (80-row
+/// blocks: column runs of 78–80 elements against a threshold of 32).
+const DIRECT_N: i64 = 160;
+
 /// The test harness runs `#[test]`s concurrently; the counter is global,
 /// so each test holds this lock across its measurement window.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A 2-statement iterated program: a 2-D 5-point-flavored stencil sweep
 /// plus a 1-D-sectioned copy-back, over block-distributed arrays on a
-/// 2 × 2 grid — the `b12`/`b13` warm-replay shape.
-fn stencil_program() -> Program {
-    let n = 24i64;
+/// 2 × 2 grid — the `b12`/`b13` warm-replay shape. At `n = 24` every
+/// processor's column runs are 11–12 elements, so all operands are staged;
+/// [`DIRECT_N`] makes them long enough to be read in place.
+fn stencil_program(n: i64) -> Program {
     let np = 4usize;
     let mut ds = DataSpace::new(np);
     ds.declare_processors("G", IndexDomain::of_shape(&[2, 2]).unwrap()).unwrap();
@@ -107,7 +115,7 @@ fn stencil_program() -> Program {
 #[test]
 fn warm_session_run_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
-    let mut sess = Session::new(stencil_program()).threads(1);
+    let mut sess = Session::new(stencil_program(STAGED_N)).threads(1);
     // cold timesteps: inspection, workspace construction, result-buffer
     // growth — all allocation happens here
     sess.run(2).unwrap();
@@ -134,10 +142,70 @@ fn warm_session_run_allocates_nothing() {
     assert!(analyses[0].remote_reads > 0, "the stencil communicates");
 }
 
+/// Assert the shape premise of the direct-path tests: every term of both
+/// statements is read in place on every processor.
+fn assert_all_direct(prog: &Program) {
+    for stmt in prog.statements() {
+        let plan = ExecPlan::inspect(&prog.arrays, stmt).unwrap();
+        assert!(
+            plan.per_proc().iter().all(|pp| pp.terms.iter().all(|ts| ts.direct)),
+            "{stmt}: the direct-path program must have no staged term"
+        );
+    }
+}
+
+#[test]
+fn warm_direct_path_step_allocates_nothing_on_shared_mem() {
+    let _serial = SERIAL.lock().unwrap();
+    let prog = stencil_program(DIRECT_N);
+    assert_all_direct(&prog);
+    let mut sess = Session::new(prog).backend(Backend::SharedMem);
+    sess.run(2).unwrap();
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    sess.run(5).unwrap();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "a warm in-place timestep must not touch the heap");
+    assert_eq!(sess.program().cache_hits(), 2 + 5 * 2);
+    assert!(sess.last_analyses()[0].remote_reads > 0, "the stencil communicates");
+}
+
+/// Warm allocations per timestep of `prog` on the `Channels` fleet,
+/// averaged over enough timesteps that the channel implementation's
+/// occasional block allocation rounds away.
+fn channels_allocs_per_timestep(prog: Program) -> u64 {
+    let mut sess = Session::new(prog).backend(Backend::Channels);
+    sess.run(3).unwrap();
+    let timesteps = 40u64;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    sess.run(timesteps).unwrap();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(sess.program().spmd_workers_spawned(), 4);
+    (after - before) / timesteps
+}
+
+#[test]
+fn warm_direct_path_step_adds_no_allocation_on_channels() {
+    let _serial = SERIAL.lock().unwrap();
+    // a Channels timestep is never allocation-free — the shard handoff and
+    // the command/completion messages allocate a fixed handful per worker —
+    // so the in-place path is pinned against the staged program of the
+    // same shape: reading operands in place and moving the LHS shard out
+    // and back must add exactly nothing to that constant
+    let direct = stencil_program(DIRECT_N);
+    assert_all_direct(&direct);
+    let staged = channels_allocs_per_timestep(stencil_program(STAGED_N));
+    let in_place = channels_allocs_per_timestep(direct);
+    assert_eq!(
+        in_place, staged,
+        "in-place operands changed the Channels fleet's warm allocations per timestep"
+    );
+}
+
 #[test]
 fn warm_parallel_run_reuses_spmd_workers() {
     let _serial = SERIAL.lock().unwrap();
-    let mut sess = Session::new(stencil_program()).threads(4);
+    let mut sess = Session::new(stencil_program(STAGED_N)).threads(4);
     // cold parallel timesteps: plan inspection plus the one-time spawn of
     // the persistent SPMD worker fleet (one worker per simulated processor)
     sess.run(2).unwrap();
@@ -175,7 +243,7 @@ fn warm_parallel_run_reuses_spmd_workers() {
 fn warm_cache_replay_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
     // the same contract one level down: PlanCache::replay_seq on a hit
-    let mut prog = stencil_program();
+    let mut prog = stencil_program(STAGED_N);
     let mut arrays = std::mem::take(&mut prog.arrays);
     let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
     let n = 24i64;
