@@ -1,10 +1,12 @@
-//! E10 — owner-computes execution: sequential vs parallel executor on the
+//! E10 — owner-computes execution, cold (inspect + one step per call):
+//! the `SharedMem` backend vs the 4-worker SPMD fleet on the
 //! staggered-grid statement with direct block distributions.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use hpf_bench::replay::statement_session;
 use hpf_bench::{staggered_mappings, staggered_statement, StaggeredScheme};
 use hpf_core::FormatSpec;
-use hpf_runtime::{DistArray, ParExecutor, SeqExecutor};
+use hpf_runtime::{Backend, DistArray};
 
 fn arrays(n: i64) -> (Vec<DistArray<f64>>, hpf_runtime::Assignment) {
     let maps = staggered_mappings(n, 2, &StaggeredScheme::Direct(FormatSpec::Block));
@@ -22,21 +24,15 @@ fn bench(c: &mut Criterion) {
     g.sample_size(20);
     for n in [128i64, 512] {
         let (base, stmt) = arrays(n);
-        g.bench_with_input(BenchmarkId::new("seq", n), &n, |b, _| {
-            b.iter_batched(
-                || base.clone(),
-                |mut arr| black_box(SeqExecutor.execute(&mut arr, &stmt).unwrap()),
-                criterion::BatchSize::LargeInput,
-            )
-        });
-        g.bench_with_input(BenchmarkId::new("par4", n), &n, |b, _| {
-            let exec = ParExecutor::with_threads(4);
-            b.iter_batched(
-                || base.clone(),
-                |mut arr| black_box(exec.execute(&mut arr, &stmt).unwrap()),
-                criterion::BatchSize::LargeInput,
-            )
-        });
+        for (name, backend) in [("seq", Backend::SharedMem), ("par4", Backend::Channels)] {
+            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter_batched(
+                    || statement_session(base.clone(), &stmt, backend),
+                    |mut session| black_box(session.run(1).unwrap()),
+                    criterion::BatchSize::LargeInput,
+                )
+            });
+        }
     }
     g.finish();
 }

@@ -1,13 +1,14 @@
 //! B12 — compiled execution plans: cold (inspect + execute every call)
 //! vs warm (cached-plan replay) timesteps of the §8.1.1 staggered-grid
 //! statement. The warm path skips validation, ownership lookups, and the
-//! region-algebraic communication analysis, executing pack → exchange →
+//! region-algebraic communication analysis, executing stage → exchange →
 //! compute straight from the compiled schedule.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use hpf_bench::replay::statement_session;
 use hpf_bench::{staggered_mappings, staggered_statement, StaggeredScheme};
 use hpf_core::FormatSpec;
-use hpf_runtime::{Assignment, DistArray, PlanCache, SeqExecutor};
+use hpf_runtime::{Assignment, Backend, DistArray};
 
 fn arrays(n: i64) -> (Vec<DistArray<f64>>, Assignment) {
     let maps = staggered_mappings(n, 2, &StaggeredScheme::Direct(FormatSpec::Block));
@@ -27,18 +28,20 @@ fn bench(c: &mut Criterion) {
         let (base, stmt) = arrays(n);
         // cold: every timestep pays inspection (the pre-plan behavior)
         g.bench_with_input(BenchmarkId::new("cold", n), &n, |b, _| {
-            let mut arr = base.clone();
-            b.iter(|| black_box(SeqExecutor.execute(&mut arr, &stmt).unwrap()))
+            let mut session = statement_session(base.clone(), &stmt, Backend::SharedMem);
+            b.iter(|| {
+                session.program_mut().clear_plan_cache();
+                black_box(session.run(1).unwrap())
+            })
         });
         // warm: one inspection, then zero-allocation cached replays into
-        // the cache's per-plan workspace
+        // the cache's workspace
         g.bench_with_input(BenchmarkId::new("warm", n), &n, |b, _| {
-            let mut arr = base.clone();
-            let mut cache = PlanCache::new();
-            cache.replay_seq(&mut arr, &stmt).unwrap(); // populate
+            let mut session = statement_session(base.clone(), &stmt, Backend::SharedMem);
+            session.run(1).unwrap(); // populate
             b.iter(|| {
-                let analysis = cache.replay_seq(&mut arr, &stmt).unwrap();
-                black_box(analysis.remote_reads)
+                session.run(1).unwrap();
+                black_box(session.last_analyses()[0].remote_reads)
             })
         });
     }

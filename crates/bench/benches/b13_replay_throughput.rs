@@ -1,7 +1,8 @@
 //! B13 — warm replay throughput of the run-length compressed schedules.
 //!
 //! Measures elements/second of a warm (cached-plan, preallocated
-//! workspace, zero-allocation) replay for three statement shapes — 1-D
+//! workspace, zero-allocation) one-statement `Session` step on the
+//! `SharedMem` backend for three statement shapes — 1-D
 //! shift, 2-D 5-point stencil, and a block↔cyclic redistribution copy
 //! ("cyclic transpose") — each under BLOCK and CYCLIC(1) distributions, to
 //! show the coalescing spread: block mappings compress to a handful of
@@ -15,10 +16,11 @@
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use hpf_bench::replay::{
-    arrays_1d, arrays_2d, cyclic_transpose, replay_elements, shift_1d, stencil_2d,
+    arrays_1d, arrays_2d, cyclic_transpose, replay_elements, shift_1d, statement_session,
+    stencil_2d,
 };
 use hpf_core::FormatSpec;
-use hpf_runtime::{ExecPlan, PlanWorkspace};
+use hpf_runtime::{Backend, ExecPlan};
 use std::time::Instant;
 
 /// Headline numbers for the CI log: warm compressed vs uncompressed
@@ -27,25 +29,24 @@ use std::time::Instant;
 fn print_summary() {
     let smoke = std::env::args().any(|a| a == "--test")
         || std::env::var_os("CRITERION_SMOKE").is_some();
-    let iters = if smoke { 3 } else { 300 };
+    let iters: u64 = if smoke { 3 } else { 300 };
     let n = 192i64;
-    let mut arrays = arrays_2d(n, 2, &FormatSpec::Block);
+    let arrays = arrays_2d(n, 2, &FormatSpec::Block);
     let stmt = stencil_2d(n, &arrays);
     let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-    let mut ws = PlanWorkspace::for_plan(&plan);
     let elems = replay_elements(&plan);
+    let mut session = statement_session(arrays, &stmt, Backend::SharedMem);
 
-    plan.execute_seq_with(&mut arrays, &mut ws); // warm
+    session.run(1).unwrap(); // warm
     let t = Instant::now();
-    for _ in 0..iters {
-        plan.execute_seq_with(&mut arrays, &mut ws);
-    }
+    session.run(iters).unwrap();
     let compressed = t.elapsed();
 
-    plan.execute_seq_uncompressed(&mut arrays); // warm
+    let arrays = &mut session.program_mut().arrays;
+    plan.execute_seq_uncompressed(arrays); // warm
     let t = Instant::now();
     for _ in 0..iters {
-        plan.execute_seq_uncompressed(&mut arrays);
+        plan.execute_seq_uncompressed(arrays);
     }
     let elementwise = t.elapsed();
 
@@ -96,47 +97,39 @@ fn bench(c: &mut Criterion) {
     // 1-D shift and 2-D stencil, block vs cyclic(1): the coalescing spread
     for (fmt, tag) in [(FormatSpec::Block, "block"), (FormatSpec::Cyclic(1), "cyclic1")] {
         let n1 = 65_536i64;
-        let mut a1 = arrays_1d(n1, 8, &fmt);
+        let a1 = arrays_1d(n1, 8, &fmt);
         let s1 = shift_1d(n1, &a1);
-        let p1 = ExecPlan::inspect(&a1, &s1).unwrap();
-        let mut w1 = PlanWorkspace::for_plan(&p1);
+        let mut session = statement_session(a1, &s1, Backend::SharedMem);
         g.bench_function(BenchmarkId::new("shift_1d", tag), |b| {
-            b.iter(|| {
-                p1.execute_seq_with(&mut a1, &mut w1);
-                black_box(());
-            })
+            b.iter(|| black_box(session.run(1).unwrap()))
         });
 
         let n2 = 192i64;
-        let mut a2 = arrays_2d(n2, 2, &fmt);
+        let a2 = arrays_2d(n2, 2, &fmt);
         let s2 = stencil_2d(n2, &a2);
         let p2 = ExecPlan::inspect(&a2, &s2).unwrap();
-        let mut w2 = PlanWorkspace::for_plan(&p2);
+        let mut session = statement_session(a2, &s2, Backend::SharedMem);
         g.bench_function(BenchmarkId::new("stencil_2d", tag), |b| {
-            b.iter(|| {
-                p2.execute_seq_with(&mut a2, &mut w2);
-                black_box(());
-            })
+            b.iter(|| black_box(session.run(1).unwrap()))
         });
-        // the uncompressed per-element baseline on the same plans
+        // the uncompressed per-element reference on the same plan
+        let a2 = &mut session.program_mut().arrays;
         g.bench_function(BenchmarkId::new("stencil_2d_elementwise", tag), |b| {
-            b.iter(|| p2.execute_seq_uncompressed(&mut a2))
+            b.iter(|| p2.execute_seq_uncompressed(a2))
         });
     }
 
     // block ← cyclic(1) redistribution copy: all-to-all, length-1 runs
     let n = 65_536i64;
-    let (mut arrays, stmt) = cyclic_transpose(n, 8);
+    let (arrays, stmt) = cyclic_transpose(n, 8);
     let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-    let mut ws = PlanWorkspace::for_plan(&plan);
+    let mut session = statement_session(arrays, &stmt, Backend::SharedMem);
     g.bench_function(BenchmarkId::new("cyclic_transpose", "compressed"), |b| {
-        b.iter(|| {
-            plan.execute_seq_with(&mut arrays, &mut ws);
-            black_box(());
-        })
+        b.iter(|| black_box(session.run(1).unwrap()))
     });
+    let arrays = &mut session.program_mut().arrays;
     g.bench_function(BenchmarkId::new("cyclic_transpose", "elementwise"), |b| {
-        b.iter(|| plan.execute_seq_uncompressed(&mut arrays))
+        b.iter(|| plan.execute_seq_uncompressed(arrays))
     });
     g.finish();
 }

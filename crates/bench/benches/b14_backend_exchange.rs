@@ -1,6 +1,6 @@
 //! B14 — exchange-backend comparison on the b13 replay workloads.
 //!
-//! Replays the same warm compiled plans through both [`ExchangeBackend`]s:
+//! Steps the same one-statement programs, warm, on both [`ExchangeBackend`]s:
 //! `shared_mem` (direct copies staged through persistent per-pair buffers,
 //! zero-allocation warm) and `channels` (the true message-passing SPMD
 //! executor — persistent per-processor workers, packed messages over
@@ -13,11 +13,11 @@
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 use hpf_bench::replay::{
-    arrays_1d, arrays_2d, cyclic_transpose, replay_elements, shift_1d, stencil_2d,
+    arrays_1d, arrays_2d, cyclic_transpose, replay_elements, shift_1d, statement_session,
+    stencil_2d,
 };
 use hpf_core::FormatSpec;
-use hpf_runtime::{ChannelsBackend, ExchangeBackend, ExecPlan, PlanWorkspace, SharedMemBackend};
-use std::sync::Arc;
+use hpf_runtime::{Backend, ExecPlan};
 use std::time::Instant;
 
 /// Headline numbers for the CI log: warm superstep throughput of both
@@ -26,29 +26,22 @@ use std::time::Instant;
 fn print_summary() {
     let smoke = std::env::args().any(|a| a == "--test")
         || std::env::var_os("CRITERION_SMOKE").is_some();
-    let iters = if smoke { 3 } else { 200 };
+    let iters: u64 = if smoke { 3 } else { 200 };
     let n = 192i64;
-    let mut arrays = arrays_2d(n, 2, &FormatSpec::Block);
+    let arrays = arrays_2d(n, 2, &FormatSpec::Block);
     let stmt = stencil_2d(n, &arrays);
-    let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-    let mut ws = PlanWorkspace::for_plan(&plan);
+    let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
     let elems = replay_elements(&plan);
 
-    let mut shared = SharedMemBackend::new();
-    shared.step(&plan, &mut arrays, &mut ws).unwrap(); // warm
-    let t = Instant::now();
-    for _ in 0..iters {
-        shared.step(&plan, &mut arrays, &mut ws).unwrap();
-    }
-    let shared_t = t.elapsed();
-
-    let mut channels = ChannelsBackend::new();
-    channels.step(&plan, &mut arrays, &mut ws).unwrap(); // warm (spawns the fleet)
-    let t = Instant::now();
-    for _ in 0..iters {
-        channels.step(&plan, &mut arrays, &mut ws).unwrap();
-    }
-    let channels_t = t.elapsed();
+    let warm = |backend: Backend| {
+        let mut session = statement_session(arrays.clone(), &stmt, backend);
+        session.run(1).unwrap(); // warm (spawns the fleet)
+        let t = Instant::now();
+        session.run(iters).unwrap();
+        t.elapsed()
+    };
+    let shared_t = warm(Backend::SharedMem);
+    let channels_t = warm(Backend::Channels);
 
     let rate = |d: std::time::Duration| {
         (elems as f64 * iters as f64) / d.as_secs_f64() / 1.0e6
@@ -80,26 +73,17 @@ fn bench(c: &mut Criterion) {
     let s2 = stencil_2d(n2, &a2);
     let (a3, s3) = cyclic_transpose(65_536, 8);
 
-    for (tag, mut arrays, stmt) in
+    for (tag, arrays, stmt) in
         [("shift_1d_block", a1, s1), ("stencil_2d_block", a2, s2), ("cyclic_transpose", a3, s3)]
     {
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        let mut shared = SharedMemBackend::new();
-        g.bench_function(BenchmarkId::new(tag, "shared_mem"), |b| {
-            b.iter(|| {
-                shared.step(&plan, &mut arrays, &mut ws).unwrap();
-                black_box(());
-            })
-        });
-        let mut channels = ChannelsBackend::new();
-        channels.step(&plan, &mut arrays, &mut ws).unwrap(); // spawn the fleet untimed
-        g.bench_function(BenchmarkId::new(tag, "channels"), |b| {
-            b.iter(|| {
-                channels.step(&plan, &mut arrays, &mut ws).unwrap();
-                black_box(());
-            })
-        });
+        for (name, backend) in [("shared_mem", Backend::SharedMem), ("channels", Backend::Channels)]
+        {
+            let mut session = statement_session(arrays.clone(), &stmt, backend);
+            session.run(1).unwrap(); // spawn the fleet untimed
+            g.bench_function(BenchmarkId::new(tag, name), |b| {
+                b.iter(|| black_box(session.run(1).unwrap()))
+            });
+        }
     }
     g.finish();
 }

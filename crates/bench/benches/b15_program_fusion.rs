@@ -2,9 +2,9 @@
 //!
 //! Runs the [`fusion_timestep`] program — a stencil plus two consumers of
 //! a never-written CYCLIC(1) coefficient array, all in one superstep —
-//! through the fused [`ProgramPlan`] path (`Program::run`: level
+//! through the fused [`ProgramPlan`] (the `Session` default: level
 //! scheduling, per-pair message coalescing, ghost-region dirty tracking)
-//! and through the pre-fusion per-statement path (`Program::run_unfused`:
+//! and through the same plan compiled unfused (`Session::fused(false)`:
 //! one full BSP superstep and a complete ghost exchange per statement).
 //! Warm fused replays skip the entire cyclic all-to-all (its operand is
 //! clean), which is where the headline ratio comes from; the perf gate

@@ -1,8 +1,9 @@
 //! CI perf-regression gate for the replay benchmarks.
 //!
 //! Measures warm-replay throughput (Melem/s) of the `b13` workload set
-//! (compressed sequential replay), the `b14` set (the same plans through
-//! both exchange backends), the `b15` set (the whole-timestep fusion
+//! (warm one-statement `Session` steps on the `SharedMem` backend), the
+//! `b14` set (the same statements on both exchange backends), the `b15`
+//! set (the whole-timestep fusion
 //! workload: fused program plan vs per-statement replay), and the `b16`
 //! set (the self-adaptive redistribution hotspot, with deterministic
 //! machine-model-priced before/after-remap entries) — the workloads
@@ -36,14 +37,11 @@
 
 use hpf_bench::replay::{
     arrays_1d, arrays_2d, cyclic_transpose, dense_stencil_step, replay_elements, shift_1d,
-    stencil_2d,
+    statement_session, stencil_2d,
 };
 use hpf_core::FormatSpec;
-use hpf_runtime::{
-    ChannelsBackend, ExchangeBackend, ExecPlan, PlanWorkspace, SharedMemBackend,
-};
+use hpf_runtime::{Backend, ExecPlan};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Throughput of one warm replay routine in Melem/s: warm up once, then
@@ -81,8 +79,9 @@ impl Entry {
     }
 }
 
-/// The b13 set: warm compressed sequential replays, plus the
-/// hardware-neutral compression-speedup ratio on the block stencil.
+/// The b13 set: warm one-statement `Session` steps on the `SharedMem`
+/// backend, plus the hardware-neutral compression-speedup ratio on the
+/// block stencil.
 fn measure_b13(budget: Duration, reps: usize) -> Vec<Entry> {
     let mut out = Vec::new();
     let n1 = 65_536i64;
@@ -90,12 +89,13 @@ fn measure_b13(budget: Duration, reps: usize) -> Vec<Entry> {
         (FormatSpec::Block, "shift_1d_block"),
         (FormatSpec::Cyclic(1), "shift_1d_cyclic1"),
     ] {
-        let mut a = arrays_1d(n1, 8, &fmt);
+        let a = arrays_1d(n1, 8, &fmt);
         let s = shift_1d(n1, &a);
-        let plan = ExecPlan::inspect(&a, &s).unwrap();
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        let elems = replay_elements(&plan);
-        let rate = measure(elems, budget, reps, || plan.execute_seq_with(&mut a, &mut ws));
+        let elems = replay_elements(&ExecPlan::inspect(&a, &s).unwrap());
+        let mut session = statement_session(a, &s, Backend::SharedMem);
+        let rate = measure(elems, budget, reps, || {
+            session.run(1).expect("no faults injected");
+        });
         out.push(Entry::rate(name, rate));
     }
     let n2 = 192i64;
@@ -103,17 +103,20 @@ fn measure_b13(budget: Duration, reps: usize) -> Vec<Entry> {
         (FormatSpec::Block, "stencil_2d_block"),
         (FormatSpec::Cyclic(1), "stencil_2d_cyclic1"),
     ] {
-        let mut a = arrays_2d(n2, 2, &fmt);
+        let a = arrays_2d(n2, 2, &fmt);
         let s = stencil_2d(n2, &a);
         let plan = ExecPlan::inspect(&a, &s).unwrap();
-        let mut ws = PlanWorkspace::for_plan(&plan);
         let elems = replay_elements(&plan);
-        let rate = measure(elems, budget, reps, || plan.execute_seq_with(&mut a, &mut ws));
+        let mut session = statement_session(a, &s, Backend::SharedMem);
+        let rate = measure(elems, budget, reps, || {
+            session.run(1).expect("no faults injected");
+        });
         if matches!(fmt, FormatSpec::Block) {
+            let a = &mut session.program_mut().arrays;
             // hardware-neutral: compressed replay vs the per-element
-            // baseline of the *same plan*, on the same machine
+            // expansion of the *same plan*, on the same machine
             let elementwise =
-                measure(elems, budget, reps, || plan.execute_seq_uncompressed(&mut a));
+                measure(elems, budget, reps, || plan.execute_seq_uncompressed(a));
             out.push(Entry::ratio(
                 "stencil_2d_block_compress_speedup",
                 rate / elementwise,
@@ -140,16 +143,17 @@ fn measure_b13(budget: Duration, reps: usize) -> Vec<Entry> {
         }
         out.push(Entry::rate(name, rate));
     }
-    let (mut a, s) = cyclic_transpose(65_536, 8);
-    let plan = ExecPlan::inspect(&a, &s).unwrap();
-    let mut ws = PlanWorkspace::for_plan(&plan);
-    let elems = replay_elements(&plan);
-    let rate = measure(elems, budget, reps, || plan.execute_seq_with(&mut a, &mut ws));
+    let (a, s) = cyclic_transpose(65_536, 8);
+    let elems = replay_elements(&ExecPlan::inspect(&a, &s).unwrap());
+    let mut session = statement_session(a, &s, Backend::SharedMem);
+    let rate = measure(elems, budget, reps, || {
+        session.run(1).expect("no faults injected");
+    });
     out.push(Entry::rate("cyclic_transpose", rate));
     out
 }
 
-/// The b14 set: the same plans through both exchange backends, plus the
+/// The b14 set: the same statements on both exchange backends, plus the
 /// hardware-neutral channels/shared-mem ratio on the block stencil.
 fn measure_b14(budget: Duration, reps: usize) -> Vec<Entry> {
     let mut out = Vec::new();
@@ -165,20 +169,18 @@ fn measure_b14(budget: Duration, reps: usize) -> Vec<Entry> {
         ("stencil_2d_block", "stencil_2d_block_shared_mem", "stencil_2d_block_channels"),
         ("cyclic_transpose", "cyclic_transpose_shared_mem", "cyclic_transpose_channels"),
     ];
-    for ((tag, shared_name, channels_name), (mut arrays, stmt)) in
+    for ((tag, shared_name, channels_name), (arrays, stmt)) in
         names.into_iter().zip([(a1, s1), (a2, s2), (a3, s3)])
     {
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        let elems = replay_elements(&plan);
-        let mut shared = SharedMemBackend::new();
-        let shared_rate = measure(elems, budget, reps, || {
-            shared.step(&plan, &mut arrays, &mut ws).expect("no faults injected")
-        });
-        let mut channels = ChannelsBackend::new();
-        let channels_rate = measure(elems, budget, reps, || {
-            channels.step(&plan, &mut arrays, &mut ws).expect("no faults injected")
-        });
+        let elems = replay_elements(&ExecPlan::inspect(&arrays, &stmt).unwrap());
+        let rate_on = |backend: Backend| {
+            let mut session = statement_session(arrays.clone(), &stmt, backend);
+            measure(elems, budget, reps, || {
+                session.run(1).expect("no faults injected");
+            })
+        };
+        let shared_rate = rate_on(Backend::SharedMem);
+        let channels_rate = rate_on(Backend::Channels);
         out.push(Entry::rate(shared_name, shared_rate));
         out.push(Entry::rate(channels_name, channels_rate));
         if tag == "stencil_2d_block" {

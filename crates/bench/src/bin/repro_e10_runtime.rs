@@ -1,13 +1,12 @@
 //! E10 (§1) — owner-computes execution end to end: correctness against a
-//! dense reference, sequential vs parallel executors, ghost regions and
-//! the full machine pricing of the staggered-grid statement.
+//! dense reference, the `SharedMem` backend vs the SPMD fleet, ghost
+//! regions and the full machine pricing of the staggered-grid statement.
 
+use hpf_bench::replay::statement_session;
 use hpf_bench::{staggered_mappings, staggered_statement, StaggeredScheme};
 use hpf_core::FormatSpec;
 use hpf_machine::{CostModel, Machine, Topology};
-use hpf_runtime::{
-    dense_reference, ghost_regions, DistArray, ParExecutor, SeqExecutor,
-};
+use hpf_runtime::{dense_reference, ghost_regions, Backend, DistArray};
 use std::time::Instant;
 
 fn main() {
@@ -26,22 +25,24 @@ fn main() {
         ]
     };
 
-    // correctness: both executors equal the dense reference
-    let mut seq = build();
-    let expect = dense_reference(&seq, &stmt);
+    // correctness: both backends equal the dense reference (cold: each
+    // timing includes inspection, and the fleet's spawn)
+    let expect = dense_reference(&build(), &stmt);
+    let mut seq = statement_session(build(), &stmt, Backend::SharedMem);
     let t0 = Instant::now();
-    let analysis = SeqExecutor.execute(&mut seq, &stmt).unwrap();
+    seq.run(1).unwrap();
     let t_seq = t0.elapsed();
-    assert_eq!(seq[0].to_dense(), expect);
+    assert_eq!(seq.program().arrays[0].to_dense(), expect);
+    let analysis = seq.last_analyses()[0].clone();
 
-    let mut par = build();
+    let mut par = statement_session(build(), &stmt, Backend::Channels);
     let t0 = Instant::now();
-    ParExecutor::with_threads(4).execute(&mut par, &stmt).unwrap();
+    par.run(1).unwrap();
     let t_par = t0.elapsed();
-    assert_eq!(par[0].to_dense(), expect);
-    println!("numerics: seq == par == dense reference  ✓");
+    assert_eq!(par.program().arrays[0].to_dense(), expect);
+    println!("numerics: shared-mem == channels == dense reference  ✓");
     println!(
-        "wall-clock (host): seq {:.1} ms, par(4 threads) {:.1} ms\n",
+        "wall-clock (host): shared-mem {:.1} ms, channels ({np} workers) {:.1} ms\n",
         t_seq.as_secs_f64() * 1e3,
         t_par.as_secs_f64() * 1e3
     );

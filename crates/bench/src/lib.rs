@@ -120,7 +120,24 @@ pub fn random_weights(n: usize, max_w: u64, seed: u64) -> Vec<u64> {
 pub mod replay {
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, IndexDomain, Section};
-    use hpf_runtime::{Assignment, Combine, DistArray, ExecPlan, Term};
+    use hpf_runtime::{
+        Assignment, Backend, Combine, DistArray, ExecPlan, Program, Session, Term,
+    };
+
+    /// A session over the one-statement program `stmt` on `backend` — how
+    /// the per-statement entries (b09, b12–b14) drive a statement. Compiled
+    /// unfused: no workload here ever writes its operands, so the fused
+    /// plan's dirty tracking would ship the ghosts once and then skip the
+    /// exchange these entries exist to time; unfused ships it every step.
+    pub fn statement_session(
+        arrays: Vec<DistArray<f64>>,
+        stmt: &Assignment,
+        backend: Backend,
+    ) -> Session {
+        let mut prog = Program::new(arrays);
+        prog.push(stmt.clone()).expect("conforming statement");
+        Session::new(prog).backend(backend).fused(false)
+    }
 
     /// Two 1-D arrays of extent `n`, both distributed with `fmt`.
     pub fn arrays_1d(n: i64, np: usize, fmt: &FormatSpec) -> Vec<DistArray<f64>> {

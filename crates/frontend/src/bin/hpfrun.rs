@@ -66,7 +66,9 @@ fn usage() -> ! {
          (default 1) through the fused-plan path.\n\
          --backend    exchange backend (default shared-mem); `channels` runs\n\
          \x20            the message-passing SPMD worker fleet\n\
-         --threads    cap the shared-mem parallel executor's worker count\n\
+         --threads    with shared-mem, bound the scoped threads a timestep's\n\
+         \x20            stage and compute spread over (N >= --np runs the\n\
+         \x20            channels fleet instead: one worker per processor)\n\
          --set        provide PARAMETER/READ inputs\n\
          --verify     statically verify every compiled plan, then check the\n\
          \x20            distributed result element-for-element against the\n\

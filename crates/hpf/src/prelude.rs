@@ -12,8 +12,8 @@
 //!   constructors;
 //! * from `hpf-procs` — [`ProcId`], [`ProcSpace`], [`ProcTarget`];
 //! * from `hpf-machine` — the machine simulator entry points;
-//! * from `hpf-runtime` — distributed arrays and the owner-computes
-//!   executors;
+//! * from `hpf-runtime` — distributed arrays, compiled plans, the
+//!   execution [`Session`] and the exchange backends;
 //! * from `hpf-frontend` — the `!HPF$` [`Elaborator`];
 //! * from `hpf-template` — the §8 template-model baseline.
 
@@ -32,20 +32,18 @@ pub use hpf_index::{
 };
 pub use hpf_machine::{CommStats, CostModel, Machine, Topology};
 pub use hpf_procs::{ProcId, ProcSpace, ProcTarget, ScalarPolicy};
-#[allow(deprecated)]
-pub use hpf_runtime::run_trajectory;
 pub use hpf_runtime::{
     apply_dense, comm_analysis, dense_reference, ghost_regions, latest_checkpoint,
     remap_analysis, restore_checkpoint, save_checkpoint, verify_plan,
     verify_program_plan, AdaptController, AdaptEvent, AdaptPolicy, AdaptReport,
-    AnalysisVerdict, Assignment, Backend, ChannelsBackend,
-    CheckpointSpec, CkptError, CkptReport, Combine, CommAnalysis, CopyRun, Diagnostic,
-    DiagnosticKind, DistArray, ExchangeBackend, ExchangeError, ExecPlan, Fault, FaultPlan,
-    FusedPair, FusedSegment, FusedWorkspace, FusionReport, FusionStats, GatherRef,
-    GhostReport, MessagePlan, MsgSegment, PairSchedule, ParExecutor, PieceSrc, PlanCache,
-    PlanWorkspace, ProcPlan, Program, ProgramPlan, ProgramStats, Property, RecoveryPolicy,
-    RemapAnalysis, RestoreReport, SeqExecutor, Session, SessionReport, SharedMemBackend,
-    StatementReport, StatementTrace, StoreRun, Superstep, Term, TermSchedule,
-    TrajectoryReport, UnitMeta, VerifyReport, VerifyStats, DIRECT_MIN_RUN,
+    AnalysisVerdict, Assignment, Backend, BufferDomain, ChannelsBackend, CheckpointSpec,
+    CkptError, CkptReport, Combine, CommAnalysis, CopyRun, Diagnostic, DiagnosticKind,
+    DistArray, ExchangeBackend, ExchangeError, ExecPlan, Fault, FaultPlan, FusedPair,
+    FusedSegment, FusedState, FusedWorkspace, FusionReport, FusionStats, GatherRef,
+    GhostReport, MessagePlan, MsgSegment, PairSchedule, PieceSrc, PlanCache, PlanWorkspace,
+    ProcPlan, Program, ProgramPlan, ProgramStats, Property, RecoveryPolicy, RemapAnalysis,
+    RestoreReport, Session, SessionReport, SharedMemBackend, StatementReport,
+    StatementTrace, StoreRun, Superstep, Term, TermSchedule, UnitMeta, VerifyReport,
+    VerifyStats, DIRECT_MIN_RUN,
 };
 pub use hpf_template::{TemplateError, TemplateModel};

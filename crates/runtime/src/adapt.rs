@@ -692,7 +692,7 @@ fn same_mapping_groups(program: &Program) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::assign::{Assignment, Combine, Term};
-    use crate::DistArray;
+    use crate::{Backend, DistArray};
     use hpf_index::{span, Section};
 
     // large enough that rebalancing the hotspot's compute pays for the
@@ -734,7 +734,7 @@ mod tests {
     fn warmed_controller(policy: AdaptPolicy, prog: &mut Program) -> AdaptController {
         let mut ctrl = AdaptController::new(policy, Machine::simple(NP));
         for _ in 0..3 {
-            prog.step_seq().unwrap();
+            prog.step(Backend::SharedMem, 1, true).unwrap();
             ctrl.observe(prog);
         }
         ctrl
@@ -762,11 +762,11 @@ mod tests {
         // program still runs and values stay correct vs a never-adapted twin
         let mut twin = hotspot_program();
         for _ in 0..3 {
-            twin.step_seq().unwrap(); // match the controller's warm-up steps
+            twin.step(Backend::SharedMem, 1, true).unwrap(); // match the controller's warm-up steps
         }
         for _ in 0..3 {
-            prog.step_seq().unwrap();
-            twin.step_seq().unwrap();
+            prog.step(Backend::SharedMem, 1, true).unwrap();
+            twin.step(Backend::SharedMem, 1, true).unwrap();
         }
         assert_eq!(prog.arrays[0].to_dense(), twin.arrays[0].to_dense());
     }
@@ -787,7 +787,7 @@ mod tests {
         prog.remap(0, block.clone()).unwrap();
         prog.remap(1, block).unwrap();
         for _ in 0..3 {
-            prog.step_seq().unwrap();
+            prog.step(Backend::SharedMem, 1, true).unwrap();
             ctrl.observe(&prog);
         }
         let did = ctrl.decide(&mut prog, 6).unwrap();
@@ -836,7 +836,7 @@ mod tests {
         let mut ctrl = warmed_controller(AdaptPolicy::default(), &mut prog);
         for t in 0..5 {
             assert!(!ctrl.decide(&mut prog, t).unwrap());
-            prog.step_seq().unwrap();
+            prog.step(Backend::SharedMem, 1, true).unwrap();
             ctrl.observe(&prog);
         }
         let rep = ctrl.report();
@@ -854,7 +854,7 @@ mod tests {
         let mut ctrl = warmed_controller(AdaptPolicy::aggressive(), &mut prog);
         assert!(ctrl.decide(&mut prog, 3).unwrap());
         assert_eq!(ctrl.report().events[0].realized_cost, None);
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, 1, true).unwrap();
         ctrl.observe(&prog);
         let _ = ctrl.decide(&mut prog, 4).unwrap();
         let e = &ctrl.report().events[0];
@@ -940,7 +940,7 @@ mod tests {
         let stmt = front(&prog, 3 * N as i64 / 4, N as i64 - 2);
         prog.set_statements(vec![stmt]).unwrap();
         for _ in 0..3 {
-            prog.step_seq().unwrap();
+            prog.step(Backend::SharedMem, 1, true).unwrap();
             ctrl.observe(&prog);
         }
         assert!(
@@ -951,7 +951,7 @@ mod tests {
         let rep = ctrl.report();
         assert_eq!(rep.remaps, 2);
         // and the second fit really balanced the new front
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, 1, true).unwrap();
         let imb = imbalance_of(
             prog.stats().rank_loads.iter().map(|&x| x as f64),
             NP,

@@ -1,45 +1,44 @@
 //! Pluggable exchange backends — the transport-neutral boundary between
 //! compiled schedules and the wire.
 //!
-//! PR 2–3 compiled statements into per-processor [`CopyRun`] schedules but
-//! still *executed* them by indexing directly into every processor's
-//! buffer from one shared address space, so nothing validated that the
-//! schedules are sufficient for a real distributed-memory machine. This
-//! module closes that gap:
-//!
-//! * at inspect time, each plan's remote `CopyRun`s are **regrouped into
+//! * At inspect time, each plan's remote [`CopyRun`]s are **regrouped into
 //!   per-`(sender, receiver)` message schedules** — a [`MessagePlan`]
 //!   holding one [`PairSchedule`] per communicating processor pair, each a
 //!   list of [`MsgSegment`]s (what the sender packs, where the receiver
 //!   unpacks). This is exactly the vectorized-message aggregation the
-//!   machine model prices: one message per pair per statement;
-//! * [`ExchangeBackend`] abstracts *how* those messages move. A replay is
-//!   always the same BSP superstep — stage → exchange → compute (see
-//!   [`crate::plan`] for which operands are staged and which the kernel
-//!   reads in place) — but the exchange leg is backend-owned;
-//! * [`SharedMemBackend`] keeps today's direct-copy semantics (stage each
-//!   pair's segments through a persistent, preallocated buffer in the
-//!   [`PlanWorkspace`], then unpack into the receiver's operand buffers),
-//!   preserving the **zero-allocation warm-replay contract**;
+//!   machine model prices: one message per pair per statement. A
+//!   [`ProgramPlan`] coalesces them per superstep.
+//! * [`ExchangeBackend`] abstracts *how* those messages move, and it is
+//!   the **only** thing that varies between ways of running a timestep:
+//!   [`ExchangeBackend::step`] executes one whole [`ProgramPlan`] — per
+//!   superstep, stage → exchange → compute (see [`crate::plan`] for which
+//!   operands are staged and which the kernel reads in place). A single
+//!   statement is the one-superstep plan.
+//! * [`SharedMemBackend`] copies within one address space (each pair's
+//!   effective segments staged through a persistent, preallocated buffer
+//!   in the [`FusedWorkspace`], then unpacked into the receiver's operand
+//!   buffers), preserving the **zero-allocation warm-replay contract**;
+//!   its thread bound spreads stage and compute over scoped threads.
 //! * [`ChannelsBackend`](crate::ChannelsBackend) (see [`crate::spmd`]) is
 //!   a true message-passing SPMD executor: one long-lived worker per
 //!   simulated processor, owning only its local shards, exchanging packed
 //!   messages over channels — no worker ever reads another's buffer.
 //!
-//! Every backend cross-checks the bytes it actually moves per pair
-//! against the frozen schedules, and [`MessagePlan::matches_analysis`]
-//! records (verified at inspect time) that for partitioning mappings the
-//! wire traffic is *exactly* the frozen [`CommAnalysis`] — the paper's
-//! statically-computed communication sets are sufficient for a real
-//! distributed-memory exchange.
+//! Every backend cross-checks the elements it actually moves against the
+//! dirty-tracking mask of the timestep, and
+//! [`MessagePlan::matches_analysis`] records (verified at inspect time)
+//! that for partitioning mappings the full wire traffic is *exactly* the
+//! frozen [`CommAnalysis`] — the paper's statically-computed communication
+//! sets are sufficient for a real distributed-memory exchange.
 //!
 //! [`CopyRun`]: crate::CopyRun
 
 use crate::array::DistArray;
 use crate::commsets::CommAnalysis;
 use crate::fault::{Fault, FaultPlan, FaultSwitch};
-use crate::plan::{stage_own, ExecPlan, ProcPlan};
-use crate::workspace::PlanWorkspace;
+use crate::fuse::{execute_fused, BufferDomain, FusedState, ProgramPlan};
+use crate::plan::ProcPlan;
+use crate::workspace::FusedWorkspace;
 use hpf_core::HpfError;
 use hpf_procs::ProcId;
 use std::sync::Arc;
@@ -50,7 +49,7 @@ use std::sync::Arc;
 /// time, and [`ExchangeError::rank`] pins the failure to a zero-based
 /// rank when one could be identified. Crossing the crate boundary it
 /// becomes [`HpfError::Exchange`] (via `From`), which
-/// [`crate::ckpt::run_trajectory`] matches on to drive
+/// [`Session::run`](crate::Session::run) matches on to drive
 /// restore-and-replay recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExchangeError {
@@ -222,7 +221,8 @@ pub enum AnalysisVerdict {
     ReplicatedDivergence,
     /// All mappings partition yet the schedules still disagree with the
     /// analysis — a genuine schedule or analysis bug.
-    /// [`ExecPlan::inspect`] refuses to freeze such a plan.
+    /// [`ExecPlan::inspect`](crate::ExecPlan::inspect) refuses to freeze such
+    /// a plan.
     Divergent,
 }
 
@@ -357,20 +357,35 @@ impl MessagePlan {
     }
 }
 
-/// How a replay's exchange phase moves data between simulated processors.
+/// How a timestep's data moves between simulated processors — the one
+/// thing that varies between ways of executing a [`ProgramPlan`].
 ///
 /// Select one with [`Backend`] or instantiate directly. The contract:
-/// `step` executes one full BSP superstep of `plan` over `arrays`
+/// `step` executes one whole timestep of `plan` over `arrays`
 /// (semantically identical across backends — the backend-equivalence
 /// property suite pins `Channels` ≡ `SharedMem` ≡ the dense reference),
 /// and [`ExchangeBackend::bytes_sent`] reports the cumulative bytes the
 /// backend actually put on its wire, which every implementation must
-/// cross-check against the plan's frozen [`MessagePlan`].
+/// cross-check against the timestep's effective-send mask.
+/// [`PlanCache::replay`](crate::PlanCache::replay) is the driver: it
+/// resolves the plan and brackets each `step` with the dirty-tracking
+/// state's begin/finish.
 pub trait ExchangeBackend {
     /// Human-readable backend name (for reports and benches).
     fn name(&self) -> &'static str;
 
-    /// Execute one superstep: stage → exchange → compute.
+    /// Get ready to run a timestep over `np` simulated processors and say
+    /// which buffers will hold the receiver-side ghost data, so the
+    /// dirty-tracking state can tell whether the copies it believes are
+    /// current still exist. Called before the effective-send mask of the
+    /// timestep is built.
+    fn buffer_domain(&mut self, np: usize) -> BufferDomain;
+
+    /// Execute one timestep: per superstep of `plan`, stage → exchange the
+    /// units `state`'s effective-send mask selects → compute. `ws` is the
+    /// plan's preallocated scratch; a backend that keeps its operand
+    /// buffers elsewhere still reports each rank's measured compute time
+    /// into it.
     ///
     /// Exchange failures (worker death, lost or damaged messages, a
     /// wedged fleet) come back as a typed [`ExchangeError`] — the arrays
@@ -380,20 +395,21 @@ pub trait ExchangeBackend {
     ///
     /// # Panics
     /// Panics if `plan` is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]) — staleness is a caller bug, not a
+    /// [`ProgramPlan::is_valid_for`]) — staleness is a caller bug, not a
     /// runtime fault.
     fn step(
         &mut self,
-        plan: &Arc<ExecPlan>,
+        plan: &Arc<ProgramPlan>,
         arrays: &mut [DistArray<f64>],
-        ws: &mut PlanWorkspace,
+        state: &FusedState,
+        ws: &mut FusedWorkspace,
     ) -> Result<(), ExchangeError>;
 
     /// Cumulative bytes this backend has moved between processors.
     fn bytes_sent(&self) -> u64;
 
     /// Arm deterministic fault injection (see [`FaultPlan`]): each
-    /// fault in `plan` fires once when its superstep comes around. The
+    /// fault in `plan` fires once when its timestep comes around. The
     /// default implementation ignores the plan — backends that support
     /// injection override it.
     fn inject(&mut self, plan: FaultPlan) {
@@ -405,21 +421,13 @@ pub trait ExchangeBackend {
     fn faults_fired(&self) -> usize {
         0
     }
-
-    /// Measured wall-nanoseconds each simulated processor spent in its
-    /// compute kernels during the *last* superstep — the adaptive
-    /// controller's observed per-rank load vector. Empty for backends
-    /// that do not sample compute time.
-    fn rank_compute_ns(&self) -> &[u64] {
-        &[]
-    }
 }
 
-/// Backend selector, threaded through the executors and [`crate::Program`].
+/// Backend selector, threaded through [`crate::Session`] and [`crate::Program`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Direct copies within one address space, staged through persistent
-    /// per-pair buffers — today's semantics, zero-allocation warm replays.
+    /// per-pair buffers — zero-allocation warm replays.
     #[default]
     SharedMem,
     /// True message-passing SPMD: one long-lived worker per simulated
@@ -446,24 +454,22 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// The shared-address-space backend: every pair's message is packed from
-/// the sender's local buffers into a persistent, preallocated staging
-/// buffer in the [`PlanWorkspace`] (the pair's send/recv buffer), then
-/// unpacked into the receiver's packed operand buffers — the same
+/// The shared-address-space backend: every pair's effective segments are
+/// packed from the sender's local buffers into a persistent, preallocated
+/// staging buffer in the [`FusedWorkspace`] (the pair's send/recv buffer),
+/// then unpacked into the receiver's packed operand buffers — the same
 /// two-sided message discipline as the `Channels` backend, minus the
-/// threads. The elements physically staged are counted and asserted
-/// equal to the frozen schedule every step, so
-/// [`ExchangeBackend::bytes_sent`] is measured, not assumed. Warm steps
-/// perform **zero heap allocations**.
+/// workers. The elements physically staged are counted and asserted equal
+/// to the dirty-tracking mask's prediction every step, so
+/// [`ExchangeBackend::bytes_sent`] is measured, not assumed. Without a
+/// thread bound, warm steps perform **zero heap allocations**.
 #[derive(Debug, Clone, Default)]
 pub struct SharedMemBackend {
     bytes_sent: u64,
     steps: u64,
-    /// Per-rank compute nanoseconds of the last step (see
-    /// [`ExchangeBackend::rank_compute_ns`]); resized only when the
-    /// simulated processor count changes, so warm steps stay
-    /// allocation-free.
-    rank_ns: Vec<u64>,
+    /// Upper bound on the scoped threads stage and compute spread over
+    /// (`<= 1`: everything runs inline on the caller's thread).
+    threads: usize,
     /// Armed fault injection, if any. This backend has no threads, wire,
     /// or locks, so it simulates each fault's *detection outcome* at the
     /// step boundary (same typed errors, arrays untouched) instead of
@@ -478,9 +484,15 @@ impl SharedMemBackend {
         SharedMemBackend::default()
     }
 
-    /// Supersteps executed so far.
+    /// Timesteps executed so far.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// Bound the scoped threads a timestep's stage and compute phases
+    /// spread over (capped at the simulated processor count per plan).
+    pub(crate) fn set_threads(&mut self, threads: usize) {
+        self.threads = threads;
     }
 
     /// Simulate every injected fault scheduled for the current step:
@@ -518,34 +530,6 @@ impl SharedMemBackend {
         }
         Ok(())
     }
-
-    /// Execute one whole fused timestep (see [`crate::ProgramPlan`]):
-    /// per superstep, snapshot the staged local runs, ship the
-    /// *effective* segments of every fused pair hoisted to the phase
-    /// (clean units are skipped —
-    /// their receiver-side data is still current from an earlier
-    /// timestep), and compute. Returns the elements actually staged,
-    /// which the caller cross-checks against the dirty-tracking state's
-    /// prediction. Warm calls perform zero heap allocations. Counts one
-    /// step per timestep.
-    pub(crate) fn step_fused(
-        &mut self,
-        plan: &crate::fuse::ProgramPlan,
-        arrays: &mut [DistArray<f64>],
-        state: &crate::fuse::FusedState,
-        ws: &mut crate::workspace::FusedWorkspace,
-    ) -> Result<u64, ExchangeError> {
-        self.injected_failure()?;
-        let staged = crate::fuse::execute_fused_seq(plan, arrays, state, ws);
-        self.bytes_sent += staged * std::mem::size_of::<f64>() as u64;
-        self.steps += 1;
-        // adopt the executor's per-rank compute-time sample
-        if self.rank_ns.len() != ws.rank_ns.len() {
-            self.rank_ns.resize(ws.rank_ns.len(), 0);
-        }
-        self.rank_ns.copy_from_slice(&ws.rank_ns);
-        Ok(staged)
-    }
 }
 
 impl ExchangeBackend for SharedMemBackend {
@@ -553,64 +537,33 @@ impl ExchangeBackend for SharedMemBackend {
         "shared-mem"
     }
 
+    fn buffer_domain(&mut self, _np: usize) -> BufferDomain {
+        BufferDomain::Workspace
+    }
+
+    /// Clean units are skipped — their receiver-side data is still current
+    /// from an earlier timestep. Counts one step per timestep.
     fn step(
         &mut self,
-        plan: &Arc<ExecPlan>,
+        plan: &Arc<ProgramPlan>,
         arrays: &mut [DistArray<f64>],
-        ws: &mut PlanWorkspace,
+        state: &FusedState,
+        ws: &mut FusedWorkspace,
     ) -> Result<(), ExchangeError> {
-        assert!(plan.is_valid_for(arrays), "stale plan: an involved array was remapped");
         self.injected_failure()?;
-        ws.ensure(plan);
-        for (pp, bufs) in plan.per_proc().iter().zip(ws.bufs.iter_mut()) {
-            stage_own(arrays, pp, bufs);
-        }
-        // exchange: pack each pair's message into its persistent staging
-        // buffer from the sender's locals, then unpack into the
-        // receiver's packed operand buffers. The schedules were already
-        // cross-checked against the independent region-algebraic analysis
-        // at inspect time (see `ExecPlan::inspect`); here the physically
-        // staged elements are measured and held to that schedule.
-        let msgs = plan.message_plan();
-        let mut staged = 0u64;
-        for (pair, stage) in msgs.pairs().iter().zip(ws.stage.iter_mut()) {
-            let mut off = 0usize;
-            for seg in &pair.segments {
-                let src = &arrays[seg.array].local(pair.sender as usize)
-                    [seg.src_off..seg.src_off + seg.len];
-                stage[off..off + seg.len].copy_from_slice(src);
-                off += seg.len;
-            }
-            staged += off as u64;
-            let bufs = &mut ws.bufs[pair.receiver as usize];
-            let mut off = 0usize;
-            for seg in &pair.segments {
-                bufs[seg.term][seg.dst_off..seg.dst_off + seg.len]
-                    .copy_from_slice(&stage[off..off + seg.len]);
-                off += seg.len;
-            }
-        }
+        let staged = execute_fused(plan, arrays, state, ws, self.threads);
         assert_eq!(
             staged,
-            msgs.wire_elements(),
-            "measured wire traffic diverged from the frozen schedule"
+            state.last_sent(),
+            "staged ghost elements diverged from the dirty-tracking mask"
         );
         self.bytes_sent += staged * std::mem::size_of::<f64>() as u64;
         self.steps += 1;
-        if self.rank_ns.len() != plan.per_proc().len() {
-            self.rank_ns.resize(plan.per_proc().len(), 0);
-        }
-        self.rank_ns.fill(0);
-        plan.compute_seq(arrays, &ws.bufs, Some(&mut self.rank_ns));
         Ok(())
     }
 
     fn bytes_sent(&self) -> u64 {
         self.bytes_sent
-    }
-
-    fn rank_compute_ns(&self) -> &[u64] {
-        &self.rank_ns
     }
 
     fn inject(&mut self, plan: FaultPlan) {
@@ -627,8 +580,10 @@ mod tests {
     use super::*;
     use crate::assign::{Assignment, Combine, Term};
     use crate::exec::dense_reference;
+    use crate::testing::{run_stmt, threaded};
+    use crate::{ExecPlan, PlanCache};
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
-    use hpf_index::{span, IndexDomain, Section};
+    use hpf_index::{span, triplet, IndexDomain, Section};
 
     fn setup(n: usize, np: usize, fmts: &[FormatSpec]) -> Vec<DistArray<f64>> {
         let mut ds = DataSpace::new(np);
@@ -700,22 +655,25 @@ mod tests {
 
     #[test]
     fn shared_mem_backend_matches_direct_replay() {
-        let mut direct = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(2)]);
-        let mut staged = direct.clone();
-        let stmt = shift_stmt(48, &direct);
-        let plan = Arc::new(ExecPlan::inspect(&direct, &stmt).unwrap());
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        let mut backend = SharedMemBackend::new();
+        // the operand is never written, so the fused mask ships the ghosts
+        // once and reuses them; the unfused mode re-ships them every step
+        let mut fused = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(2)]);
+        let mut unfused = fused.clone();
+        let stmts = [shift_stmt(48, &fused)];
+        let wire = ExecPlan::inspect(&fused, &stmts[0]).unwrap().message_plan().wire_bytes();
+        let (mut c1, mut c2) = (PlanCache::new(), PlanCache::new());
+        let (mut b1, mut b2) = (SharedMemBackend::new(), SharedMemBackend::new());
         for _ in 0..3 {
-            let expect = dense_reference(&direct, &stmt);
-            plan.execute_seq(&mut direct);
-            backend.step(&plan, &mut staged, &mut ws).unwrap();
-            assert_eq!(direct[0].to_dense(), expect);
-            assert_eq!(staged[0].to_dense(), expect);
+            let expect = dense_reference(&fused, &stmts[0]);
+            c1.replay(&mut fused, &stmts, true, &mut b1).unwrap();
+            c2.replay(&mut unfused, &stmts, false, &mut b2).unwrap();
+            assert_eq!(fused[0].to_dense(), expect);
+            assert_eq!(unfused[0].to_dense(), expect);
         }
-        assert_eq!(backend.steps(), 3);
-        assert_eq!(backend.bytes_sent(), 3 * plan.message_plan().wire_bytes());
-        assert_eq!(backend.name(), "shared-mem");
+        assert_eq!((b1.steps(), b2.steps()), (3, 3));
+        assert_eq!(b1.bytes_sent(), wire);
+        assert_eq!(b2.bytes_sent(), 3 * wire);
+        assert_eq!(b1.name(), "shared-mem");
     }
 
     #[test]
@@ -743,7 +701,7 @@ mod tests {
             &doms,
         )
         .unwrap();
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
+        let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
         assert!(!plan.message_plan().matches_analysis());
         assert_eq!(
             plan.message_plan().analysis_verdict(),
@@ -751,33 +709,156 @@ mod tests {
             "replication must be reported as the expected divergence, not a bug"
         );
         let expect = dense_reference(&arrays, &stmt);
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        SharedMemBackend::new().step(&plan, &mut arrays, &mut ws).unwrap();
+        run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         assert_eq!(arrays[0].to_dense(), expect);
     }
 
     #[test]
     fn shared_mem_simulates_injected_faults_at_step_boundary() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
-        let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::for_plan(&plan);
+        let stmts = [shift_stmt(48, &arrays)];
+        let mut cache = PlanCache::new();
         let mut backend = SharedMemBackend::new();
         backend.inject(FaultPlan::parse("kill:rank=2,step=1").unwrap());
-        backend.step(&plan, &mut arrays, &mut ws).unwrap();
+        cache.replay(&mut arrays, &stmts, true, &mut backend).unwrap();
         let before = arrays[0].to_dense();
-        let err = backend.step(&plan, &mut arrays, &mut ws).unwrap_err();
-        assert_eq!(err, ExchangeError::WorkerDied { rank: 2, step: 1 });
-        assert_eq!(err.rank(), Some(2));
-        assert_eq!(err.step(), 1);
+        let err = cache.replay(&mut arrays, &stmts, true, &mut backend).unwrap_err();
+        let died = ExchangeError::WorkerDied { rank: 2, step: 1 };
+        assert_eq!((died.rank(), died.step()), (Some(2), 1));
+        assert_eq!(err, HpfError::from(died));
         // the failed timestep never happened: arrays untouched, step not
         // counted, and the one-shot fault is spent
         assert_eq!(arrays[0].to_dense(), before, "failed step must not move data");
         assert_eq!(backend.steps(), 1);
         assert_eq!(backend.faults_fired(), 1);
-        backend.step(&plan, &mut arrays, &mut ws).unwrap();
+        cache.replay(&mut arrays, &stmts, true, &mut backend).unwrap();
         assert_eq!(backend.steps(), 2);
         assert_eq!(backend.faults_fired(), 1, "one-shot faults must not re-fire");
+    }
+
+    fn arrays_2d(n: usize, np_side: usize) -> Vec<DistArray<f64>> {
+        let np = np_side * np_side;
+        let mut ds = DataSpace::new(np);
+        ds.declare_processors("G", IndexDomain::of_shape(&[np_side, np_side]).unwrap())
+            .unwrap();
+        let mut out = Vec::new();
+        for name in ["P", "U"] {
+            let id = ds
+                .declare(name, IndexDomain::of_shape(&[n, n]).unwrap())
+                .unwrap();
+            ds.distribute(
+                id,
+                &DistributeSpec::to(vec![FormatSpec::Block, FormatSpec::Block], "G"),
+            )
+            .unwrap();
+            out.push(DistArray::from_fn(name, ds.effective(id).unwrap(), np, |i| {
+                (i[0] * 1000 + i[1]) as f64
+            }));
+        }
+        out
+    }
+
+    #[test]
+    fn parallel_matches_sequential_1d() {
+        let build = || {
+            let mut ds = DataSpace::new(4);
+            let a = ds.declare("A", IndexDomain::of_shape(&[64]).unwrap()).unwrap();
+            let b = ds.declare("B", IndexDomain::of_shape(&[64]).unwrap()).unwrap();
+            ds.distribute(a, &DistributeSpec::new(vec![FormatSpec::Block])).unwrap();
+            ds.distribute(b, &DistributeSpec::new(vec![FormatSpec::Cyclic(3)])).unwrap();
+            vec![
+                DistArray::from_fn("A", ds.effective(a).unwrap(), 4, |i| i[0] as f64),
+                DistArray::from_fn("B", ds.effective(b).unwrap(), 4, |i| (i[0] * 7) as f64),
+            ]
+        };
+        let doms_owner = build();
+        let doms: Vec<&IndexDomain> = doms_owner.iter().map(|a| a.domain()).collect();
+        let stmt = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(1, 32)]),
+            vec![
+                Term::new(1, Section::from_triplets(vec![triplet(2, 64, 2)])),
+                Term::new(0, Section::from_triplets(vec![span(33, 64)])),
+            ],
+            Combine::Sum,
+            &doms,
+        )
+        .unwrap();
+        let mut seq = build();
+        let mut par = build();
+        let a1 = run_stmt(&mut seq, &stmt, &mut SharedMemBackend::new());
+        let a2 = run_stmt(&mut par, &stmt, &mut threaded(3));
+        assert_eq!(seq[0].to_dense(), par[0].to_dense());
+        assert_eq!(a1.comm, a2.comm);
+    }
+
+    #[test]
+    fn parallel_matches_reference_2d_stencil() {
+        let n = 16;
+        let mut arrays = arrays_2d(n, 2);
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        // P(2:N-1, 2:N-1) = U(1:N-2, 2:N-1) + U(3:N, 2:N-1)
+        let ni = n as i64;
+        let stmt = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(2, ni - 1), span(2, ni - 1)]),
+            vec![
+                Term::new(1, Section::from_triplets(vec![span(1, ni - 2), span(2, ni - 1)])),
+                Term::new(1, Section::from_triplets(vec![span(3, ni), span(2, ni - 1)])),
+            ],
+            Combine::Sum,
+            &doms,
+        )
+        .unwrap();
+        let expect = dense_reference(&arrays, &stmt);
+        // more threads than processors: capped at one processor per thread
+        run_stmt(&mut arrays, &stmt, &mut threaded(16));
+        assert_eq!(arrays[0].to_dense(), expect);
+    }
+
+    #[test]
+    fn single_thread_degenerate() {
+        let mut arrays = arrays_2d(8, 2);
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let stmt = Assignment::new(
+            0,
+            Section::from_triplets(vec![span(1, 8), span(1, 8)]),
+            vec![Term::new(1, Section::from_triplets(vec![span(1, 8), span(1, 8)]))],
+            Combine::Copy,
+            &doms,
+        )
+        .unwrap();
+        let expect = dense_reference(&arrays, &stmt);
+        run_stmt(&mut arrays, &stmt, &mut threaded(1));
+        assert_eq!(arrays[0].to_dense(), expect);
+    }
+
+    #[test]
+    fn parallel_plan_replay_matches_seq_replay() {
+        let mut seq = arrays_2d(12, 2);
+        let mut par = arrays_2d(12, 2);
+        let doms: Vec<&IndexDomain> = seq.iter().map(|a| a.domain()).collect();
+        let stmts = [Assignment::new(
+            0,
+            Section::from_triplets(vec![span(2, 11), span(1, 12)]),
+            vec![
+                Term::new(1, Section::from_triplets(vec![span(1, 10), span(1, 12)])),
+                Term::new(1, Section::from_triplets(vec![span(3, 12), span(1, 12)])),
+            ],
+            Combine::Average,
+            &doms,
+        )
+        .unwrap()];
+        let (mut cache_seq, mut cache_par) = (PlanCache::new(), PlanCache::new());
+        let (mut backend_seq, mut backend_par) = (SharedMemBackend::new(), threaded(2));
+        for _ in 0..3 {
+            cache_seq.replay(&mut seq, &stmts, true, &mut backend_seq).unwrap();
+            cache_par.replay(&mut par, &stmts, true, &mut backend_par).unwrap();
+        }
+        assert_eq!(seq[0].to_dense(), par[0].to_dense());
+        // every bounded-thread timestep samples each rank's compute time
+        assert_eq!(cache_par.rank_compute_ns().len(), 4);
+        assert!(cache_par.rank_compute_ns().iter().all(|&ns| ns > 0));
     }
 
     #[test]

@@ -10,57 +10,34 @@
 //! produces new mapping allocations) invalidates exactly the affected
 //! entries.
 //!
-//! Each entry also keeps a [`PlanWorkspace`] sized for its plan, so
-//! [`PlanCache::replay_seq`] performs **zero heap allocations** on a warm
-//! hit: one cache lookup, staged and ghost operands block-copied into the
-//! preallocated buffers, single-pass slice-kernel compute (local operands
-//! read in place), and an `Arc`-handle return of the frozen
-//! analysis. [`PlanCache::replay_par`] reuses the same buffers but pays
-//! the scoped-thread spawn cost (and its allocations) per replay.
+//! Execution goes through [`PlanCache::replay`], the one way a timestep
+//! runs: it resolves the statement list's [`ProgramPlan`] (compiling and
+//! statically verifying it when the list, the mode or a mapping changed),
+//! brackets the step with the dirty-tracking state's begin/finish, and
+//! hands plan, state and the preallocated [`FusedWorkspace`] to an
+//! [`ExchangeBackend`]. On the `SharedMem` backend a warm replay performs
+//! **zero heap allocations**.
 
 use crate::array::DistArray;
 use crate::assign::Assignment;
-use crate::backend::{ExchangeBackend, ExchangeError, SharedMemBackend};
-use crate::commsets::CommAnalysis;
-use crate::fuse::{execute_fused_par, BufferDomain, FusedState, FusionStats, ProgramPlan};
+use crate::backend::ExchangeBackend;
+use crate::fuse::{FusedState, FusionStats, ProgramPlan};
 use crate::plan::ExecPlan;
-use crate::spmd::ChannelsBackend;
-use crate::workspace::{FusedWorkspace, PlanWorkspace};
+use crate::workspace::FusedWorkspace;
 use hpf_core::HpfError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A cached plan plus its preallocated replay scratch.
-#[derive(Debug, Clone)]
-struct Entry {
-    plan: Arc<ExecPlan>,
-    ws: PlanWorkspace,
-}
-
-/// The cached fused timestep: the statement sequence it was compiled
-/// from (the cache key — structural equality, compared without
-/// allocating), the compiled [`ProgramPlan`], its dirty-tracking replay
-/// state, and the preallocated fused scratch.
+/// The cached timestep: the statement sequence it was compiled from (the
+/// cache key together with the plan's mode — structural equality,
+/// compared without allocating), the compiled [`ProgramPlan`], its
+/// dirty-tracking replay state, and the preallocated scratch.
 #[derive(Debug, Clone)]
 struct FusedEntry {
     stmts: Vec<Assignment>,
     plan: Arc<ProgramPlan>,
     state: FusedState,
     ws: FusedWorkspace,
-}
-
-/// Which executor a fused timestep runs on — the fused analogue of
-/// choosing a [`Backend`](crate::Backend) / thread count for the
-/// per-statement paths.
-#[derive(Debug)]
-pub enum FusedTarget<'a> {
-    /// The shared-address-space backend (zero-allocation warm replays).
-    Shared(&'a mut SharedMemBackend),
-    /// Scoped threads, at most this many (for thread caps below the
-    /// simulated processor count).
-    Par(usize),
-    /// The message-passing SPMD worker fleet.
-    Channels(&'a mut ChannelsBackend),
 }
 
 /// Statically verify a plan at the moment it enters the cache — the five
@@ -109,12 +86,11 @@ fn verify_fused_inserted(_: &[DistArray<f64>], _: &[Assignment], _: &ProgramPlan
 ///
 /// At most one entry is kept per distinct statement (statements hash and
 /// compare structurally): when a statement's mappings change (an array was
-/// remapped), the stale plan is replaced in place — without re-cloning the
-/// statement key — so the cache never grows beyond the program's statement
-/// count.
+/// remapped), the stale plan is replaced in place, so the cache never
+/// grows beyond the program's statement count.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    entries: HashMap<Assignment, Entry>,
+    entries: HashMap<Assignment, Arc<ExecPlan>>,
     fused: Option<FusedEntry>,
     hits: u64,
     misses: u64,
@@ -126,7 +102,7 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// The plan for `stmt` over `arrays`: a cached replay if the statement
+    /// The plan for `stmt` over `arrays`: the cached one if the statement
     /// was seen before under the same mapping allocations, otherwise a
     /// fresh inspection (cached for next time).
     pub fn plan_for(
@@ -134,133 +110,48 @@ impl PlanCache {
         arrays: &[DistArray<f64>],
         stmt: &Assignment,
     ) -> Result<Arc<ExecPlan>, HpfError> {
-        if let Some(e) = self.entries.get_mut(stmt) {
-            if e.plan.is_valid_for(arrays) {
-                self.hits += 1;
-                return Ok(e.plan.clone());
-            }
-            // stale: re-inspect and replace in place — no Assignment
-            // clone (the key is owned by the map) and no workspace
-            // reallocation when the new plan's buffer shape is unchanged
-            // (the common remap-rebalance pattern)
-            self.misses += 1;
-            let plan = Arc::new(ExecPlan::inspect(arrays, stmt)?);
-            verify_inserted(arrays, stmt, &plan);
-            e.ws.ensure(&plan);
-            e.plan = plan.clone();
-            return Ok(plan);
+        if let Some(plan) = self.entries.get(stmt).filter(|p| p.is_valid_for(arrays)) {
+            self.hits += 1;
+            return Ok(plan.clone());
         }
+        // cold or stale: (re-)inspect; a stale plan is replaced under its
+        // statement's key, so the cache never holds two plans for one
+        // statement
         self.misses += 1;
         let plan = Arc::new(ExecPlan::inspect(arrays, stmt)?);
         verify_inserted(arrays, stmt, &plan);
-        let ws = PlanWorkspace::for_plan(&plan);
-        self.entries.insert(stmt.clone(), Entry { plan: plan.clone(), ws });
+        self.entries.insert(stmt.clone(), plan.clone());
         Ok(plan)
     }
 
-    /// Execute `stmt` sequentially through the cache: resolve (or inspect)
-    /// the plan, replay it into the entry's own workspace, and return the
-    /// frozen analysis as a shared handle. On a warm hit this performs no
-    /// heap allocation at all — and exactly one cache lookup.
-    pub fn replay_seq(
-        &mut self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-    ) -> Result<Arc<CommAnalysis>, HpfError> {
-        self.replay_with(arrays, stmt, |plan, arrays, ws| {
-            plan.execute_seq_with(arrays, ws);
-            Ok(())
-        })
-    }
-
-    /// [`PlanCache::replay_seq`] with parallel pack and compute phases
-    /// spread over at most `threads` OS threads (capped at the simulated
-    /// processor count). The workspace is reused, but the per-replay
-    /// thread spawns do allocate — the zero-allocation contract is the
-    /// sequential path's.
-    pub fn replay_par(
-        &mut self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-        threads: usize,
-    ) -> Result<Arc<CommAnalysis>, HpfError> {
-        self.replay_with(arrays, stmt, |plan, arrays, ws| {
-            plan.execute_par_with(arrays, threads, ws);
-            Ok(())
-        })
-    }
-
-    /// Execute `stmt` through the cache on an explicit
-    /// [`ExchangeBackend`]: resolve (or inspect) the plan, run one
-    /// superstep on the backend with the entry's own workspace, and
-    /// return the frozen analysis as a shared handle. With the
-    /// `SharedMem` backend a warm hit stays allocation-free (the entry's
-    /// message staging buffers are preallocated); the `Channels` backend
-    /// reuses its persistent workers across hits. An exchange failure
-    /// (worker death, lost or damaged message) surfaces as
-    /// [`HpfError::Exchange`]; the cached plan stays valid — only the
-    /// array *data* needs restoring before a replay.
-    pub fn replay_on(
-        &mut self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-        backend: &mut dyn ExchangeBackend,
-    ) -> Result<Arc<CommAnalysis>, HpfError> {
-        self.replay_with(arrays, stmt, |plan, arrays, ws| backend.step(plan, arrays, ws))
-    }
-
-    /// Shared replay driver: one lookup on the warm path; cold and stale
-    /// statements fall through to [`PlanCache::plan_for`] for inspection.
-    fn replay_with(
-        &mut self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-        mut exec: impl FnMut(
-            &Arc<ExecPlan>,
-            &mut [DistArray<f64>],
-            &mut PlanWorkspace,
-        ) -> Result<(), ExchangeError>,
-    ) -> Result<Arc<CommAnalysis>, HpfError> {
-        if let Some(e) = self.entries.get_mut(stmt) {
-            if e.plan.is_valid_for(arrays) {
-                self.hits += 1;
-                exec(&e.plan, arrays, &mut e.ws)?;
-                return Ok(e.plan.shared_analysis());
-            }
-        }
-        self.plan_for(arrays, stmt)?; // cold or stale: inspect + cache
-        let e = self.entries.get_mut(stmt).expect("plan_for caches the entry");
-        exec(&e.plan, arrays, &mut e.ws)?;
-        Ok(e.plan.shared_analysis())
-    }
-
     /// Execute one whole timestep — every statement of `stmts`, in
-    /// program order — through the cached fused [`ProgramPlan`] on the
-    /// chosen [`FusedTarget`], compiling (and statically verifying) the
-    /// fused plan first if the statement sequence changed or any involved
-    /// array was remapped.
+    /// program order — through the cached [`ProgramPlan`] on `backend`,
+    /// compiling (and statically verifying) the plan first if the
+    /// statement sequence or `fused` changed or any involved array was
+    /// remapped. `fused = false` selects the per-statement compile mode
+    /// (see [`ProgramPlan::compile`]).
     ///
-    /// Counter semantics match the per-statement paths exactly: a warm
-    /// fused timestep counts one hit per statement; a rebuild resolves
+    /// A warm timestep counts one hit per statement; a rebuild resolves
     /// each constituent plan through [`PlanCache::plan_for`], which
-    /// charges hits for statements whose per-statement plans are still
-    /// valid and misses for cold or invalidated ones.
+    /// charges hits for statements whose plans are still valid and misses
+    /// for cold or invalidated ones.
     ///
-    /// Warm timesteps on the `Shared` target perform **zero heap
-    /// allocations**: the dirty bits, effective-send mask, fused staging
+    /// Warm timesteps on the `SharedMem` backend perform **zero heap
+    /// allocations**: the dirty bits, effective-send mask, staging
     /// buffers, and per-statement operand buffers are all reused in
-    /// place, and the elements physically staged are asserted equal to
-    /// the mask's prediction.
-    pub fn replay_fused_on(
+    /// place. An exchange failure (worker death, lost or damaged message)
+    /// surfaces as [`HpfError::Exchange`]; the cached plans stay valid —
+    /// only the array *data* needs restoring before a replay.
+    pub fn replay(
         &mut self,
         arrays: &mut [DistArray<f64>],
         stmts: &[Assignment],
-        target: FusedTarget<'_>,
+        fused: bool,
+        backend: &mut dyn ExchangeBackend,
     ) -> Result<Arc<ProgramPlan>, HpfError> {
-        let warm = self
-            .fused
-            .as_ref()
-            .is_some_and(|e| e.stmts == stmts && e.plan.is_valid_for(arrays));
+        let warm = self.fused.as_ref().is_some_and(|e| {
+            e.plan.fused() == fused && e.stmts == stmts && e.plan.is_valid_for(arrays)
+        });
         if warm {
             self.hits += stmts.len() as u64;
         } else {
@@ -268,7 +159,7 @@ impl PlanCache {
                 .iter()
                 .map(|s| self.plan_for(arrays, s))
                 .collect::<Result<Vec<_>, _>>()?;
-            let plan = Arc::new(ProgramPlan::compile(stmts, plans));
+            let plan = Arc::new(ProgramPlan::compile(stmts, plans, fused));
             verify_fused_inserted(arrays, stmts, &plan);
             let ws = FusedWorkspace::for_plan(&plan);
             let mut state = FusedState::new(&plan, arrays);
@@ -279,62 +170,31 @@ impl PlanCache {
         }
         let FusedEntry { plan, state, ws, .. } =
             self.fused.as_mut().expect("fused entry was just ensured");
-        match target {
-            FusedTarget::Shared(backend) => {
-                state.begin_timestep(plan, arrays, BufferDomain::Workspace);
-                let staged = match backend.step_fused(plan, arrays, state, ws) {
-                    Ok(staged) => staged,
-                    Err(e) => {
-                        // the timestep is torn: the mask's assumptions
-                        // about receiver-side ghost data no longer hold
-                        state.poison();
-                        return Err(e.into());
-                    }
-                };
-                assert_eq!(
-                    staged,
-                    state.last_sent(),
-                    "staged ghost elements diverged from the dirty-tracking mask"
-                );
-            }
-            FusedTarget::Par(threads) => {
-                state.begin_timestep(plan, arrays, BufferDomain::Workspace);
-                let staged = execute_fused_par(plan, arrays, state, ws, threads);
-                assert_eq!(
-                    staged,
-                    state.last_sent(),
-                    "staged ghost elements diverged from the dirty-tracking mask"
-                );
-            }
-            FusedTarget::Channels(backend) => {
-                // worker fleet first: a respawn (processor-count change
-                // elsewhere) empties the workers' persistent buffers, and
-                // the generation stamp forces an all-dirty mask
-                let generation = backend.prepare(plan.np());
-                state.begin_timestep(plan, arrays, BufferDomain::Channels(generation));
-                if let Err(e) = backend.step_fused(
-                    plan,
-                    arrays,
-                    state.eff_arc(),
-                    state.eff_version(),
-                    state.last_sent(),
-                ) {
-                    // a failed fused timestep leaves the fleet torn down
-                    // (its ghost buffers are gone) and the arrays partial:
-                    // distrust every dirty assumption until data is
-                    // restored and the next begin_timestep re-derives them
-                    state.poison();
-                    return Err(e.into());
-                }
-            }
+        // backend first: a respawned worker fleet has empty buffers, and
+        // its new generation stamp forces an all-dirty mask
+        let domain = backend.buffer_domain(plan.np());
+        state.begin_timestep(plan, arrays, domain);
+        if let Err(e) = backend.step(plan, arrays, state, ws) {
+            // the timestep is torn (the arrays partial; on `Channels` the
+            // fleet and its ghost buffers gone): distrust every dirty
+            // assumption until data is restored and the next
+            // begin_timestep re-derives them
+            state.poison();
+            return Err(e.into());
         }
         state.finish_timestep(plan, arrays);
         Ok(plan.clone())
     }
 
-    /// Observability snapshot of the fused path: DAG shape of the current
-    /// fused plan plus lifetime-cumulative reuse counters (carried across
-    /// rebuilds). Zeroed before the first fused timestep.
+    /// Measured wall-nanoseconds each simulated processor spent in compute
+    /// kernels during the last timestep (empty before the first one).
+    pub fn rank_compute_ns(&self) -> &[u64] {
+        self.fused.as_ref().map_or(&[], |e| &e.ws.rank_ns)
+    }
+
+    /// Observability snapshot of the timestep plan: DAG shape of the
+    /// current [`ProgramPlan`] plus lifetime-cumulative reuse counters
+    /// (carried across rebuilds). Zeroed before the first timestep.
     pub fn fusion_stats(&self) -> FusionStats {
         match &self.fused {
             None => FusionStats::default(),
@@ -374,12 +234,7 @@ impl PlanCache {
     /// [`ExecPlan::schedule_bytes`]) — what the run-length compression
     /// makes observable.
     pub fn schedule_bytes(&self) -> usize {
-        self.entries.values().map(|e| e.plan.schedule_bytes()).sum()
-    }
-
-    /// Total `f64` elements preallocated across all cached workspaces.
-    pub fn workspace_elements(&self) -> usize {
-        self.entries.values().map(|e| e.ws.buffer_elements()).sum()
+        self.entries.values().map(|plan| plan.schedule_bytes()).sum()
     }
 
     /// Drop every cached plan, including the fused program plan
@@ -462,7 +317,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
         assert!(cache.schedule_bytes() > 0);
-        assert_eq!(cache.workspace_elements(), 32 + 16);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.schedule_bytes(), 0);
@@ -470,19 +324,34 @@ mod tests {
 
     #[test]
     fn replay_through_cache_matches_reference() {
+        use crate::backend::SharedMemBackend;
+        use crate::spmd::ChannelsBackend;
+        // one cache, one compiled plan, every backend configuration
         let mut cache = PlanCache::new();
         let mut seq = arrays(40, 4, FormatSpec::Cyclic(3));
         let mut par = seq.clone();
-        let stmt = copy_stmt(40, &seq);
+        let mut spmd = seq.clone();
+        let stmts = [copy_stmt(40, &seq)];
+        let mut shared = SharedMemBackend::new();
+        let mut threaded = crate::testing::threaded(8);
+        let mut channels = ChannelsBackend::new();
         for _ in 0..3 {
-            let expect = crate::exec::dense_reference(&seq, &stmt);
-            let a1 = cache.replay_seq(&mut seq, &stmt).unwrap();
-            let a2 = cache.replay_par(&mut par, &stmt, 8).unwrap();
+            let expect = crate::exec::dense_reference(&seq, &stmts[0]);
+            let p1 = cache.replay(&mut seq, &stmts, true, &mut shared).unwrap();
+            let p2 = cache.replay(&mut par, &stmts, true, &mut threaded).unwrap();
+            let p3 = cache.replay(&mut spmd, &stmts, true, &mut channels).unwrap();
             assert_eq!(seq[0].to_dense(), expect);
             assert_eq!(par[0].to_dense(), expect);
-            assert!(Arc::ptr_eq(&a1, &a2), "both replays share the frozen analysis");
+            assert_eq!(spmd[0].to_dense(), expect);
+            assert!(Arc::ptr_eq(&p1, &p2) && Arc::ptr_eq(&p2, &p3), "one plan for all backends");
         }
-        assert_eq!(cache.misses(), 1, "one inspection for both executors");
-        assert_eq!(cache.hits(), 5);
+        assert_eq!(cache.misses(), 1, "one inspection for every backend");
+        assert_eq!(cache.hits(), 8);
+        // toggling the compile mode recompiles the program plan but reuses
+        // the statement's inspection
+        let unfused = cache.replay(&mut seq, &stmts, false, &mut shared).unwrap();
+        assert!(!unfused.fused());
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.fusion_stats().messages_after, cache.fusion_stats().messages_before);
     }
 }

@@ -29,15 +29,14 @@
 //! leaves a directory [`latest_checkpoint`] ignores rather than a
 //! half-readable snapshot.
 //!
-//! [`run_trajectory`] combines the pieces into the recovery loop the
-//! fault-injection suite exercises: run timesteps, checkpoint on a
-//! cadence, and on an [`HpfError::Exchange`] fault restore the newest
-//! checkpoint and replay forward — with bounded retries, backoff, and
-//! graceful degradation from `Channels` to `SharedMem` when the worker
-//! fleet keeps dying.
+//! [`Session::run`](crate::Session::run) combines the pieces into the
+//! recovery loop the fault-injection suite exercises: run timesteps,
+//! checkpoint on a cadence ([`CheckpointSpec`]), and on an
+//! [`HpfError::Exchange`] fault restore the
+//! newest checkpoint and replay forward — with bounded retries, backoff,
+//! and graceful degradation from `Channels` to `SharedMem` when the
+//! worker fleet keeps dying ([`RecoveryPolicy`]).
 
-use crate::backend::Backend;
-use crate::program::Program;
 use crate::DistArray;
 use hpf_core::HpfError;
 use hpf_index::{Idx, Triplet};
@@ -886,7 +885,7 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, CkptError> {
     Ok(best.map(|(_, p)| p))
 }
 
-/// Checkpoint cadence for [`run_trajectory`].
+/// Checkpoint cadence of a [`Session`](crate::Session).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSpec {
     /// Directory holding the `step-<T>` snapshots.
@@ -903,7 +902,7 @@ impl CheckpointSpec {
     }
 }
 
-/// How [`run_trajectory`] reacts to exchange faults.
+/// How [`Session::run`](crate::Session::run) reacts to exchange faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Give up after this many *consecutive* failed timesteps.
@@ -924,106 +923,6 @@ impl Default for RecoveryPolicy {
             degrade_after: 3,
         }
     }
-}
-
-/// What [`run_trajectory`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrajectoryReport {
-    /// Timesteps completed (the trajectory's end timestep).
-    pub timesteps: u64,
-    /// Exchange faults survived.
-    pub failures: u64,
-    /// Timesteps re-executed after restores (work lost to faults).
-    pub replayed: u64,
-    /// Checkpoints written.
-    pub checkpoints: u64,
-    /// True iff the trajectory degraded from `Channels` to `SharedMem`.
-    pub degraded: bool,
-    /// Backend the trajectory finished on.
-    pub final_backend: Backend,
-}
-
-/// Drive `program` from timestep `start` to `steps`, checkpointing on
-/// the `ckpt` cadence and recovering from exchange faults.
-///
-/// On a fault ([`HpfError::Exchange`]) the driver restores the newest
-/// checkpoint — whole-shard fast path, mapping identity preserved, so
-/// the plan cache survives — waits out a linear backoff, and replays
-/// forward from the restored timestep. The `Channels` worker fleet
-/// respawns lazily on the retry. After `degrade_after` consecutive
-/// failures a `Channels` trajectory degrades to `SharedMem`; after
-/// `max_retries` consecutive failures (or any fault with no checkpoint
-/// to restore) the fault is returned to the caller. Non-exchange
-/// errors propagate immediately.
-///
-/// Deprecated: drive the program through a
-/// [`Session`](crate::Session) instead —
-/// `Session::new(program).backend(b).checkpoint(spec).recovery(policy).run(steps)`
-/// executes the same recovery loop (and composes with adaptive
-/// redistribution).
-#[deprecated(note = "use `Session::new(program).checkpoint(spec).run(steps)` instead")]
-pub fn run_trajectory(
-    program: &mut Program,
-    backend: Backend,
-    steps: u64,
-    start: u64,
-    ckpt: Option<&CheckpointSpec>,
-    policy: &RecoveryPolicy,
-) -> Result<TrajectoryReport, HpfError> {
-    let mut backend = backend;
-    let mut t = start;
-    let mut consecutive = 0u32;
-    let mut report = TrajectoryReport {
-        timesteps: start,
-        failures: 0,
-        replayed: 0,
-        checkpoints: 0,
-        degraded: false,
-        final_backend: backend,
-    };
-    // Baseline snapshot: a fault in the very first timestep must have
-    // something to restore.
-    if let Some(spec) = ckpt {
-        program.checkpoint(&spec.dir, t)?;
-        report.checkpoints += 1;
-    }
-    while t < steps {
-        match program.step_on(backend) {
-            Ok(_) => {
-                t += 1;
-                consecutive = 0;
-                if let Some(spec) = ckpt {
-                    if t == steps || (spec.every > 0 && t % spec.every == 0) {
-                        program.checkpoint(&spec.dir, t)?;
-                        report.checkpoints += 1;
-                    }
-                }
-            }
-            Err(e @ HpfError::Exchange { .. }) => {
-                report.failures += 1;
-                consecutive += 1;
-                let Some(spec) = ckpt else {
-                    return Err(e);
-                };
-                if consecutive > policy.max_retries {
-                    return Err(e);
-                }
-                if backend == Backend::Channels && consecutive >= policy.degrade_after {
-                    backend = Backend::SharedMem;
-                    report.degraded = true;
-                }
-                std::thread::sleep(policy.backoff * consecutive);
-                let restored = program.restore_latest(&spec.dir)?;
-                debug_assert!(restored.timestep <= t);
-                report.replayed += t - restored.timestep;
-                t = restored.timestep;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    report.timesteps = t;
-    report.final_backend = backend;
-    Ok(report)
 }
 
 #[cfg(test)]

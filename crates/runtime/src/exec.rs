@@ -1,89 +1,15 @@
+//! The dense oracle: naive element-wise evaluation of a statement over
+//! global index space — what every execution path is held bit-identical
+//! to. Never on the execution path itself.
+
 use crate::assign::Assignment;
-use crate::backend::ExchangeBackend;
-use crate::commsets::CommAnalysis;
-use crate::plan::ExecPlan;
-use crate::workspace::PlanWorkspace;
 use crate::DistArray;
-use hpf_core::HpfError;
 use hpf_index::IndexDomain;
-use std::sync::Arc;
-
-/// Sequential owner-computes executor: a thin driver that inspects a fresh
-/// [`ExecPlan`] and replays it once.
-///
-/// Semantics: the whole right-hand side is packed before any element of
-/// the left-hand side is stored (Fortran 90 array-assignment semantics),
-/// so statements like `A(2:N) = A(1:N-1)` are safe.
-///
-/// For statements executed repeatedly (solver sweeps, timesteps), use
-/// [`crate::Program`] or a [`crate::PlanCache`] so inspection is amortized
-/// instead of re-run per call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SeqExecutor;
-
-impl SeqExecutor {
-    /// Execute `stmt` over `arrays`, updating the LHS array's distributed
-    /// storage and returning the communication analysis of the statement.
-    pub fn execute(
-        &self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-    ) -> Result<CommAnalysis, HpfError> {
-        let plan = ExecPlan::inspect(arrays, stmt)?;
-        plan.execute_seq(arrays);
-        Ok(plan.analysis().clone())
-    }
-
-    /// Replay an already-inspected plan (the executor half of the
-    /// inspector–executor split). Allocates a throwaway workspace; hot
-    /// loops should use [`SeqExecutor::execute_plan_with`].
-    ///
-    /// # Panics
-    /// Panics if `plan` is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_plan(&self, arrays: &mut [DistArray<f64>], plan: &ExecPlan) {
-        plan.execute_seq(arrays);
-    }
-
-    /// Replay an already-inspected plan into a reusable
-    /// [`PlanWorkspace`] — zero heap allocations once the workspace is
-    /// warm.
-    ///
-    /// # Panics
-    /// Panics if `plan` is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_plan_with(
-        &self,
-        arrays: &mut [DistArray<f64>],
-        plan: &ExecPlan,
-        ws: &mut PlanWorkspace,
-    ) {
-        plan.execute_seq_with(arrays, ws);
-    }
-
-    /// Execute `stmt` through an explicit [`ExchangeBackend`]: inspect a
-    /// fresh plan and run one superstep on the backend (which cross-checks
-    /// its measured wire traffic against the plan's frozen schedules).
-    /// For repeated statements, resolve plans through a
-    /// [`crate::PlanCache`] and use [`crate::PlanCache::replay_on`]
-    /// instead.
-    pub fn execute_on(
-        &self,
-        arrays: &mut [DistArray<f64>],
-        stmt: &Assignment,
-        backend: &mut dyn ExchangeBackend,
-    ) -> Result<CommAnalysis, HpfError> {
-        let plan = Arc::new(ExecPlan::inspect(arrays, stmt)?);
-        let mut ws = PlanWorkspace::new();
-        backend.step(&plan, arrays, &mut ws)?;
-        Ok(plan.analysis().clone())
-    }
-}
 
 /// Compute the expected dense value of the LHS array after `stmt` by naive
 /// element-wise evaluation, reading the arrays' *current* values — the
-/// oracle the plan-based executors are tested against. Deliberately simple
-/// and O(global size); never on the execution path.
+/// oracle compiled plans are tested against. Deliberately simple and
+/// O(global size).
 pub fn dense_reference(arrays: &[DistArray<f64>], stmt: &Assignment) -> Vec<f64> {
     let lhs_dom = arrays[stmt.lhs].domain().clone();
     let mut dense = arrays[stmt.lhs].to_dense();
@@ -129,6 +55,8 @@ pub fn apply_dense(dense: &mut [Vec<f64>], domains: &[IndexDomain], stmt: &Assig
 mod tests {
     use super::*;
     use crate::assign::{Combine, Term};
+    use crate::testing::run_stmt;
+    use crate::SharedMemBackend;
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, triplet, IndexDomain, Section};
 
@@ -162,7 +90,7 @@ mod tests {
         )
         .unwrap();
         let expect = dense_reference(&arrays, &stmt);
-        SeqExecutor.execute(&mut arrays, &stmt).unwrap();
+        run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         assert_eq!(arrays[0].to_dense(), expect);
         // A0(i) must now be 2*i (copied from A1)
         assert_eq!(arrays[0].get(&hpf_index::Idx::d1(5)), 10.0);
@@ -181,7 +109,7 @@ mod tests {
             &doms,
         )
         .unwrap();
-        SeqExecutor.execute(&mut arrays, &stmt).unwrap();
+        run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         let dense = arrays[0].to_dense();
         // original A(i) = i; after shift A(i) = i−1 for i ≥ 2
         assert_eq!(dense[0], 1.0);
@@ -206,7 +134,7 @@ mod tests {
             &doms,
         )
         .unwrap();
-        let analysis = SeqExecutor.execute(&mut arrays, &stmt).unwrap();
+        let analysis = run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         for i in 1..=10i64 {
             // 2i + 2(i+10) = 4i + 20
             assert_eq!(arrays[0].get(&hpf_index::Idx::d1(i)), (4 * i + 20) as f64);
@@ -228,25 +156,34 @@ mod tests {
         )
         .unwrap();
         let expect = dense_reference(&arrays, &stmt);
-        SeqExecutor.execute(&mut arrays, &stmt).unwrap();
+        run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         assert_eq!(arrays[0].to_dense(), expect);
     }
 
     #[test]
     fn execute_plan_replays() {
+        // one inspection, several replays through the same cache: every
+        // replay applies the statement to the arrays' *current* values
         let mut arrays = setup(24, 3, &[FormatSpec::Block, FormatSpec::Cyclic(2)]);
         let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
         let stmt = Assignment::new(
             0,
-            Section::from_triplets(vec![span(1, 24)]),
-            vec![Term::new(1, Section::from_triplets(vec![span(1, 24)]))],
-            Combine::Copy,
+            Section::from_triplets(vec![span(2, 24)]),
+            vec![
+                Term::new(0, Section::from_triplets(vec![span(1, 23)])),
+                Term::new(1, Section::from_triplets(vec![span(1, 23)])),
+            ],
+            Combine::Sum,
             &doms,
         )
         .unwrap();
-        let plan = crate::ExecPlan::inspect(&arrays, &stmt).unwrap();
-        let expect = dense_reference(&arrays, &stmt);
-        SeqExecutor.execute_plan(&mut arrays, &plan);
-        assert_eq!(arrays[0].to_dense(), expect);
+        let mut cache = crate::PlanCache::new();
+        let mut backend = SharedMemBackend::new();
+        for _ in 0..3 {
+            let expect = dense_reference(&arrays, &stmt);
+            cache.replay(&mut arrays, std::slice::from_ref(&stmt), true, &mut backend).unwrap();
+            assert_eq!(arrays[0].to_dense(), expect);
+        }
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 }

@@ -47,7 +47,7 @@
 
 use crate::array::DistArray;
 use crate::assign::Assignment;
-use crate::plan::{stage_own, ExecPlan};
+use crate::plan::ExecPlan;
 use crate::workspace::FusedWorkspace;
 use std::sync::Arc;
 
@@ -117,7 +117,8 @@ pub struct UnitMeta {
     /// True iff some statement in a superstep *before* the unit's pack
     /// phase writes its source interval: the unit must then be re-sent
     /// every timestep regardless of its cross-timestep dirty bit, because
-    /// the current timestep changes the data before it is staged.
+    /// the current timestep changes the data before it is staged. Always
+    /// true in a plan compiled unfused.
     pub intra_dirty: bool,
     /// True iff some statement at or after the unit's home superstep
     /// writes its source interval: the receiver's copy is stale *after*
@@ -140,6 +141,7 @@ pub struct Superstep {
 #[derive(Debug, Clone)]
 pub struct ProgramPlan {
     plans: Vec<Arc<ExecPlan>>,
+    fused: bool,
     supersteps: Vec<Superstep>,
     pairs: Vec<FusedPair>,
     units: Vec<UnitMeta>,
@@ -176,9 +178,15 @@ impl ProgramPlan {
     /// current mappings (the `PlanCache` resolves them; direct callers can
     /// use [`ExecPlan::inspect`]).
     ///
+    /// With `fused = false` the same schedule is compiled in its
+    /// per-statement form — the pre-fusion baseline, on the same executor:
+    /// every statement is a superstep of its own (so nothing coalesces),
+    /// every message is packed at its home superstep, and every unit is
+    /// re-sent every timestep (the full ghost exchange).
+    ///
     /// # Panics
     /// Panics if `stmts` and `plans` disagree in length.
-    pub fn compile(stmts: &[Assignment], plans: Vec<Arc<ExecPlan>>) -> ProgramPlan {
+    pub fn compile(stmts: &[Assignment], plans: Vec<Arc<ExecPlan>>, fused: bool) -> ProgramPlan {
         assert_eq!(stmts.len(), plans.len(), "one plan per statement");
         let n = stmts.len();
 
@@ -188,9 +196,10 @@ impl ProgramPlan {
         // earlier than r's iff s overwrites an array r reads (WAR) — a
         // writer hoisted past a deeper-levelled reader would destroy the
         // values that reader still needs. The same superstep stays legal
-        // for WAR (see the module docs).
-        let mut level = vec![0usize; n];
-        for s in 0..n {
+        // for WAR (see the module docs). Unfused, statement s is simply
+        // superstep s.
+        let mut level: Vec<usize> = if fused { vec![0; n] } else { (0..n).collect() };
+        for s in (0..n).filter(|_| fused) {
             for r in 0..s {
                 let raw = stmts[s].terms.iter().any(|t| t.array == stmts[r].lhs);
                 let waw = stmts[s].lhs == stmts[r].lhs;
@@ -286,10 +295,11 @@ impl ProgramPlan {
         let mut pairs = Vec::with_capacity(map.len());
         let mut units = Vec::new();
         for ((superstep, sender, receiver), mut segments) in map {
-            let mut pack_phase = 0usize;
+            // unfused: packed at home, and every unit re-sent every timestep
+            let mut pack_phase = if fused { 0 } else { superstep };
             for seg in &mut segments {
                 seg.unit = units.len();
-                let (mut intra, mut post) = (false, false);
+                let (mut intra, mut post) = (!fused, false);
                 for (w, stmt) in stmts.iter().enumerate() {
                     if stmt.lhs != seg.array
                         || !intersects(
@@ -322,7 +332,12 @@ impl ProgramPlan {
         }
         let messages_after = pairs.len();
 
-        ProgramPlan { plans, supersteps, pairs, units, messages_before, messages_after }
+        ProgramPlan { plans, fused, supersteps, pairs, units, messages_before, messages_after }
+    }
+
+    /// True iff the plan was compiled fused (see [`ProgramPlan::compile`]).
+    pub fn fused(&self) -> bool {
+        self.fused
     }
 
     /// The constituent per-statement plans, in program order.
@@ -385,18 +400,20 @@ impl ProgramPlan {
     }
 }
 
-/// Which executor family currently owns the receiver-side packed operand
-/// buffers that clean-unit skipping relies on. The workspace executors
-/// (shared-mem and the scoped-thread parallel path) share one
-/// [`FusedWorkspace`]; the `Channels` workers keep their own buffers, and
-/// a respawned fleet starts empty — the generation stamp detects that.
+/// Which buffers currently hold the receiver-side packed operand data
+/// that clean-unit skipping relies on — what
+/// [`ExchangeBackend::buffer_domain`](crate::ExchangeBackend::buffer_domain)
+/// reports before every timestep. A change of domain (another backend, or
+/// a respawned worker fleet whose buffers start empty) re-dirties every
+/// unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BufferDomain {
-    /// No fused timestep has run yet.
+pub enum BufferDomain {
+    /// No timestep has run yet, or the last one failed.
     None,
-    /// The `FusedWorkspace` buffers (shared-mem / scoped-thread paths).
+    /// The [`FusedWorkspace`] handed to the step (the `SharedMem` backend).
     Workspace,
-    /// The `Channels` worker fleet with the given spawn generation.
+    /// The `Channels` workers' own buffers, stamped with the fleet's spawn
+    /// generation.
     Channels(u64),
 }
 
@@ -468,7 +485,7 @@ impl FusedState {
     }
 
     /// Open a timestep: dirty everything if the buffer domain changed
-    /// (different executor family or respawned worker fleet), fold in
+    /// (different backend or respawned worker fleet), fold in
     /// out-of-band shard writes detected via the write epochs, and build
     /// the effective-send mask (`dirty ∨ intra_dirty`).
     ///
@@ -542,7 +559,7 @@ impl FusedState {
     }
 
     /// The effective segment indices of pair `k` under the current mask.
-    pub(crate) fn eff_segments(&self, k: usize) -> &[u32] {
+    pub fn eff_segments(&self, k: usize) -> &[u32] {
         let (lo, hi) = self.eff_ranges[k];
         &self.eff_segs[lo as usize..hi as usize]
     }
@@ -550,17 +567,17 @@ impl FusedState {
     /// Monotone stamp of the current mask, bumped on every rebuild — lets
     /// the `Channels` workers cache their per-pair filter results across
     /// steady warm timesteps.
-    pub(crate) fn eff_version(&self) -> u64 {
+    pub fn eff_version(&self) -> u64 {
         self.eff_version
     }
 
     /// The mask as a shareable handle (for the `Channels` driver).
-    pub(crate) fn eff_arc(&self) -> Arc<Vec<bool>> {
+    pub fn eff_arc(&self) -> Arc<Vec<bool>> {
         self.eff.clone()
     }
 
     /// Elements the current timestep's mask ships.
-    pub(crate) fn last_sent(&self) -> u64 {
+    pub fn last_sent(&self) -> u64 {
         self.last_sent
     }
 
@@ -721,47 +738,17 @@ fn stage_phase(
     staged_total
 }
 
-/// Sequential fused timestep over one address space: per phase, snapshot
-/// the staged local runs of the superstep's statements, deliver the
-/// effective segments of every pair hoisted to the phase, then compute
-/// the superstep's statements in program order — direct operands are read
-/// in place from the shards (see [`crate::plan`]). Returns
-/// the elements staged (the timestep's wire traffic). Warm calls perform
-/// zero heap allocations.
-pub(crate) fn execute_fused_seq(
-    plan: &ProgramPlan,
-    arrays: &mut [DistArray<f64>],
-    state: &FusedState,
-    ws: &mut FusedWorkspace,
-) -> u64 {
-    assert!(plan.is_valid_for(arrays), "stale fused plan: an involved array was remapped");
-    ws.ensure(plan);
-    ws.rank_ns.fill(0);
-    let mut staged_total = 0u64;
-    for phase in 0..plan.supersteps.len() {
-        for &s in &plan.supersteps[phase].stmts {
-            let sp = &plan.plans[s];
-            for (pp, bufs) in sp.per_proc().iter().zip(ws.per_stmt[s].bufs.iter_mut()) {
-                stage_own(arrays, pp, bufs);
-            }
-        }
-        staged_total += stage_phase(plan, arrays, state, ws, phase);
-        for &s in &plan.supersteps[phase].stmts {
-            // per-rank compute-time sample: what the simulated processor
-            // would spend on its kernels, measured — the adaptive
-            // controller's observed load vector
-            plan.plans[s].compute_seq(arrays, &ws.per_stmt[s].bufs, Some(&mut ws.rank_ns));
-        }
-    }
-    staged_total
-}
-
-/// Scoped-thread fused timestep honoring a thread cap below the simulated
-/// processor count: each statement's stage and compute phases spread over
-/// `threads` scoped threads (chunked by processor, like
-/// [`ExecPlan::execute_par_with`]); staging stays serial — it is exactly
-/// the leg clean-unit skipping shrinks. Returns the elements staged.
-pub(crate) fn execute_fused_par(
+/// One whole timestep over one address space — the `SharedMem` backend's
+/// executor: per phase, snapshot the staged local runs of the superstep's
+/// statements, deliver the effective segments of every pair hoisted to the
+/// phase, then compute the superstep's statements in program order —
+/// direct operands are read in place from the shards (see
+/// [`crate::plan`]). Stage and compute spread over at most `threads`
+/// scoped threads, chunked by processor; `threads <= 1` runs everything
+/// inline and a warm call then performs zero heap allocations. The
+/// exchange leg stays serial — it is exactly the leg clean-unit skipping
+/// shrinks. Returns the elements staged (the timestep's wire traffic).
+pub(crate) fn execute_fused(
     plan: &ProgramPlan,
     arrays: &mut [DistArray<f64>],
     state: &FusedState,
@@ -770,34 +757,17 @@ pub(crate) fn execute_fused_par(
 ) -> u64 {
     assert!(plan.is_valid_for(arrays), "stale fused plan: an involved array was remapped");
     ws.ensure(plan);
-    let np = plan.np();
-    let threads = threads.clamp(1, np.max(1));
-    if threads == 1 {
-        return execute_fused_seq(plan, arrays, state, ws);
-    }
-    let chunk = np.div_ceil(threads);
+    ws.rank_ns.fill(0);
+    let np = plan.np().max(1);
+    let chunk = np.div_ceil(threads.clamp(1, np));
     let mut staged_total = 0u64;
     for phase in 0..plan.supersteps.len() {
         for &s in &plan.supersteps[phase].stmts {
-            let sp = &plan.plans[s];
-            let per_proc = sp.per_proc();
-            let arrays_ref: &[DistArray<f64>] = arrays;
-            crossbeam::thread::scope(|scope| {
-                for (pps, bufss) in
-                    per_proc.chunks(chunk).zip(ws.per_stmt[s].bufs.chunks_mut(chunk))
-                {
-                    scope.spawn(move |_| {
-                        for (pp, bufs) in pps.iter().zip(bufss) {
-                            stage_own(arrays_ref, pp, bufs);
-                        }
-                    });
-                }
-            })
-            .expect("worker thread panicked");
+            plan.plans[s].stage(arrays, &mut ws.per_stmt[s].bufs, chunk);
         }
         staged_total += stage_phase(plan, arrays, state, ws, phase);
         for &s in &plan.supersteps[phase].stmts {
-            plan.plans[s].compute_par(arrays, &ws.per_stmt[s].bufs, chunk);
+            plan.plans[s].compute(arrays, &ws.per_stmt[s].bufs, chunk, &mut ws.rank_ns);
         }
     }
     staged_total
@@ -829,7 +799,7 @@ mod tests {
             .iter()
             .map(|s| Arc::new(ExecPlan::inspect(arrays, s).unwrap()))
             .collect();
-        ProgramPlan::compile(stmts, plans)
+        ProgramPlan::compile(stmts, plans, true)
     }
 
     #[test]

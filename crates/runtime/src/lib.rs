@@ -21,26 +21,6 @@
 //!   saying which local operands the kernel reads in place and which are
 //!   staged first, then replayed every timestep from a cache keyed by
 //!   statement shape and mapping identity;
-//!   each cached plan carries a preallocated [`PlanWorkspace`], making
-//!   warm replays zero-allocation;
-//! * [`ExchangeBackend`] — the transport-neutral boundary between
-//!   compiled schedules and the wire: each plan's remote runs are
-//!   regrouped at inspect time into per-(sender, receiver)
-//!   [`MessagePlan`] schedules, and a backend decides how those messages
-//!   move — [`SharedMemBackend`] (direct copies staged through persistent
-//!   buffers, zero-allocation warm) or [`ChannelsBackend`] (a true
-//!   message-passing SPMD executor: one long-lived worker per simulated
-//!   processor owning only its local shards, packed messages over
-//!   channels, measured wire bytes cross-checked against the frozen
-//!   analysis);
-//! * [`SeqExecutor`] / [`ParExecutor`] — sequential and
-//!   crossbeam-parallel owner-computes execution, thin drivers over the
-//!   same compiled plans, verified element-for-element against a dense
-//!   reference;
-//! * [`remap_analysis`] — the exact traffic of a `REDISTRIBUTE`/`REALIGN`
-//!   event (§4.2/§5.2) and of §7 copy-in/copy-out;
-//! * [`ghost_regions`] — SUPERB-style overlap areas per processor and
-//!   operand (the paper's reference \[11\]);
 //! * [`ProgramPlan`] — program-level plan fusion: the statements of a
 //!   timestep scheduled into a superstep DAG (level scheduling over
 //!   RAW/WAW hazards; a WAR pair may share a superstep — operands are
@@ -50,10 +30,25 @@
 //!   aggregated schedule per (sender, receiver, superstep), and every
 //!   coalesced segment bound to a dirty-tracking unit so ghost data whose
 //!   source shard no statement wrote is never re-packed or re-sent on
-//!   warm timesteps;
-//! * [`Program`] — multi-statement execution with cumulative statistics,
-//!   routing whole timesteps through the fused plan (with
-//!   [`FusionStats`] counting supersteps, coalesced messages, and ghost
+//!   warm timesteps. A single statement is the one-superstep plan;
+//! * [`ExchangeBackend`] — **the one step path**: a timestep executes as
+//!   [`PlanCache::replay`] → [`ExchangeBackend::step`] on a
+//!   [`ProgramPlan`], and the backend — how messages move — is the only
+//!   thing that varies: [`SharedMemBackend`] (direct copies staged through
+//!   the persistent buffers of a [`FusedWorkspace`], zero-allocation warm;
+//!   a thread bound spreads stage and compute over scoped threads) or
+//!   [`ChannelsBackend`] (a true message-passing SPMD executor: one
+//!   long-lived worker per simulated processor owning only its local
+//!   shards, packed messages over channels, measured wire bytes
+//!   cross-checked against the dirty-tracking mask);
+//! * [`dense_reference`] / [`apply_dense`] — the dense oracle every
+//!   configuration is verified against element for element;
+//! * [`remap_analysis`] — the exact traffic of a `REDISTRIBUTE`/`REALIGN`
+//!   event (§4.2/§5.2) and of §7 copy-in/copy-out;
+//! * [`ghost_regions`] — SUPERB-style overlap areas per processor and
+//!   operand (the paper's reference \[11\]);
+//! * [`Program`] — multi-statement execution with cumulative statistics
+//!   ([`FusionStats`] counting supersteps, coalesced messages, and ghost
 //!   bytes avoided);
 //! * [`verify_plan`] — static schedule verification: prove (or refute
 //!   with precise diagnostics) write coverage, bounds, race freedom,
@@ -65,13 +60,12 @@
 //!   deterministic fault injection (worker kills, dropped/corrupted/
 //!   delayed messages, pool poisoning) exercises the failure paths,
 //!   and distribution-aware checkpoints restore across *different*
-//!   mappings and processor counts ([`run_trajectory`] ties it into a
+//!   mappings and processor counts ([`Session::run`] ties it into a
 //!   restore-and-replay recovery loop with bounded retries and
 //!   graceful degradation to `SharedMem`);
-//! * [`Session`] — the unified execution-session API: one builder for
-//!   backend, thread bound, fusion, checkpoint cadence, fault recovery,
-//!   and adaptive redistribution, replacing the legacy `run`/`run_on`/
-//!   `run_parallel`/`run_unfused`/`run_trajectory` entry points;
+//! * [`Session`] — the execution-session API: one builder for backend,
+//!   thread bound, fusion, checkpoint cadence, fault recovery, and
+//!   adaptive redistribution — all configurations of the one step path;
 //! * [`adapt`] — self-adaptive redistribution: a controller that watches
 //!   the measured per-rank load of warm replay ([`Program::stats`]
 //!   exposes the per-processor breakdown), prices candidate remappings
@@ -93,12 +87,13 @@ mod exec;
 mod fault;
 mod fuse;
 mod ghost;
-mod par;
 mod plan;
 mod program;
 mod remap;
 mod session;
 mod spmd;
+#[cfg(test)]
+mod testing;
 mod trace;
 pub mod verify;
 mod workspace;
@@ -110,19 +105,19 @@ pub use backend::{
     PairSchedule, SharedMemBackend,
 };
 pub use adapt::{AdaptController, AdaptEvent, AdaptPolicy, AdaptReport};
-pub use cache::{FusedTarget, PlanCache};
-#[allow(deprecated)]
-pub use ckpt::run_trajectory;
+pub use cache::PlanCache;
 pub use ckpt::{
     latest_checkpoint, restore_checkpoint, save_checkpoint, CheckpointSpec, CkptError,
-    CkptReport, RecoveryPolicy, RestoreReport, TrajectoryReport,
+    CkptReport, RecoveryPolicy, RestoreReport,
 };
 pub use fault::{Fault, FaultPlan};
 pub use commsets::{comm_analysis, CommAnalysis};
-pub use exec::{apply_dense, dense_reference, SeqExecutor};
-pub use fuse::{FusedPair, FusedSegment, FusionStats, ProgramPlan, Superstep, UnitMeta};
+pub use exec::{apply_dense, dense_reference};
+pub use fuse::{
+    BufferDomain, FusedPair, FusedSegment, FusedState, FusionStats, ProgramPlan, Superstep,
+    UnitMeta,
+};
 pub use ghost::{ghost_regions, GhostReport};
-pub use par::ParExecutor;
 pub use plan::{
     CopyRun, ExecPlan, GatherRef, PieceSrc, ProcPlan, StoreRun, TermSchedule, DIRECT_MIN_RUN,
 };

@@ -72,11 +72,10 @@
 //!
 //! [`EffectiveDist`]: hpf_core::EffectiveDist
 
-use crate::array::DistArray;
+use crate::array::{DistArray, Shard};
 use crate::assign::{Assignment, Combine};
 use crate::backend::MessagePlan;
 use crate::commsets::{comm_analysis, project_region, CommAnalysis};
-use crate::workspace::PlanWorkspace;
 use hpf_core::{HpfError, MappingId};
 use hpf_index::IndexDomain;
 use hpf_procs::ProcId;
@@ -88,7 +87,7 @@ use std::sync::Arc;
 /// instead; [`TermSchedule::iter_refs`] expands a compressed schedule back
 /// into this per-element form (tests assert the expansion is exact, and
 /// [`ExecPlan::execute_seq_uncompressed`] replays through it as the
-/// benchmark baseline).
+/// benchmark reference).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatherRef {
     /// Zero-based source processor.
@@ -277,13 +276,14 @@ impl ProcPlan {
 
 /// A compiled execution plan for one assignment under fixed mappings.
 ///
-/// Built by [`ExecPlan::inspect`]; replayed by [`ExecPlan::execute_seq`] /
-/// [`ExecPlan::execute_par`] (or their `_with` variants, which reuse a
-/// caller-owned [`PlanWorkspace`] so warm replays allocate nothing). A
-/// plan is bound to the exact `Arc<EffectiveDist>` allocations it was
-/// inspected from (see [`MappingId`]); [`ExecPlan::is_valid_for`] checks
-/// that binding, and the executors assert it, so a remapped array can
-/// never be driven through a stale schedule.
+/// Built by [`ExecPlan::inspect`]; executed as a constituent of a
+/// [`ProgramPlan`](crate::ProgramPlan) through
+/// [`ExchangeBackend::step`](crate::ExchangeBackend::step) (a single
+/// statement is the one-superstep program plan). A plan is bound to the
+/// exact `Arc<EffectiveDist>` allocations it was inspected from (see
+/// [`MappingId`]); [`ExecPlan::is_valid_for`] checks that binding, and the
+/// backends assert it, so a remapped array can never be driven through a
+/// stale schedule.
 ///
 /// [`EffectiveDist`]: hpf_core::EffectiveDist
 #[derive(Debug, Clone)]
@@ -553,163 +553,91 @@ impl ExecPlan {
             .all(|(k, id)| arrays.get(*k).is_some_and(|a| id.is(a.mapping())))
     }
 
-    /// Replay the plan sequentially: stage every processor's snapshot and
-    /// ghost operands (reads only — Fortran 90 semantics even when the LHS
-    /// appears on the RHS), then compute into the LHS local buffers,
-    /// reading every other local operand in place.
-    ///
-    /// Allocates a throwaway [`PlanWorkspace`]; hot loops should hold one
-    /// and call [`ExecPlan::execute_seq_with`] (or replay through a
-    /// [`crate::PlanCache`], which keeps a workspace per plan) so warm
-    /// replays allocate nothing.
-    ///
-    /// # Panics
-    /// Panics if the plan is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_seq(&self, arrays: &mut [DistArray<f64>]) {
-        let mut ws = PlanWorkspace::for_plan(self);
-        self.execute_seq_with(arrays, &mut ws);
-    }
-
-    /// Replay the plan sequentially into a reusable workspace. When `ws`
-    /// was built for this plan (or has already been used with it), the
-    /// replay performs **zero heap allocations**: block copies of the
-    /// staged and ghost operands into the preallocated pack buffers, then
-    /// slice-kernel compute into the LHS local storage.
-    ///
-    /// # Panics
-    /// Panics if the plan is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_seq_with(&self, arrays: &mut [DistArray<f64>], ws: &mut PlanWorkspace) {
-        assert!(self.is_valid_for(arrays), "stale plan: an involved array was remapped");
-        ws.ensure(self);
-        for (pp, bufs) in self.per_proc.iter().zip(ws.bufs.iter_mut()) {
-            stage_proc(arrays, pp, bufs);
-        }
-        self.compute_seq(arrays, &ws.bufs, None);
-    }
-
-    /// Compute phase over every processor in order, from packed operand
-    /// buffers `bufs[p]` already staged and exchanged. With `rank_ns`, the
-    /// wall-nanoseconds each processor's kernel took are *added* to its
-    /// slot — the adaptive controller's measured load sample.
-    pub(crate) fn compute_seq(
+    /// Stage phase over every processor: snapshot the local runs of the
+    /// staged terms into the packed operand buffers `bufs[p]` (reads only
+    /// — Fortran 90 semantics even when the LHS appears on the RHS).
+    /// `chunk` processors per thread; one chunk covering every processor
+    /// runs inline, without a spawn.
+    pub(crate) fn stage(
         &self,
-        arrays: &mut [DistArray<f64>],
-        bufs: &[Vec<Vec<f64>>],
-        mut rank_ns: Option<&mut [u64]>,
+        arrays: &[DistArray<f64>],
+        bufs: &mut [Vec<Vec<f64>>],
+        chunk: usize,
     ) {
-        let (lhs_arr, others) = split_lhs(arrays, self.lhs);
-        let (_, locals) = lhs_arr.parts_mut();
-        for (pp, bufs) in self.per_proc.iter().zip(bufs) {
-            let p0 = pp.proc.zero_based();
-            let t0 = std::time::Instant::now();
-            compute_pieces(pp, self.combine, &mut locals[p0], bufs, |k| others.local(k, p0));
-            if let Some(ns) = rank_ns.as_deref_mut() {
-                ns[p0] += t0.elapsed().as_nanos() as u64;
+        let stage = |pps: &[ProcPlan], bufss: &mut [Vec<Vec<f64>>]| {
+            for (pp, bufs) in pps.iter().zip(bufss) {
+                let p0 = pp.proc.zero_based();
+                pack_staged_runs(pp, bufs, |k| arrays[k].local(p0));
             }
+        };
+        if chunk >= self.per_proc.len() {
+            return stage(&self.per_proc, bufs);
         }
+        crossbeam::thread::scope(|scope| {
+            for (pps, bufss) in self.per_proc.chunks(chunk).zip(bufs.chunks_mut(chunk)) {
+                scope.spawn(move |_| stage(pps, bufss));
+            }
+        })
+        .expect("worker thread panicked");
     }
 
-    /// [`ExecPlan::compute_seq`] spread over scoped threads, `chunk`
-    /// processors per thread (disjoint LHS shards; direct operands come
-    /// from arrays the statement does not store to).
-    pub(crate) fn compute_par(
+    /// Compute phase over every processor, from packed operand buffers
+    /// `bufs[p]` already staged and exchanged: each processor's kernel
+    /// writes its own LHS shard, reading direct operands in place from
+    /// arrays the statement does not store to. The wall-nanoseconds each
+    /// kernel took are *added* to the processor's slot of `rank_ns` — the
+    /// adaptive controller's measured load sample. `chunk` processors per
+    /// thread; one chunk covering every processor runs inline, without a
+    /// spawn.
+    pub(crate) fn compute(
         &self,
         arrays: &mut [DistArray<f64>],
         bufs: &[Vec<Vec<f64>>],
         chunk: usize,
+        rank_ns: &mut [u64],
     ) {
         let combine = self.combine;
         // per_proc is ordered 1..=np, matching the local-buffer order
         let (lhs_arr, others) = split_lhs(arrays, self.lhs);
         let (_, locals) = lhs_arr.parts_mut();
-        crossbeam::thread::scope(|scope| {
-            for ((pps, bufss), locs) in
-                self.per_proc.chunks(chunk).zip(bufs.chunks(chunk)).zip(locals.chunks_mut(chunk))
-            {
-                scope.spawn(move |_| {
-                    for ((pp, bufs), local) in pps.iter().zip(bufss).zip(locs) {
-                        let p0 = pp.proc.zero_based();
-                        compute_pieces(pp, combine, local, bufs, |k| others.local(k, p0));
-                    }
-                });
+        let compute = |pps: &[ProcPlan],
+                       bufss: &[Vec<Vec<f64>>],
+                       locs: &mut [Shard<f64>],
+                       ns: &mut [u64]| {
+            for (((pp, bufs), local), ns) in pps.iter().zip(bufss).zip(locs).zip(ns) {
+                let p0 = pp.proc.zero_based();
+                let t0 = std::time::Instant::now();
+                compute_pieces(pp, combine, local, bufs, |k| others.local(k, p0));
+                *ns += t0.elapsed().as_nanos() as u64;
             }
-        })
-        .expect("worker thread panicked");
-    }
-
-    /// Replay the plan with both the pack and compute phases spread over
-    /// OS threads — bit-identical to [`ExecPlan::execute_seq`]. Allocates
-    /// a throwaway [`PlanWorkspace`]; see [`ExecPlan::execute_par_with`].
-    ///
-    /// # Panics
-    /// Panics if the plan is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_par(&self, arrays: &mut [DistArray<f64>], threads: usize) {
-        let mut ws = PlanWorkspace::for_plan(self);
-        self.execute_par_with(arrays, threads, &mut ws);
-    }
-
-    /// Replay the plan with both phases parallel, into a reusable
-    /// workspace. `threads` is capped at the simulated processor count —
-    /// one simulated processor's buffers are the unit of work, so extra OS
-    /// threads would only pay spawn cost. The stage/gather phase runs as
-    /// its own parallel wave (it reads the arrays immutably and writes
-    /// disjoint workspace buffers), then a barrier, then the compute wave
-    /// (disjoint LHS local buffers; direct operands are read from arrays
-    /// the statement does not store to) — a BSP superstep, bit-identical
-    /// to the sequential replay.
-    ///
-    /// # Panics
-    /// Panics if the plan is stale for `arrays` (see
-    /// [`ExecPlan::is_valid_for`]).
-    pub fn execute_par_with(
-        &self,
-        arrays: &mut [DistArray<f64>],
-        threads: usize,
-        ws: &mut PlanWorkspace,
-    ) {
-        assert!(self.is_valid_for(arrays), "stale plan: an involved array was remapped");
+        };
+        if chunk >= self.per_proc.len() {
+            return compute(&self.per_proc, bufs, locals, rank_ns);
+        }
         debug_assert!(
             crate::verify::workers_disjoint(&self.per_proc),
             "two workers drive the same processor: store sets would race"
         );
-        ws.ensure(self);
-        let np = self.per_proc.len();
-        let threads = threads.clamp(1, np.max(1));
-        if threads == 1 {
-            // no spawn cost for the degenerate case
-            return self.execute_seq_with(arrays, ws);
-        }
-        // plain chunked partition: ceil(np / threads) processors per thread.
-        // Stage and compute are two separate spawn waves rather than one
-        // wave with a barrier: staging holds a shared borrow of *all*
-        // arrays (the statement may read the LHS), so safe Rust cannot
-        // also hand the compute half a mutable borrow of the LHS locals
-        // within the same scope.
-        let chunk = np.div_ceil(threads);
-        let arrays_ref: &[DistArray<f64>] = arrays;
         crossbeam::thread::scope(|scope| {
-            for (pps, bufss) in self.per_proc.chunks(chunk).zip(ws.bufs.chunks_mut(chunk))
+            for (((pps, bufss), locs), ns) in self
+                .per_proc
+                .chunks(chunk)
+                .zip(bufs.chunks(chunk))
+                .zip(locals.chunks_mut(chunk))
+                .zip(rank_ns.chunks_mut(chunk))
             {
-                scope.spawn(move |_| {
-                    for (pp, bufs) in pps.iter().zip(bufss) {
-                        stage_proc(arrays_ref, pp, bufs);
-                    }
-                });
+                scope.spawn(move |_| compute(pps, bufss, locs, ns));
             }
         })
         .expect("worker thread panicked");
-        self.compute_par(arrays, &ws.bufs, chunk);
     }
 
     /// Replay through the *uncompressed* per-element schedule (expanding
     /// every run back into `(src, offset)` loads and per-element combine
     /// calls, with per-replay buffer allocation). Semantically identical
-    /// to [`ExecPlan::execute_seq`]; exists as the baseline the
+    /// to a replay of the compressed schedule; exists as the reference the
     /// `b13_replay_throughput` benchmark measures the compression win
-    /// against.
+    /// against — never as a way to drive a program.
     ///
     /// # Panics
     /// Panics if the plan is stale for `arrays` (see
@@ -799,28 +727,6 @@ pub(crate) fn pack_staged_runs<'a>(
         for r in ts.runs.iter().filter(|r| r.src == me) {
             buf[r.dst_off..r.dst_off + r.len]
                 .copy_from_slice(&shard[r.src_off..r.src_off + r.len]);
-        }
-    }
-}
-
-/// [`pack_staged_runs`] for one processor of arrays held in one address
-/// space.
-pub(crate) fn stage_own(arrays: &[DistArray<f64>], pp: &ProcPlan, bufs: &mut [Vec<f64>]) {
-    let p0 = pp.proc.zero_based();
-    pack_staged_runs(pp, bufs, |k| arrays[k].local(p0));
-}
-
-/// Stage and exchange for one processor in one shared address space,
-/// without a message layer: snapshot the staged local runs, then gather
-/// every remote run straight from its owner's shard.
-fn stage_proc(arrays: &[DistArray<f64>], pp: &ProcPlan, bufs: &mut [Vec<f64>]) {
-    let p0 = pp.proc.zero_based();
-    stage_own(arrays, pp, bufs);
-    for (ts, buf) in pp.terms.iter().zip(bufs) {
-        let src_arr = &arrays[ts.array];
-        for r in ts.runs.iter().filter(|r| r.src as usize != p0) {
-            buf[r.dst_off..r.dst_off + r.len]
-                .copy_from_slice(&src_arr.local(r.src as usize)[r.src_off..r.src_off + r.len]);
         }
     }
 }
@@ -970,7 +876,11 @@ mod tests {
     use super::*;
     use crate::assign::Term;
     use crate::exec::dense_reference;
+    use crate::fuse::{FusedState, ProgramPlan};
     use crate::ghost::ghost_regions;
+    use crate::testing::run_stmt;
+    use crate::workspace::FusedWorkspace;
+    use crate::{BufferDomain, ExchangeBackend, SharedMemBackend};
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, Section};
 
@@ -1007,13 +917,12 @@ mod tests {
     fn plan_replay_matches_reference() {
         let mut arrays = setup(40, 4, &[FormatSpec::Block, FormatSpec::Cyclic(3)]);
         let stmt = shift_stmt(40, &arrays);
-        let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
         let expect = dense_reference(&arrays, &stmt);
-        plan.execute_seq(&mut arrays);
+        run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         assert_eq!(arrays[0].to_dense(), expect);
         // replay again on the mutated state — still the dense semantics
         let expect2 = dense_reference(&arrays, &stmt);
-        plan.execute_seq(&mut arrays);
+        run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         assert_eq!(arrays[0].to_dense(), expect2);
     }
 
@@ -1064,31 +973,43 @@ mod tests {
         let mut b = a.clone();
         let stmt = shift_stmt(48, &a);
         let plan = ExecPlan::inspect(&a, &stmt).unwrap();
-        plan.execute_seq(&mut a);
+        run_stmt(&mut a, &stmt, &mut SharedMemBackend::new());
         plan.execute_seq_uncompressed(&mut b);
         assert_eq!(a[0].to_dense(), b[0].to_dense());
+    }
+
+    /// Drive `backend` one timestep over the one-statement program plan of
+    /// `stmt`, the way [`crate::PlanCache::replay`] does but with the
+    /// caller's own workspace.
+    fn step_with(
+        arrays: &mut [DistArray<f64>],
+        stmt: &Assignment,
+        ws: &mut FusedWorkspace,
+    ) -> Arc<ProgramPlan> {
+        let plan = Arc::new(ExecPlan::inspect(arrays, stmt).unwrap());
+        let plan = Arc::new(ProgramPlan::compile(std::slice::from_ref(stmt), vec![plan], true));
+        let mut state = FusedState::new(&plan, arrays);
+        state.begin_timestep(&plan, arrays, BufferDomain::Workspace);
+        SharedMemBackend::new().step(&plan, arrays, &state, ws).unwrap();
+        plan
     }
 
     #[test]
     fn workspace_reuse_is_stable() {
         let mut arrays = setup(40, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let stmt = shift_stmt(40, &arrays);
-        let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        let mut ws = PlanWorkspace::for_plan(&plan);
-        assert!(ws.matches(&plan));
+        let mut ws = FusedWorkspace::new();
         for _ in 0..3 {
             let expect = dense_reference(&arrays, &stmt);
-            plan.execute_seq_with(&mut arrays, &mut ws);
+            let plan = step_with(&mut arrays, &stmt, &mut ws);
+            assert!(ws.matches(&plan));
             assert_eq!(arrays[0].to_dense(), expect);
         }
         // a workspace built for another plan is resized, not trusted
-        let other = setup(24, 4, &[FormatSpec::Block, FormatSpec::Block]);
+        let mut other = setup(24, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let stmt2 = shift_stmt(24, &other);
-        let plan2 = ExecPlan::inspect(&other, &stmt2).unwrap();
-        assert!(!ws.matches(&plan2));
-        let mut other = other;
         let expect = dense_reference(&other, &stmt2);
-        plan2.execute_seq_with(&mut other, &mut ws);
+        let plan2 = step_with(&mut other, &stmt2, &mut ws);
         assert!(ws.matches(&plan2));
         assert_eq!(other[0].to_dense(), expect);
     }
@@ -1122,7 +1043,7 @@ mod tests {
         )
         .unwrap();
         let expect = dense_reference(&arrays, &stmt);
-        ExecPlan::inspect(&arrays, &stmt).unwrap().execute_seq(&mut arrays);
+        run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         assert_eq!(arrays[0].to_dense(), expect);
     }
 
@@ -1225,7 +1146,7 @@ mod tests {
                 assert!(plan.per_proc()[1].terms[0].direct);
                 let expect = dense_reference(&arrays, &stmt);
                 let mut got = arrays.clone();
-                plan.execute_seq(&mut got);
+                run_stmt(&mut got, &stmt, &mut SharedMemBackend::new());
                 let same = got[0]
                     .to_dense()
                     .iter()
@@ -1246,9 +1167,11 @@ mod tests {
         let remapped = setup(32, 4, &[FormatSpec::Block, FormatSpec::Cyclic(1)]);
         arrays[1] = remapped.into_iter().nth(1).unwrap();
         assert!(!plan.is_valid_for(&arrays));
+        let plan = Arc::new(ProgramPlan::compile(&[stmt], vec![Arc::new(plan)], true));
+        let state = FusedState::new(&plan, &arrays);
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut a = arrays;
-            plan.execute_seq(&mut a);
+            SharedMemBackend::new().step(&plan, &mut a, &state, &mut FusedWorkspace::new())
         }));
         assert!(res.is_err(), "executing a stale plan must panic, not corrupt");
     }
@@ -1277,7 +1200,7 @@ mod tests {
         )
         .unwrap();
         let expect = dense_reference(&arrays, &stmt);
-        ExecPlan::inspect(&arrays, &stmt).unwrap().execute_seq(&mut arrays);
+        run_stmt(&mut arrays, &stmt, &mut SharedMemBackend::new());
         assert_eq!(arrays[0].to_dense(), expect);
         // every replica holds the full updated copy
         for p in (1..=3u32).map(ProcId) {

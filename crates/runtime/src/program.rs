@@ -5,23 +5,25 @@
 //!
 //! Programs execute through a [`PlanCache`], driven by a
 //! [`Session`](crate::Session): each statement is inspected into an
-//! [`crate::ExecPlan`] the first time it runs and replayed from the cache
-//! on every later timestep, so iterated solvers pay inspection (ownership
-//! lookups, comm analysis) once, and O(elements moved + computed) per
-//! iteration. Warm sequential timesteps are **allocation-free**: the
-//! cache replays each plan into its own preallocated
-//! [`crate::PlanWorkspace`], the per-statement analyses come back as
+//! [`crate::ExecPlan`] the first time it runs, the statement list is
+//! compiled into one [`crate::ProgramPlan`], and every later timestep
+//! replays it through the selected [`ExchangeBackend`] — so iterated
+//! solvers pay inspection (ownership lookups, comm analysis) once, and
+//! O(elements moved + computed) per iteration. Warm timesteps on the
+//! `SharedMem` backend without a thread bound are **allocation-free**:
+//! the cache replays the plan into its preallocated
+//! [`crate::FusedWorkspace`], the per-statement analyses come back as
 //! `Arc` handles into the frozen plans, and the result buffer is reused
 //! across calls (asserted by the `zero_alloc_replay` integration test).
-//! The bounded-thread executor reuses the same workspaces but pays
-//! scoped-thread spawn cost (and its allocations) per timestep. Remapping
-//! an array (see [`Program::remap`]) changes its mapping identity and
-//! invalidates exactly the plans that involve it — the primitive the
-//! adaptive controller (see [`crate::adapt`]) drives live.
+//! A thread bound reuses the same workspace but pays scoped-thread spawn
+//! cost (and its allocations) per timestep. Remapping an array (see
+//! [`Program::remap`]) changes its mapping identity and invalidates
+//! exactly the plans that involve it — the primitive the adaptive
+//! controller (see [`crate::adapt`]) drives live.
 
 use crate::assign::Assignment;
 use crate::backend::{Backend, ExchangeBackend, SharedMemBackend};
-use crate::cache::{FusedTarget, PlanCache};
+use crate::cache::PlanCache;
 use crate::ckpt::{self, CkptError, CkptReport, RestoreReport};
 use crate::commsets::CommAnalysis;
 use crate::fault::FaultPlan;
@@ -43,8 +45,7 @@ use std::time::Duration;
 /// simulated processor, before dirty-tracking elides clean ghost units);
 /// `rank_compute_ns` is the *measured* wall-time each simulated processor
 /// spent in compute kernels during the last timestep, sampled by the
-/// exchange backends (all zeros when the last step ran on the
-/// scoped-thread executor, which does not sample).
+/// exchange backend that ran it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramStats {
     /// Simulated processor count the vectors below are indexed by.
@@ -84,20 +85,15 @@ impl ProgramStats {
     }
 }
 
-/// A program: distributed arrays plus an ordered statement list. Each
-/// statement executes as one BSP superstep (exchange, then compute).
+/// A program: distributed arrays plus an ordered statement list, executed
+/// a whole timestep at a time (see [`crate::ProgramPlan`]).
 #[derive(Debug, Default)]
 pub struct Program {
     /// The arrays, referenced by position from the statements.
     pub arrays: Vec<DistArray<f64>>,
     stmts: Vec<Assignment>,
     cache: PlanCache,
-    /// The shared-address-space exchange backend (cheap, always present).
-    shared: SharedMemBackend,
-    /// The message-passing SPMD backend, created lazily on the first
-    /// [`Program::run_on`]`(Channels)` / [`Program::run_parallel`] call;
-    /// its worker fleet then persists across timesteps.
-    channels: Option<ChannelsBackend>,
+    exchanges: Exchanges,
     /// Reused per-run analysis handles — retains its capacity so warm
     /// timesteps push into it without allocating.
     last: Vec<Arc<CommAnalysis>>,
@@ -105,13 +101,49 @@ pub struct Program {
     /// selects (arming only the selected backend keeps a one-shot fault
     /// from firing twice when recovery degrades to the other backend).
     pending_faults: Option<FaultPlan>,
+}
+
+/// The exchange backends a program can run on, one instance each: the one
+/// place a [`Backend`] selector turns into an [`ExchangeBackend`].
+#[derive(Debug, Default)]
+struct Exchanges {
+    /// The shared-address-space backend (cheap, always present).
+    shared: SharedMemBackend,
+    /// The message-passing SPMD backend, created lazily by the first
+    /// timestep that selects it; its worker fleet then persists across
+    /// timesteps.
+    channels: Option<ChannelsBackend>,
     /// Wedge-detection timeout for the `Channels` driver, if overridden.
     step_timeout: Option<Duration>,
-    /// Which backend executed the last timestep — the source of the
-    /// measured per-rank compute-time sample [`Program::stats`] reports
-    /// (`None` when the last step ran on the scoped-thread executor,
-    /// which does not sample).
-    last_backend: Option<Backend>,
+}
+
+impl Exchanges {
+    /// The instance of `backend`, with `threads` as the `SharedMem` thread
+    /// bound.
+    fn select(&mut self, backend: Backend, threads: usize) -> &mut dyn ExchangeBackend {
+        match backend {
+            Backend::SharedMem => {
+                self.shared.set_threads(threads);
+                &mut self.shared
+            }
+            Backend::Channels => {
+                let timeout = self.step_timeout;
+                self.channels.get_or_insert_with(|| {
+                    let mut ch = ChannelsBackend::new();
+                    if let Some(t) = timeout {
+                        ch.set_step_timeout(t);
+                    }
+                    ch
+                })
+            }
+        }
+    }
+
+    /// Every backend that exists so far.
+    fn iter(&self) -> impl Iterator<Item = &dyn ExchangeBackend> {
+        let channels = self.channels.as_ref().map(|c| c as &dyn ExchangeBackend);
+        std::iter::once(&self.shared as &dyn ExchangeBackend).chain(channels)
+    }
 }
 
 impl Clone for Program {
@@ -123,12 +155,12 @@ impl Clone for Program {
             arrays: self.arrays.clone(),
             stmts: self.stmts.clone(),
             cache: self.cache.clone(),
-            shared: SharedMemBackend::new(),
-            channels: None,
+            exchanges: Exchanges {
+                step_timeout: self.exchanges.step_timeout,
+                ..Exchanges::default()
+            },
             last: self.last.clone(),
             pending_faults: None,
-            step_timeout: self.step_timeout,
-            last_backend: None,
         }
     }
 }
@@ -140,12 +172,9 @@ impl Program {
             arrays,
             stmts: Vec::new(),
             cache: PlanCache::new(),
-            shared: SharedMemBackend::new(),
-            channels: None,
+            exchanges: Exchanges::default(),
             last: Vec::new(),
             pending_faults: None,
-            step_timeout: None,
-            last_backend: None,
         }
     }
 
@@ -168,193 +197,44 @@ impl Program {
         self.stmts.is_empty()
     }
 
-    /// Execute one timestep through the `SharedMem` exchange backend.
-    ///
-    /// Deprecated: drive the program through a
-    /// [`Session`](crate::Session) instead —
-    /// `Session::new(program).run(steps)`.
-    #[deprecated(note = "use `Session::new(program).run(steps)` instead")]
-    pub fn run(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_seq()
-    }
-
-    /// Execute one timestep on the selected backend.
-    ///
-    /// Deprecated: drive the program through a
-    /// [`Session`](crate::Session) instead —
-    /// `Session::new(program).backend(backend).run(steps)`.
-    #[deprecated(note = "use `Session::new(program).backend(b).run(steps)` instead")]
-    pub fn run_on(&mut self, backend: Backend) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_on(backend)
-    }
-
-    /// Execute every statement in order through the `SharedMem` exchange
-    /// backend, returning the per-statement analyses (shared handles into
-    /// the frozen plans). Plans are cached: repeated calls replay
-    /// compiled schedules instead of re-inspecting, and a fully-warm call
-    /// performs **zero heap allocations** — staged operands block-copied
-    /// into cached workspaces, per-pair exchange through preallocated
-    /// message buffers, slice-kernel compute reading local operands in
-    /// place, `Arc` bumps for the analyses.
-    /// Equivalent to [`Program::step_on`]`(Backend::SharedMem)`.
-    pub(crate) fn step_seq(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_on(Backend::SharedMem)
-    }
-
-    /// Execute every statement in order on the selected
-    /// [`Backend`] (same plan cache, same semantics — the
-    /// backend-equivalence suite pins bit-identical results). The whole
-    /// timestep runs through the **fused program plan** (see
-    /// [`crate::ProgramPlan`]): statements are level-scheduled into
+    /// Execute one timestep — every statement in order — on the selected
+    /// [`Backend`], the one way a program runs. The statement list
+    /// replays through the cached [`crate::ProgramPlan`] (see
+    /// [`PlanCache::replay`]): fused, statements are level-scheduled into
     /// supersteps, same-pair messages coalesce, and ghost units whose
-    /// receiver-side data is still current are skipped entirely. The
-    /// `Channels` backend's SPMD worker fleet is created on first use and
-    /// persists across timesteps, and every backend cross-checks its
-    /// measured per-pair wire traffic against the dirty-tracking mask.
-    pub(crate) fn step_on(
+    /// receiver-side data is still current are skipped entirely; with
+    /// `fused = false` every statement is its own superstep with a full
+    /// ghost exchange — the pre-fusion baseline the `b15_program_fusion`
+    /// bench and the fusion equivalence suite compare against. `threads`
+    /// bounds the scoped threads the `SharedMem` backend spreads stage and
+    /// compute over (`<= 1`: inline, allocation-free when warm); the
+    /// `Channels` backend's SPMD worker fleet — one worker per simulated
+    /// processor — is created on first use and persists across timesteps.
+    /// Returns the per-statement analyses (shared handles into the frozen
+    /// plans).
+    pub(crate) fn step(
         &mut self,
         backend: Backend,
+        threads: usize,
+        fused: bool,
     ) -> Result<&[Arc<CommAnalysis>], HpfError> {
+        self.last.clear();
         if self.stmts.is_empty() {
-            self.last.clear();
             return Ok(&self.last);
         }
-        self.arm_pending(backend);
-        self.last_backend = Some(backend);
-        let target = match backend {
-            Backend::SharedMem => FusedTarget::Shared(&mut self.shared),
-            Backend::Channels => {
-                let ch = self.channels.get_or_insert_with(ChannelsBackend::new);
-                if let Some(t) = self.step_timeout {
-                    ch.set_step_timeout(t);
-                }
-                FusedTarget::Channels(ch)
-            }
-        };
-        let result = self.cache.replay_fused_on(&mut self.arrays, &self.stmts, target);
-        self.finish_fused(result)
-    }
-
-    /// Move a pending [`FaultPlan`] onto the backend this run selected —
-    /// and only that one, so a degraded retry on the other backend
-    /// replays clean instead of re-arming the same faults against a
-    /// fresh step counter.
-    fn arm_pending(&mut self, backend: Backend) {
-        let Some(plan) = self.pending_faults.take() else {
-            return;
-        };
-        match backend {
-            Backend::SharedMem => self.shared.inject(plan),
-            Backend::Channels => {
-                self.channels.get_or_insert_with(ChannelsBackend::new).inject(plan)
-            }
+        let exchange = self.exchanges.select(backend, threads);
+        if let Some(faults) = self.pending_faults.take() {
+            // armed on the selected backend only, so a degraded retry on
+            // the other one replays clean instead of re-arming the same
+            // faults against a fresh step counter
+            exchange.inject(faults);
         }
-    }
-
-    /// Execute one unfused timestep (per-statement supersteps, full ghost
-    /// exchange).
-    ///
-    /// Deprecated: drive the program through a
-    /// [`Session`](crate::Session) instead —
-    /// `Session::new(program).fused(false).run(steps)`.
-    #[deprecated(note = "use `Session::new(program).fused(false).run(steps)` instead")]
-    pub fn run_unfused(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_unfused()
-    }
-
-    /// Execute the statements exactly as the pre-fusion runtime did: one
-    /// per-statement BSP superstep each, full ghost exchange every
-    /// timestep, through the `SharedMem` backend. The per-statement
-    /// plans come from the same cache the fused path builds on. This is
-    /// the baseline the `b15_program_fusion` bench and the fusion
-    /// equivalence suite compare against.
-    pub(crate) fn step_unfused(&mut self) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.arm_pending(Backend::SharedMem);
-        self.last_backend = Some(Backend::SharedMem);
-        self.last.clear();
+        // on failure `last` stays empty, so a truncated run never
+        // masquerades as a successful one
+        let plan = self.cache.replay(&mut self.arrays, &self.stmts, fused, exchange)?;
         self.last.reserve(self.stmts.len()); // no-op once warmed
-        let exchange: &mut dyn ExchangeBackend = &mut self.shared;
-        for stmt in &self.stmts {
-            match self.cache.replay_on(&mut self.arrays, stmt, exchange) {
-                Ok(analysis) => self.last.push(analysis),
-                Err(e) => {
-                    // don't leave a truncated prefix masquerading as a
-                    // successful run's analyses
-                    self.last.clear();
-                    return Err(e);
-                }
-            }
-        }
+        self.last.extend(plan.plans().iter().map(|p| p.shared_analysis()));
         Ok(&self.last)
-    }
-
-    /// Execute one timestep with work spread over at most `threads` OS
-    /// threads.
-    ///
-    /// Deprecated: drive the program through a
-    /// [`Session`](crate::Session) instead —
-    /// `Session::new(program).threads(t).run(steps)` (or
-    /// `.backend(Backend::Channels)` when `t` covers the simulated
-    /// processor count).
-    #[deprecated(note = "use `Session::new(program).threads(t).run(steps)` instead")]
-    pub fn run_parallel(
-        &mut self,
-        threads: usize,
-    ) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.step_par(threads)
-    }
-
-    /// Execute in order with the statements' work spread over at most
-    /// `threads` OS threads (same plan cache, same semantics as
-    /// [`Program::step_seq`]), through the fused program plan.
-    ///
-    /// When `threads` covers the simulated processor count this replays
-    /// through the persistent `Channels` SPMD workers — one long-lived
-    /// worker per simulated processor — so repeated parallel timesteps
-    /// stop paying per-timestep thread-spawn cost (the fleet is spawned
-    /// once; `zero_alloc_replay` pins the spawn count). With
-    /// `1 < threads < np` the upper bound is honored by the fused
-    /// scoped-thread executor (`threads` workers per pack/compute wave),
-    /// and `threads <= 1` degenerates to the sequential replay.
-    pub(crate) fn step_par(
-        &mut self,
-        threads: usize,
-    ) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        if threads <= 1 {
-            return self.step_seq();
-        }
-        let np = self.np();
-        if threads >= np {
-            return self.step_on(Backend::Channels);
-        }
-        if self.stmts.is_empty() {
-            self.last.clear();
-            return Ok(&self.last);
-        }
-        // the scoped-thread executor does not sample per-rank compute time
-        self.last_backend = None;
-        let result =
-            self.cache.replay_fused_on(&mut self.arrays, &self.stmts, FusedTarget::Par(threads));
-        self.finish_fused(result)
-    }
-
-    /// Rebuild the per-statement analysis handles from a fused timestep's
-    /// outcome (`Arc` bumps only — allocation-free once `last` is at
-    /// capacity), clearing them on failure so a truncated run never
-    /// masquerades as a successful one.
-    fn finish_fused(
-        &mut self,
-        result: Result<Arc<crate::ProgramPlan>, HpfError>,
-    ) -> Result<&[Arc<CommAnalysis>], HpfError> {
-        self.last.clear();
-        match result {
-            Ok(plan) => {
-                self.last.reserve(self.stmts.len()); // no-op once warmed
-                self.last.extend(plan.plans().iter().map(|p| p.shared_analysis()));
-                Ok(&self.last)
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// The analyses of the most recent timestep.
@@ -426,17 +306,10 @@ impl Program {
     }
 
     /// The measured per-rank compute-time sample of the last timestep
-    /// (empty when the last step ran on the scoped-thread executor or
-    /// nothing ran yet). Borrowed straight from the backend — no
-    /// allocation, safe on the warm path.
+    /// (empty when nothing ran yet). Borrowed straight from the plan
+    /// cache's workspace — no allocation, safe on the warm path.
     pub fn last_rank_compute_ns(&self) -> &[u64] {
-        match self.last_backend {
-            Some(Backend::SharedMem) => self.shared.rank_compute_ns(),
-            Some(Backend::Channels) => {
-                self.channels.as_ref().map_or(&[][..], |c| c.rank_compute_ns())
-            }
-            None => &[],
-        }
+        self.cache.rank_compute_ns()
     }
 
     /// Statically verify every statement's compiled plan — prove (or
@@ -445,8 +318,8 @@ impl Program {
     /// anything executes (see [`crate::verify::verify_plan`]).
     ///
     /// Statements not yet cached are inspected through the plan cache, so
-    /// a later [`Program::run`] replays the very plans that were just
-    /// proven safe. No array data moves. Returns `Err` only when a
+    /// a later [`Session::run`](crate::Session::run) replays the very
+    /// plans that were just proven safe. No array data moves. Returns `Err` only when a
     /// statement cannot be compiled at all; schedule defects come back as
     /// diagnostics in the [`VerifyReport`](crate::VerifyReport).
     pub fn verify_all(&mut self) -> Result<crate::VerifyReport, HpfError> {
@@ -489,15 +362,15 @@ impl Program {
     /// fires once when its superstep comes around; an affected run
     /// returns [`HpfError::Exchange`] and the array data must be
     /// restored from a checkpoint before replaying (see
-    /// [`Program::restore_latest`] and [`ckpt::run_trajectory`]).
+    /// [`Program::restore_latest`] and
+    /// [`Session::checkpoint`](crate::Session::checkpoint)).
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         self.pending_faults = Some(plan);
     }
 
     /// Injected faults that have fired so far, across both backends.
     pub fn faults_fired(&self) -> usize {
-        ExchangeBackend::faults_fired(&self.shared)
-            + self.channels.as_ref().map_or(0, |c| c.faults_fired())
+        self.exchanges.iter().map(|b| b.faults_fired()).sum()
     }
 
     /// Override the `Channels` driver's wedge-detection timeout (how long
@@ -505,8 +378,8 @@ impl Program {
     /// lost — default 120s). Fault-injection tests dial this down so a
     /// dropped message surfaces in milliseconds.
     pub fn set_exchange_timeout(&mut self, timeout: Duration) {
-        self.step_timeout = Some(timeout);
-        if let Some(ch) = &mut self.channels {
+        self.exchanges.step_timeout = Some(timeout);
+        if let Some(ch) = &mut self.exchanges.channels {
             ch.set_step_timeout(timeout);
         }
     }
@@ -542,8 +415,7 @@ impl Program {
     /// the measured wire truth the frozen analyses are cross-checked
     /// against.
     pub fn backend_bytes_sent(&self) -> u64 {
-        self.shared.bytes_sent()
-            + self.channels.as_ref().map_or(0, |c| c.bytes_sent())
+        self.exchanges.iter().map(|b| b.bytes_sent()).sum()
     }
 
     /// SPMD worker threads spawned over the program's lifetime: 0 before
@@ -551,14 +423,14 @@ impl Program {
     /// staying there across warm parallel timesteps is the
     /// persistent-worker contract.
     pub fn spmd_workers_spawned(&self) -> u64 {
-        self.channels.as_ref().map_or(0, |c| c.workers_spawned())
+        self.exchanges.channels.as_ref().map_or(0, |c| c.workers_spawned())
     }
 
-    /// Observability snapshot of the fused program path: supersteps
-    /// formed, messages before/after coalescing, and the ghost traffic
+    /// Observability snapshot of the timestep plan: supersteps formed,
+    /// messages before/after coalescing, and the ghost traffic
     /// dirty-tracking avoided — alongside the existing
     /// [`Program::cache_hits`] / [`Program::backend_bytes_sent`]
-    /// counters. Zeroed until the first fused timestep runs.
+    /// counters. Zeroed until the first timestep runs.
     pub fn fusion_stats(&self) -> FusionStats {
         self.cache.fusion_stats()
     }
@@ -585,8 +457,8 @@ impl Program {
 
     /// Price a set of per-statement analyses on a machine: the sum of the
     /// per-superstep estimates plus the merged traffic matrix. Accepts
-    /// both owned analyses and the shared handles [`Program::run`]
-    /// returns.
+    /// both owned analyses and the shared handles
+    /// [`Program::last_analyses`] returns.
     pub fn price<A: std::borrow::Borrow<CommAnalysis>>(
         analyses: &[A],
         machine: &Machine,
@@ -654,7 +526,7 @@ mod tests {
         prog.push(s1).unwrap();
         prog.push(s2).unwrap();
         assert_eq!(prog.len(), 2);
-        let analyses = prog.step_seq().unwrap();
+        let analyses = prog.step(Backend::SharedMem, 1, true).unwrap();
         assert_eq!(analyses.len(), 2);
         // A = B = 2i; then B = A + B = 4i
         for i in 1..=32i64 {
@@ -690,8 +562,8 @@ mod tests {
         build_stmts(&mut seq);
         let mut par = setup();
         build_stmts(&mut par);
-        seq.step_seq().unwrap();
-        par.step_par(3).unwrap();
+        seq.step(Backend::SharedMem, 1, true).unwrap();
+        par.step(Backend::SharedMem, 3, true).unwrap();
         assert_eq!(seq.arrays[0].to_dense(), par.arrays[0].to_dense());
         assert_eq!(seq.arrays[1].to_dense(), par.arrays[1].to_dense());
     }
@@ -710,7 +582,7 @@ mod tests {
         .unwrap();
         prog.push(s.clone()).unwrap();
         prog.push(s).unwrap();
-        let analyses = prog.step_seq().unwrap();
+        let analyses = prog.step(Backend::SharedMem, 1, true).unwrap();
         let machine = Machine::simple(4);
         let (total, traffic, reports) = Program::price(analyses, &machine);
         assert_eq!(reports.len(), 2);
@@ -757,7 +629,7 @@ mod tests {
         .unwrap();
         let expect = dense_reference(&prog.arrays, &s);
         prog.push(s).unwrap();
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, 1, true).unwrap();
         assert_eq!(prog.arrays[0].to_dense(), expect);
     }
 
@@ -780,7 +652,7 @@ mod tests {
         prog.push(sweep).unwrap();
         let timesteps = 10u64;
         for _ in 0..timesteps {
-            prog.step_seq().unwrap();
+            prog.step(Backend::SharedMem, 1, true).unwrap();
         }
         assert_eq!(prog.cache_misses(), 1, "exactly one inspection");
         assert_eq!(prog.cache_hits(), timesteps - 1, "every later timestep replays");
@@ -799,8 +671,8 @@ mod tests {
         )
         .unwrap();
         prog.push(s).unwrap();
-        prog.step_seq().unwrap();
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, 1, true).unwrap();
+        prog.step(Backend::SharedMem, 1, true).unwrap();
         assert_eq!((prog.cache_hits(), prog.cache_misses()), (1, 1));
 
         // REDISTRIBUTE B: BLOCK now — values survive, plans invalidate
@@ -812,9 +684,9 @@ mod tests {
         assert_eq!(prog.arrays[1].to_dense(), before, "values must survive the move");
         assert!(r.moved > 0, "BLOCK ↔ CYCLIC moves most elements");
 
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, 1, true).unwrap();
         assert_eq!(prog.cache_misses(), 2, "remap forces re-inspection");
-        prog.step_seq().unwrap();
+        prog.step(Backend::SharedMem, 1, true).unwrap();
         assert_eq!(prog.cache_hits(), 2, "and the fresh plan is reused again");
     }
 

@@ -1,10 +1,11 @@
-//! The unified execution-session API: one builder, every execution
-//! concern.
+//! The execution-session API: one builder, every execution concern.
 //!
-//! Running a [`Program`] used to mean choosing among `run`, `run_on`,
-//! `run_parallel`, `run_unfused`, and `run_trajectory`, each with its
-//! own knobs threaded through positional arguments. A [`Session`]
-//! collapses them into one builder:
+//! A [`Session`] is how a [`Program`] runs — backend, thread bound,
+//! fusion, checkpoint cadence, fault recovery, and adaptive
+//! redistribution are options of one builder, and every timestep takes
+//! the same path underneath ([`Session::run`] →
+//! [`PlanCache::replay`](crate::PlanCache::replay) →
+//! [`ExchangeBackend::step`](crate::ExchangeBackend::step)):
 //!
 //! ```
 //! use hpf_runtime::{Backend, Program, Session};
@@ -16,28 +17,17 @@
 //! assert_eq!(report.timesteps, 10);
 //! ```
 //!
-//! Migration from the legacy entry points:
-//!
-//! | legacy                                  | session                                           |
-//! |-----------------------------------------|---------------------------------------------------|
-//! | `prog.run()`                            | `Session::new(prog).run(1)`                       |
-//! | `prog.run_on(b)`                        | `Session::new(prog).backend(b).run(1)`            |
-//! | `prog.run_parallel(t)`                  | `Session::new(prog).threads(t).run(1)`            |
-//! | `prog.run_unfused()`                    | `Session::new(prog).fused(false).run(1)`          |
-//! | `run_trajectory(&mut p, b, n, 0, c, r)` | `Session::new(p).backend(b).checkpoint(c).recovery(r).run(n)` |
-//!
 //! A session owns its program ([`Session::program`] /
 //! [`Session::program_mut`] / [`Session::into_program`] give it back),
-//! tracks the absolute timestep across `run` calls, executes the same
-//! restore-and-replay recovery loop `run_trajectory` did whenever a
-//! checkpoint cadence is configured, and — the part no legacy entry
-//! point offered — hosts the [`AdaptController`] so mappings are
+//! tracks the absolute timestep across `run` calls, executes a
+//! restore-and-replay recovery loop whenever a checkpoint cadence is
+//! configured, and hosts the [`AdaptController`] so mappings are
 //! re-balanced *live* between timesteps (see [`crate::adapt`]).
 //!
-//! Warm sequential `run` calls preserve the zero-allocation replay
-//! contract: the session's own bookkeeping is plain field updates, so
-//! everything the timestep allocates is what the program's replay path
-//! allocates — nothing.
+//! Warm `run` calls on the `SharedMem` backend without a thread bound
+//! preserve the zero-allocation replay contract: the session's own
+//! bookkeeping is plain field updates, so everything the timestep
+//! allocates is what the program's replay path allocates — nothing.
 
 use crate::adapt::{AdaptController, AdaptPolicy, AdaptReport};
 use crate::backend::Backend;
@@ -63,7 +53,8 @@ pub struct SessionReport {
     pub checkpoints: u64,
     /// True iff recovery degraded from `Channels` to `SharedMem`.
     pub degraded: bool,
-    /// Backend the session currently executes on.
+    /// Backend the last timestep actually ran on — after the thread bound
+    /// and any degradation were taken into account.
     pub final_backend: Backend,
     /// Live remaps the adaptive controller performed.
     pub remaps: u64,
@@ -71,8 +62,7 @@ pub struct SessionReport {
 
 /// Builder-style driver for a [`Program`]: backend, thread bound,
 /// fusion, checkpoint cadence, fault recovery, and adaptive
-/// redistribution in one place. The module-level docs carry the
-/// migration table from the legacy `run*` entry points.
+/// redistribution in one place.
 #[derive(Debug)]
 pub struct Session {
     program: Program,
@@ -89,9 +79,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session over `program` with the defaults of the legacy
-    /// `Program::run`: `SharedMem` backend, fused timesteps, no
-    /// checkpoints, no adaptation.
+    /// A session over `program` with the defaults: `SharedMem` backend, no
+    /// thread bound, fused timesteps, no checkpoints, no adaptation.
     pub fn new(program: Program) -> Self {
         Session {
             program,
@@ -119,29 +108,31 @@ impl Session {
     /// Select the exchange backend (default `SharedMem`).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self.report.final_backend = backend;
         self
     }
 
     /// Bound the worker threads per timestep. `t >= np` routes through
-    /// the persistent `Channels` SPMD fleet; `1 < t < np` uses the
-    /// bounded scoped-thread executor; `t <= 1` (the default) defers to
-    /// the configured [`Session::backend`].
+    /// the persistent `Channels` SPMD fleet (one worker per simulated
+    /// processor); `1 < t < np` spreads the `SharedMem` backend's stage
+    /// and compute over at most `t` scoped threads; `t <= 1` (the default)
+    /// defers to the configured [`Session::backend`].
+    /// [`SessionReport::final_backend`] names what ran.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Route timesteps through the fused program plan (default `true`).
-    /// `fused(false)` executes per-statement supersteps with full ghost
-    /// exchange on the `SharedMem` backend — the pre-fusion baseline.
+    /// Compile timesteps into the fused program plan (default `true`).
+    /// `fused(false)` compiles one superstep per statement with a full
+    /// ghost exchange every timestep — the pre-fusion baseline, on the
+    /// same backend.
     pub fn fused(mut self, fused: bool) -> Self {
         self.fused = fused;
         self
     }
 
     /// Checkpoint on `spec`'s cadence and recover from exchange faults
-    /// by restore-and-replay (the former `run_trajectory` loop).
+    /// by restore-and-replay.
     pub fn checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.checkpoint = Some(spec);
         self
@@ -217,18 +208,14 @@ impl Session {
         self.program.last_analyses()
     }
 
-    /// Execute one timestep on the configured executor.
-    fn step_once(&mut self, backend: Backend) -> Result<(), HpfError> {
-        if !self.fused {
-            self.program.step_unfused()?;
-        } else if self.threads > 1 {
-            self.program.step_par(self.threads)?;
-        } else if self.threads == 1 {
-            self.program.step_seq()?;
-        } else {
-            self.program.step_on(backend)?;
+    /// The backend and `SharedMem` thread bound the configured options
+    /// select for this program (see [`Session::threads`]).
+    fn resolve(&self) -> (Backend, usize) {
+        match self.threads {
+            0 | 1 => (self.backend, 1),
+            t if t >= self.program.np() => (Backend::Channels, 1),
+            t => (Backend::SharedMem, t),
         }
-        Ok(())
     }
 
     /// Advance the session by `steps` timesteps, applying every
@@ -238,8 +225,7 @@ impl Session {
     /// checkpoint cadence is configured. Returns the cumulative report.
     ///
     /// On an exchange fault with no checkpoint configured (or with
-    /// retries exhausted) the fault propagates to the caller, exactly
-    /// as the legacy entry points did.
+    /// retries exhausted) the fault propagates to the caller.
     pub fn run(&mut self, steps: u64) -> Result<SessionReport, HpfError> {
         if self.adapt_policy.is_some() && self.controller.is_none() {
             let np = self.program.np();
@@ -248,7 +234,10 @@ impl Session {
             let policy = self.adapt_policy.clone().expect("checked");
             self.controller = Some(AdaptController::new(policy, machine));
         }
-        let mut backend = self.report.final_backend;
+        // resolved once per call, so what is reported, what degrades and
+        // what runs are the same thing; a degraded session stays degraded
+        let (mut backend, threads) =
+            if self.report.degraded { (Backend::SharedMem, 1) } else { self.resolve() };
         let end = self.timestep + steps;
         let mut consecutive = 0u32;
         // baseline snapshot: a fault in the very first timestep of this
@@ -272,8 +261,8 @@ impl Session {
                     }
                 }
             }
-            match self.step_once(backend) {
-                Ok(()) => {
+            match self.program.step(backend, threads, self.fused) {
+                Ok(_) => {
                     self.timestep += 1;
                     consecutive = 0;
                     if let Some(ctrl) = &mut self.controller {
@@ -355,16 +344,16 @@ mod tests {
 
     #[test]
     fn session_matches_legacy_sequential_run() {
-        let mut legacy = stencil(48, 4);
+        let mut direct = stencil(48, 4);
         let mut session = Session::new(stencil(48, 4));
         for _ in 0..5 {
-            legacy.step_seq().unwrap();
+            direct.step(Backend::SharedMem, 1, true).unwrap();
         }
         let report = session.run(5).unwrap();
         assert_eq!(report.timesteps, 5);
         assert_eq!(report.failures, 0);
         assert_eq!(
-            legacy.arrays[0].to_dense(),
+            direct.arrays[0].to_dense(),
             session.program().arrays[0].to_dense()
         );
     }
@@ -382,8 +371,9 @@ mod tests {
     #[test]
     fn threads_route_to_channels_fleet() {
         let mut s = Session::new(stencil(32, 4)).threads(4);
-        s.run(3).unwrap();
+        let rep = s.run(3).unwrap();
         assert_eq!(s.program().spmd_workers_spawned(), 4);
+        assert_eq!(rep.final_backend, Backend::Channels, "the report names what ran");
         let mut twin = Session::new(stencil(32, 4));
         twin.run(3).unwrap();
         assert_eq!(
@@ -394,15 +384,47 @@ mod tests {
     }
 
     #[test]
+    fn threads_resolve_to_the_documented_regimes() {
+        // t <= 1 defers to the configured backend
+        let mut s = Session::new(stencil(32, 4)).backend(Backend::Channels).threads(1);
+        assert_eq!(s.run(2).unwrap().final_backend, Backend::Channels);
+        assert_eq!(s.program().spmd_workers_spawned(), 4);
+        // 1 < t < np bounds scoped threads on SharedMem, whatever was
+        // configured
+        let mut s = Session::new(stencil(32, 4)).backend(Backend::Channels).threads(2);
+        assert_eq!(s.run(2).unwrap().final_backend, Backend::SharedMem);
+        assert_eq!(s.program().spmd_workers_spawned(), 0);
+    }
+
+    #[test]
+    fn bounded_thread_timesteps_are_measured() {
+        // the adaptive controller's load sample must not go dark under a
+        // thread bound: every rank's kernels are timed on every path
+        let mut s = Session::new(stencil(1 << 14, 4)).threads(2);
+        s.run(2).unwrap();
+        let measured = s.program().stats().rank_compute_ns;
+        assert_eq!(measured.len(), 4);
+        assert!(measured.iter().all(|&ns| ns > 0), "unmeasured rank in {measured:?}");
+    }
+
+    #[test]
     fn unfused_session_matches_fused() {
         let mut fused = Session::new(stencil(40, 4));
-        let mut unfused = Session::new(stencil(40, 4)).fused(false);
         fused.run(4).unwrap();
-        unfused.run(4).unwrap();
-        assert_eq!(
-            fused.program().arrays[0].to_dense(),
-            unfused.program().arrays[0].to_dense()
-        );
+        for backend in [Backend::SharedMem, Backend::Channels] {
+            let mut unfused = Session::new(stencil(40, 4)).backend(backend).fused(false);
+            unfused.run(4).unwrap();
+            let fleet = if backend == Backend::Channels { 4 } else { 0 };
+            assert_eq!(
+                unfused.program().spmd_workers_spawned(),
+                fleet,
+                "unfused runs where it was asked to"
+            );
+            assert_eq!(
+                fused.program().arrays[0].to_dense(),
+                unfused.program().arrays[0].to_dense()
+            );
+        }
     }
 
     #[test]

@@ -2,59 +2,61 @@
 //!
 //! Each simulated processor runs as a **long-lived worker thread** that
 //! owns only its local shards (one buffer per array) plus its ghost
-//! regions for the statement being executed. Data moves between workers
+//! regions for the plan being executed. Data moves between workers
 //! exclusively as packed messages over channels — no worker ever reads
 //! another worker's buffer, which is what finally *validates* that the
 //! compiled schedules (and the paper's statically-computed communication
 //! sets behind them) are sufficient for a real distributed-memory
 //! machine.
 //!
-//! One superstep ([`ChannelsBackend::step`] via the
-//! [`ExchangeBackend`] trait):
+//! One timestep ([`ChannelsBackend::step`] via the [`ExchangeBackend`]
+//! trait):
 //!
 //! 1. the driver moves each processor's local buffers *by value* into its
-//!    worker (an ownership handoff — pointer moves, no copying);
-//! 2. every worker snapshots the local runs of its *staged* terms from
-//!    its own shards (terms naming the LHS array, whose old values the
-//!    kernel must still see once it starts storing, and terms with runs
-//!    too short to be worth reading piecewise — see [`crate::plan`]), then
-//!    packs **one message per outgoing pair** from the plan's
-//!    [`MessagePlan`] and ships it; spent message buffers are recycled
-//!    through a shared free-list, so warm steps reuse wire buffers
-//!    instead of growing the heap;
-//! 3. every worker receives exactly the messages the frozen schedule says
-//!    it must (checking each physically received buffer's length against
-//!    its schedule — a damaged payload, or sender and receiver executing
+//!    worker (an ownership handoff — pointer moves, no copying), together
+//!    with the [`ProgramPlan`] and the timestep's effective-send mask;
+//! 2. every worker runs the plan's supersteps **without global barriers**
+//!    (see `run_step`): it snapshots the local runs of its *staged* terms
+//!    from its own shards (terms naming the LHS array, whose old values
+//!    the kernel must still see once it starts storing, and terms with
+//!    runs too short to be worth reading piecewise — see [`crate::plan`]),
+//!    packs **one message per outgoing pair** hoisted to the phase and
+//!    ships it; spent message buffers are recycled through a shared
+//!    free-list, so warm steps reuse wire buffers instead of growing the
+//!    heap;
+//! 3. it receives exactly the messages the schedule and the mask say it
+//!    must (checking each physically received buffer's length against
+//!    them — a damaged payload, or sender and receiver executing
 //!    different plans, surfaces as a typed [`ExchangeError`] before any
 //!    garbage is unpacked), unpacks them into its packed operand buffers
 //!    (kept across steps, per worker), and computes into its own LHS
-//!    shard — reading ghost and staged operands from those buffers and
+//!    shards — reading ghost and staged operands from those buffers and
 //!    every other local operand **in place** from the shards it owns;
 //! 4. the driver collects the shards back and reinstalls them. The
 //!    schedule itself was already cross-checked pair for pair against the
 //!    independent region-algebraic [`CommAnalysis`](crate::CommAnalysis)
 //!    at inspect time (see [`ExecPlan::inspect`]).
 //!
-//! Workers persist across supersteps (and across plans — any plan with
+//! Workers persist across timesteps (and across plans — any plan with
 //! the same processor count reuses them), so iterated programs pay thread
-//! spawn cost **once**, not per timestep: this is what
-//! [`crate::Program::run_parallel`] replays through once warm.
+//! spawn cost **once**, not per timestep.
 //!
 //! ## Failure handling
 //!
-//! A superstep that cannot complete — a worker died (crash or injected
-//! kill), a message was lost or arrived damaged, the fleet wedged — no
-//! longer aborts the process. The worker that *detects* the problem
+//! A timestep that cannot complete — a worker died (crash or injected
+//! kill), a message was lost or arrived damaged, the fleet wedged — does
+//! not abort the process. The worker that *detects* the problem
 //! reports it to the driver as a typed [`ExchangeError`] (a worker whose
 //! peer vanished reports that peer's rank; the driver's completion scan
 //! pins silent deaths by polling thread handles); the driver then raises
 //! the shutdown flag so blocked peers abandon, drains whatever completed
 //! shards still come back during a short grace window, tears the fleet
-//! down, and returns the error. The next superstep respawns a fresh
-//! fleet automatically — the spawn-generation bump tells the fused
+//! down, and returns the error. The next timestep respawns a fresh
+//! fleet automatically — the spawn-generation bump tells the
 //! dirty-tracking state its workers' ghost buffers are gone (see
-//! [`ChannelsBackend::prepare`]) — and the caller restores array state
-//! from a checkpoint and replays (see [`crate::ckpt::run_trajectory`]).
+//! [`ExchangeBackend::buffer_domain`]) — and the caller restores array
+//! state from a checkpoint and replays (see
+//! [`Session::run`](crate::Session::run)).
 //! A dead worker takes the shards in its custody with it, which is
 //! exactly what a crashed distributed-memory node does: recovery is
 //! restore-and-replay, never patch-up.
@@ -62,60 +64,32 @@
 use crate::array::{DistArray, Shard};
 use crate::backend::{ExchangeBackend, ExchangeError};
 use crate::fault::{FaultPlan, FaultSwitch, SendAction};
-use crate::fuse::ProgramPlan;
+use crate::fuse::{BufferDomain, FusedState, ProgramPlan};
 use crate::plan::{compute_pieces, pack_staged_runs, ExecPlan, ProcPlan};
-use crate::workspace::PlanWorkspace;
+use crate::workspace::FusedWorkspace;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A work order for a worker.
-#[derive(Debug)]
-enum Cmd {
-    /// One per-statement BSP superstep.
-    Step(Step),
-    /// One whole fused timestep (every superstep of a [`ProgramPlan`]).
-    Fused(FusedStep),
-}
-
-impl Cmd {
-    /// The backend superstep counter stamped on this work order (workers
-    /// use it to stamp errors and to match injected faults).
-    fn step(&self) -> u64 {
-        match self {
-            Cmd::Step(s) => s.step,
-            Cmd::Fused(s) => s.step,
-        }
-    }
-}
-
-/// One superstep's work order for a worker: the compiled plan plus the
-/// worker's own shards (local buffer of every array), moved in by value.
-#[derive(Debug)]
-struct Step {
-    plan: Arc<ExecPlan>,
-    shards: Vec<Shard<f64>>,
-    /// Backend superstep counter at dispatch.
-    step: u64,
-}
-
-/// One fused timestep's work order: the fused plan, the timestep's
+/// One timestep's work order for a worker: the plan, the timestep's
 /// effective-send mask (shared by every worker, so sender and receiver
-/// agree on which units ride the wire), and the worker's shards.
+/// agree on which units ride the wire), and the worker's own shards (its
+/// local buffer of every array), moved in by value.
 #[derive(Debug)]
-struct FusedStep {
+struct Cmd {
     plan: Arc<ProgramPlan>,
     eff: Arc<Vec<bool>>,
     /// Mask rebuild stamp from [`crate::fuse::FusedState`] — workers
     /// re-derive their per-pair effective totals only when it moves.
     eff_version: u64,
     shards: Vec<Shard<f64>>,
-    /// Backend superstep counter at dispatch.
+    /// Backend step counter at dispatch (workers use it to stamp errors
+    /// and to match injected faults).
     step: u64,
 }
 
-/// A worker's completed superstep: its shards moved back to the driver,
+/// A worker's completed timestep: its shards moved back to the driver,
 /// or the typed failure it detected (its own shards are then lost with
 /// it, exactly as a crashed node's would be).
 #[derive(Debug)]
@@ -124,21 +98,15 @@ struct Done {
     result: Result<Vec<Shard<f64>>, ExchangeError>,
     /// Wall-nanoseconds this worker spent in its compute kernels during
     /// the step — the measured per-processor load sample the adaptive
-    /// controller consumes (see [`ExchangeBackend::rank_compute_ns`]).
+    /// controller consumes.
     compute_ns: u64,
 }
-
-/// Identifies an unfused message, which the receiver matches to its
-/// schedule by sender (one pair per sender per statement). Fused
-/// messages instead carry their [`FusedPair`](crate::FusedPair) index.
-const UNFUSED: u32 = u32::MAX;
 
 /// A packed message on the wire.
 #[derive(Debug)]
 struct Msg {
     from: u32,
-    /// [`UNFUSED`] for a per-statement message; otherwise the index of
-    /// the fused pair the payload belongs to.
+    /// Index of the [`FusedPair`](crate::FusedPair) the payload belongs to.
     pair: u32,
     data: Vec<f64>,
 }
@@ -201,8 +169,7 @@ struct FusedScratch {
     eff_key: (usize, u64),
 }
 
-/// Everything a worker thread needs besides the work order itself —
-/// bundled so the superstep bodies stay parameter-light.
+/// Everything a worker thread needs besides the work order itself.
 struct WorkerCtx {
     me: usize,
     inbox: Receiver<Msg>,
@@ -262,110 +229,28 @@ impl WorkerCtx {
     }
 }
 
-/// One unfused BSP superstep on a worker (see the module docs). Returns
-/// `Ok(false)` iff the superstep was abandoned on shutdown — the caller
-/// must then exit without sending a `Done`. An `Err` is a typed failure
-/// this worker detected; the caller reports it to the driver.
-fn run_unfused_step(
-    ctx: &WorkerCtx,
-    step: u64,
-    plan: &Arc<ExecPlan>,
-    shards: &mut [Shard<f64>],
-    packed: &mut Vec<Vec<f64>>,
-    compute_ns: &mut u64,
-) -> Result<bool, ExchangeError> {
-    let me = ctx.me;
-    let pp = &plan.per_proc()[me];
-    let me32 = me as u32;
-    if packed.len() != pp.terms.len()
-        || packed.iter().zip(&pp.terms).any(|(b, t)| b.len() != t.elements)
-    {
-        *packed = pp.terms.iter().map(|t| vec![0.0f64; t.elements]).collect();
-    }
-    // phase 1: snapshot the staged local runs from this worker's shards
-    pack_staged_runs(pp, packed, |k| &shards[k]);
-    // phase 2a: pack and ship one message per outgoing pair
-    let msgs = plan.message_plan();
-    for pair in msgs.pairs().iter().filter(|p| p.sender == me32) {
-        let mut data = pool_lock(&ctx.pool).pop().unwrap_or_default();
-        data.clear();
-        data.reserve(pair.elements);
-        for seg in &pair.segments {
-            data.extend_from_slice(&shards[seg.array][seg.src_off..seg.src_off + seg.len]);
-        }
-        if !ctx.ship(pair.receiver, UNFUSED, data, step)? {
-            return Ok(false);
-        }
-    }
-    // phase 2b: receive exactly the messages the schedule promises.
-    // Bounded waits: if the fleet is shutting down (backend dropped,
-    // or unwinding after a peer died), abandon the superstep instead
-    // of blocking forever on a message that will never arrive. The
-    // shutdown flag is a dedicated signal — probing the command
-    // channel here could swallow a queued command.
-    let expected = msgs.pairs().iter().filter(|p| p.receiver == me32).count();
-    for _ in 0..expected {
-        let Some(Msg { from, data, .. }) = ctx.recv() else {
-            return Ok(false); // shutdown mid-superstep
-        };
-        let Some(pair) = msgs.pair(from, me32) else {
-            return Err(ExchangeError::Misrouted { rank: me32, step });
-        };
-        // a physically received buffer whose length disagrees with the
-        // receiver's schedule means the payload was damaged in flight or
-        // sender and receiver executed different plans — report it typed,
-        // never unpack garbage
-        if data.len() != pair.elements {
-            return Err(ExchangeError::CorruptMessage {
-                sender: from,
-                receiver: me32,
-                step,
-                got: data.len(),
-                expected: pair.elements,
-            });
-        }
-        let mut off = 0usize;
-        for seg in &pair.segments {
-            packed[seg.term][seg.dst_off..seg.dst_off + seg.len]
-                .copy_from_slice(&data[off..off + seg.len]);
-            off += seg.len;
-        }
-        pool_lock(&ctx.pool).push(data);
-    }
-    // phase 3: compute into this worker's own LHS shard (timed — the
-    // per-processor load sample reported back with the completion)
-    let t0 = Instant::now();
-    compute_shard(pp, plan, shards, packed);
-    *compute_ns += t0.elapsed().as_nanos() as u64;
-    Ok(true)
-}
-
-/// One whole fused timestep on a worker: run the [`ProgramPlan`]'s
-/// supersteps **without global barriers** — snapshot the superstep's
-/// staged local runs, ship every outgoing fused pair *hoisted* to this
-/// phase (only its effective segments; an all-clean pair sends nothing and
-/// the receiver, holding the same mask, skips it too), unpack whatever has
-/// arrived
+/// One whole timestep on a worker: run the [`ProgramPlan`]'s supersteps
+/// **without global barriers** — snapshot the superstep's staged local
+/// runs, ship every outgoing pair *hoisted* to this phase (only its
+/// effective segments; an all-clean pair sends nothing and the receiver,
+/// holding the same mask, skips it too), unpack whatever has arrived
 /// (messages for later supersteps are welcome early — remote and local
 /// runs fill disjoint buffer positions), block only on the arrivals this
 /// superstep's kernels actually read, then compute the superstep's
 /// statements in program order (which is what lets an earlier statement
-/// read in place an array a later one in the same superstep overwrites). A pair packed at an
-/// earlier phase than its home superstep is therefore in flight while
-/// the intervening supersteps compute — the pack/exchange-overlap leg of
-/// the fusion design. Returns `Ok(false)` iff abandoned on shutdown;
-/// `Err` is a detected failure.
-#[allow(clippy::too_many_arguments)]
-fn run_fused_step(
+/// read in place an array a later one in the same superstep overwrites).
+/// A pair packed at an earlier phase than its home superstep is therefore
+/// in flight while the intervening supersteps compute — the
+/// pack/exchange-overlap leg of the fusion design. Returns `Ok(false)` iff
+/// abandoned on shutdown; `Err` is a detected failure.
+fn run_step(
     ctx: &WorkerCtx,
-    step: u64,
-    plan: &Arc<ProgramPlan>,
-    eff: &[bool],
-    eff_version: u64,
-    shards: &mut [Shard<f64>],
+    cmd: &mut Cmd,
     scratch: &mut FusedScratch,
     compute_ns: &mut u64,
 ) -> Result<bool, ExchangeError> {
+    let Cmd { plan, eff, eff_version, shards, step } = cmd;
+    let (eff, eff_version, step) = (eff.as_slice(), *eff_version, *step);
     let me = ctx.me;
     let me32 = me as u32;
     let key = Arc::as_ptr(plan) as usize;
@@ -427,16 +312,13 @@ fn run_fused_step(
                 return Ok(false); // shutdown mid-timestep
             };
             let k = k as usize;
-            // an unfused message during a fused timestep, or a pair
-            // delivered to a worker whose schedule doesn't receive it,
-            // is a routing failure, not corruption
-            if k == UNFUSED as usize {
+            // a pair this plan does not have, or one delivered to a worker
+            // whose schedule doesn't receive it, is a routing failure, not
+            // corruption
+            let Some(pair) = plan.pairs().get(k).filter(|p| (p.sender, p.receiver) == (from, me32))
+            else {
                 return Err(ExchangeError::Misrouted { rank: me32, step });
-            }
-            let pair = &plan.pairs()[k];
-            if (pair.sender, pair.receiver) != (from, me32) {
-                return Err(ExchangeError::Misrouted { rank: me32, step });
-            }
+            };
             // sender and receiver hold the same mask, so a length
             // mismatch means the payload was damaged in flight or they
             // executed different fused plans
@@ -481,12 +363,10 @@ fn compute_shard(pp: &ProcPlan, plan: &ExecPlan, shards: &mut [Shard<f64>], pack
 }
 
 fn worker_loop(ctx: WorkerCtx, cmds: Receiver<Cmd>, done: Sender<Done>) {
-    // per-worker packed operand buffers, reused across supersteps
-    let mut packed: Vec<Vec<f64>> = Vec::new();
-    let mut fused = FusedScratch::default();
-    while let Ok(cmd) = cmds.recv() {
-        let step = cmd.step();
+    let mut scratch = FusedScratch::default();
+    while let Ok(mut cmd) = cmds.recv() {
         if let Some(sw) = &ctx.faults {
+            let step = cmd.step;
             if sw.kill(ctx.me as u32, step) {
                 // injected crash: die silently, taking the shards just
                 // handed over with us — the driver's completion scan must
@@ -498,26 +378,10 @@ fn worker_loop(ctx: WorkerCtx, cmds: Receiver<Cmd>, done: Sender<Done>) {
             }
         }
         let mut compute_ns = 0u64;
-        let result = match cmd {
-            Cmd::Step(Step { plan, mut shards, step }) => {
-                match run_unfused_step(
-                    &ctx, step, &plan, &mut shards, &mut packed, &mut compute_ns,
-                ) {
-                    Ok(true) => Ok(shards),
-                    Ok(false) => return, // shutdown mid-superstep: no Done
-                    Err(e) => Err(e),
-                }
-            }
-            Cmd::Fused(FusedStep { plan, eff, eff_version, mut shards, step }) => {
-                match run_fused_step(
-                    &ctx, step, &plan, &eff, eff_version, &mut shards, &mut fused,
-                    &mut compute_ns,
-                ) {
-                    Ok(true) => Ok(shards),
-                    Ok(false) => return,
-                    Err(e) => Err(e),
-                }
-            }
+        let result = match run_step(&ctx, &mut cmd, &mut scratch, &mut compute_ns) {
+            Ok(true) => Ok(cmd.shards),
+            Ok(false) => return, // shutdown mid-timestep: no Done
+            Err(e) => Err(e),
         };
         let failed = result.is_err();
         if done.send(Done { proc: ctx.me, result, compute_ns }).is_err() || failed {
@@ -549,9 +413,6 @@ pub struct ChannelsBackend {
     bytes_sent: u64,
     workers_spawned: u64,
     steps: u64,
-    /// Per-rank compute nanoseconds reported by the workers for the last
-    /// completed step (see [`ExchangeBackend::rank_compute_ns`]).
-    rank_ns: Vec<u64>,
 }
 
 impl Default for ChannelsBackend {
@@ -586,7 +447,6 @@ impl ChannelsBackend {
             bytes_sent: 0,
             workers_spawned: 0,
             steps: 0,
-            rank_ns: Vec::new(),
         }
     }
 
@@ -659,54 +519,6 @@ impl ChannelsBackend {
         self.workers_spawned += np as u64;
     }
 
-    /// Ensure a fleet of `np` workers is running and return the spawn
-    /// generation (cumulative workers spawned). The fused replay path
-    /// calls this *before* computing its effective-send mask: a changed
-    /// generation means the workers' persistent packed buffers are gone
-    /// (processor-count change *or* post-failure respawn), so every ghost
-    /// unit must be re-sent (see [`crate::fuse::FusedState`]).
-    pub(crate) fn prepare(&mut self, np: usize) -> u64 {
-        self.ensure_workers(np);
-        self.workers_spawned
-    }
-
-    /// Execute one whole fused timestep across the worker fleet: hand
-    /// each worker its shards plus the shared effective-send mask,
-    /// collect the shards back, and account the masked wire traffic
-    /// (`wire_elements` is the mask's element count — sender-side
-    /// measured lengths are checked against it inside every worker).
-    /// Counts one step per timestep.
-    pub(crate) fn step_fused(
-        &mut self,
-        plan: &Arc<ProgramPlan>,
-        arrays: &mut [DistArray<f64>],
-        eff: Arc<Vec<bool>>,
-        eff_version: u64,
-        wire_elements: u64,
-    ) -> Result<(), ExchangeError> {
-        assert!(plan.is_valid_for(arrays), "stale fused plan: an involved array was remapped");
-        let np = plan.np();
-        self.ensure_workers(np);
-        let step = self.steps;
-        for (p, cmd) in self.cmd_txs.iter().enumerate() {
-            let shards: Vec<Shard<f64>> =
-                arrays.iter_mut().map(|a| a.take_local(p)).collect();
-            // a send can only fail if the worker already died; the
-            // completion scan below pins and reports the death
-            let _ = cmd.send(Cmd::Fused(FusedStep {
-                plan: plan.clone(),
-                eff: eff.clone(),
-                eff_version,
-                shards,
-                step,
-            }));
-        }
-        self.collect_done(arrays, np)?;
-        self.bytes_sent += wire_elements * std::mem::size_of::<f64>() as u64;
-        self.steps += 1;
-        Ok(())
-    }
-
     /// Collect `np` completed work orders and reinstall their shards.
     ///
     /// On the first sign of failure — a worker-reported [`ExchangeError`],
@@ -716,20 +528,16 @@ impl ChannelsBackend {
     /// completions for a short grace window to reinstall surviving
     /// shards, tears the fleet down, and returns the failure. The arrays
     /// then hold a *partial* timestep (dead workers' shards are gone) and
-    /// must be reloaded from a checkpoint — see [`crate::ckpt`].
+    /// must be reloaded from a checkpoint — see [`crate::ckpt`]. Each
+    /// completion's measured compute time lands in its slot of `rank_ns`.
     fn collect_done(
         &mut self,
         arrays: &mut [DistArray<f64>],
-        np: usize,
+        rank_ns: &mut [u64],
     ) -> Result<(), ExchangeError> {
+        let np = rank_ns.len();
         let step = self.steps;
         let mut failure: Option<ExchangeError> = None;
-        // moved out so the completion loop can fill it while `done_rx`
-        // borrows `self`; reused across steps (no warm-path allocation)
-        let mut rank_ns = std::mem::take(&mut self.rank_ns);
-        if rank_ns.len() != np {
-            rank_ns.resize(np, 0);
-        }
         rank_ns.fill(0);
         {
             let done_rx = self.done_rx.as_ref().expect("workers are running");
@@ -799,13 +607,12 @@ impl ChannelsBackend {
                 }
             }
         }
-        self.rank_ns = rank_ns;
         match failure {
             None => Ok(()),
             Some(e) => {
-                // tear the failed fleet down; the next superstep respawns
+                // tear the failed fleet down; the next timestep respawns
                 // a fresh one (and bumps the spawn generation, which the
-                // fused dirty-tracking state watches)
+                // dirty-tracking state watches)
                 self.shutdown();
                 Err(e)
             }
@@ -837,29 +644,48 @@ impl ExchangeBackend for ChannelsBackend {
         "channels"
     }
 
-    /// One SPMD superstep. The [`PlanWorkspace`] is unused — each worker
-    /// keeps its own packed operand buffers — but accepted so backends are
-    /// interchangeable behind the trait.
+    /// The spawn generation (cumulative workers spawned) stamps the
+    /// domain: a changed generation means the workers' persistent packed
+    /// buffers are gone (processor-count change *or* post-failure
+    /// respawn), so every ghost unit must be re-sent.
+    fn buffer_domain(&mut self, np: usize) -> BufferDomain {
+        self.ensure_workers(np);
+        BufferDomain::Channels(self.workers_spawned)
+    }
+
+    /// Hand each worker its shards plus the shared effective-send mask,
+    /// collect the shards back, and account the masked wire traffic (the
+    /// mask's element count — sender-side measured lengths are checked
+    /// against it inside every worker). The workers keep their own packed
+    /// operand buffers; of `ws` only the per-rank compute-time sample is
+    /// written. Counts one step per timestep.
     fn step(
         &mut self,
-        plan: &Arc<ExecPlan>,
+        plan: &Arc<ProgramPlan>,
         arrays: &mut [DistArray<f64>],
-        _ws: &mut PlanWorkspace,
+        state: &FusedState,
+        ws: &mut FusedWorkspace,
     ) -> Result<(), ExchangeError> {
-        assert!(plan.is_valid_for(arrays), "stale plan: an involved array was remapped");
-        let np = plan.per_proc().len();
-        self.ensure_workers(np);
+        assert!(plan.is_valid_for(arrays), "stale fused plan: an involved array was remapped");
+        ws.ensure(plan);
+        self.ensure_workers(plan.np());
         let step = self.steps;
         // ownership handoff: every worker gets exactly its own shards
         for (p, cmd) in self.cmd_txs.iter().enumerate() {
             let shards: Vec<Shard<f64>> =
                 arrays.iter_mut().map(|a| a.take_local(p)).collect();
-            let _ = cmd.send(Cmd::Step(Step { plan: plan.clone(), shards, step }));
+            // a send can only fail if the worker already died; the
+            // completion scan below pins and reports the death
+            let _ = cmd.send(Cmd {
+                plan: plan.clone(),
+                eff: state.eff_arc(),
+                eff_version: state.eff_version(),
+                shards,
+                step,
+            });
         }
-        self.collect_done(arrays, np)?;
-        // schedule ≡ analysis was already cross-checked at inspect time
-        // (ExecPlan::inspect); the wire accounting here is the schedule's
-        self.bytes_sent += plan.message_plan().wire_bytes();
+        self.collect_done(arrays, &mut ws.rank_ns)?;
+        self.bytes_sent += state.last_sent() * std::mem::size_of::<f64>() as u64;
         self.steps += 1;
         Ok(())
     }
@@ -880,10 +706,6 @@ impl ExchangeBackend for ChannelsBackend {
     fn faults_fired(&self) -> usize {
         self.faults.as_ref().map_or(0, |s| s.fired())
     }
-
-    fn rank_compute_ns(&self) -> &[u64] {
-        &self.rank_ns
-    }
 }
 
 #[cfg(test)]
@@ -891,7 +713,9 @@ mod tests {
     use super::*;
     use crate::assign::{Assignment, Combine, Term};
     use crate::exec::dense_reference;
-    use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
+    use crate::testing::run_stmt;
+    use crate::PlanCache;
+    use hpf_core::{DataSpace, DistributeSpec, FormatSpec, HpfError};
     use hpf_index::{span, IndexDomain, Section};
 
     fn setup(n: usize, np: usize, fmts: &[FormatSpec]) -> Vec<DistArray<f64>> {
@@ -926,15 +750,16 @@ mod tests {
     #[test]
     fn channels_matches_reference_and_counts_bytes() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(3)]);
-        let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::new();
+        let stmts = [shift_stmt(48, &arrays)];
+        let wire = ExecPlan::inspect(&arrays, &stmts[0]).unwrap().message_plan().wire_bytes();
+        let mut cache = PlanCache::new();
         let mut backend = ChannelsBackend::new();
         for step in 1..=4u64 {
-            let expect = dense_reference(&arrays, &stmt);
-            backend.step(&plan, &mut arrays, &mut ws).unwrap();
+            let expect = dense_reference(&arrays, &stmts[0]);
+            // unfused: the full ghost exchange rides the wire every step
+            cache.replay(&mut arrays, &stmts, false, &mut backend).unwrap();
             assert_eq!(arrays[0].to_dense(), expect, "step {step}");
-            assert_eq!(backend.bytes_sent(), step * plan.message_plan().wire_bytes());
+            assert_eq!(backend.bytes_sent(), step * wire);
         }
         assert_eq!(backend.steps(), 4);
         assert_eq!(backend.workers(), 4);
@@ -944,22 +769,19 @@ mod tests {
     #[test]
     fn different_processor_count_respawns_fleet() {
         let mut backend = ChannelsBackend::new();
-        let mut ws = PlanWorkspace::new();
         let mut a4 = setup(32, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let s4 = shift_stmt(32, &a4);
-        let p4 = Arc::new(ExecPlan::inspect(&a4, &s4).unwrap());
-        backend.step(&p4, &mut a4, &mut ws).unwrap();
+        run_stmt(&mut a4, &s4, &mut backend);
         assert_eq!(backend.workers(), 4);
         let mut a3 = setup(32, 3, &[FormatSpec::Cyclic(1), FormatSpec::Block]);
         let s3 = shift_stmt(32, &a3);
-        let p3 = Arc::new(ExecPlan::inspect(&a3, &s3).unwrap());
         let expect = dense_reference(&a3, &s3);
-        backend.step(&p3, &mut a3, &mut ws).unwrap();
+        run_stmt(&mut a3, &s3, &mut backend);
         assert_eq!(a3[0].to_dense(), expect);
         assert_eq!(backend.workers(), 3);
         assert_eq!(backend.workers_spawned(), 7, "4 then 3");
         // and back on the first plan the fleet respawns again
-        backend.step(&p4, &mut a4, &mut ws).unwrap();
+        run_stmt(&mut a4, &s4, &mut backend);
         assert_eq!(backend.workers_spawned(), 11);
     }
 
@@ -977,11 +799,8 @@ mod tests {
             &doms,
         )
         .unwrap();
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
         let expect = dense_reference(&arrays, &stmt);
-        ChannelsBackend::new()
-            .step(&plan, &mut arrays, &mut PlanWorkspace::new())
-            .unwrap();
+        run_stmt(&mut arrays, &stmt, &mut ChannelsBackend::new());
         assert_eq!(arrays[0].to_dense(), expect);
     }
 
@@ -992,24 +811,25 @@ mod tests {
     #[test]
     fn injected_kill_surfaces_typed_error_and_replay_recovers() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
-        let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::new();
+        let stmts = [shift_stmt(48, &arrays)];
+        let mut cache = PlanCache::new();
         let mut backend = ChannelsBackend::new();
         backend.inject(FaultPlan::parse("kill:rank=3,step=1").unwrap());
-        backend.step(&plan, &mut arrays, &mut ws).unwrap(); // step 0
+        cache.replay(&mut arrays, &stmts, true, &mut backend).unwrap(); // step 0
         let ckpt = arrays.clone(); // stand-in for a real checkpoint
-        let expect = dense_reference(&arrays, &stmt);
-        let err = backend.step(&plan, &mut arrays, &mut ws).unwrap_err();
-        assert_eq!(err, ExchangeError::WorkerDied { rank: 3, step: 1 });
-        assert_eq!(err.rank(), Some(3));
+        let expect = dense_reference(&arrays, &stmts[0]);
+        let err = cache.replay(&mut arrays, &stmts, true, &mut backend).unwrap_err();
+        let died = ExchangeError::WorkerDied { rank: 3, step: 1 };
+        assert_eq!(died.rank(), Some(3));
+        assert_eq!(err, HpfError::from(died));
         assert_eq!(backend.workers(), 0, "failed fleet must be torn down");
-        assert_eq!(backend.steps(), 1, "a failed superstep never happened");
+        assert_eq!(backend.steps(), 1, "a failed timestep never happened");
         assert_eq!(backend.faults_fired(), 1);
         // recovery: restore shards, replay — the one-shot fault is spent,
-        // the fleet respawns on its own, and the answer matches
+        // the fleet respawns on its own (its empty ghost buffers refilled,
+        // because the failure re-dirtied every unit), and the answer matches
         arrays = ckpt;
-        backend.step(&plan, &mut arrays, &mut ws).unwrap();
+        cache.replay(&mut arrays, &stmts, true, &mut backend).unwrap();
         assert_eq!(arrays[0].to_dense(), expect);
         assert_eq!(backend.workers(), 4);
         assert_eq!(backend.workers_spawned(), 8, "one respawn after the kill");
@@ -1019,39 +839,37 @@ mod tests {
     #[test]
     fn injected_drop_wedges_and_times_out() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
-        let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::new();
+        let stmts = [shift_stmt(48, &arrays)];
         let mut backend = ChannelsBackend::new();
         backend.set_step_timeout(Duration::from_millis(300));
         backend.inject(FaultPlan::parse("drop:from=2,to=3,step=0").unwrap());
-        let err = backend.step(&plan, &mut arrays, &mut ws).unwrap_err();
-        assert_eq!(err, ExchangeError::Wedged { step: 0, waited_ms: 300 });
-        assert_eq!(err.rank(), None, "a lost message pins no rank");
+        let err =
+            PlanCache::new().replay(&mut arrays, &stmts, true, &mut backend).unwrap_err();
+        let wedged = ExchangeError::Wedged { step: 0, waited_ms: 300 };
+        assert_eq!(wedged.rank(), None, "a lost message pins no rank");
+        assert_eq!(err, HpfError::from(wedged));
         assert_eq!(backend.workers(), 0);
     }
 
     #[test]
     fn injected_corruption_is_detected_before_unpacking() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
-        let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
+        let stmts = [shift_stmt(48, &arrays)];
+        let plan = ExecPlan::inspect(&arrays, &stmts[0]).unwrap();
         let expected = plan.message_plan().pair(1, 2).unwrap().elements;
-        let mut ws = PlanWorkspace::new();
         let mut backend = ChannelsBackend::new();
         backend.inject(FaultPlan::parse("corrupt:from=1,to=2,step=0").unwrap());
-        let err = backend.step(&plan, &mut arrays, &mut ws).unwrap_err();
-        assert_eq!(
-            err,
-            ExchangeError::CorruptMessage {
-                sender: 1,
-                receiver: 2,
-                step: 0,
-                got: expected - 1,
-                expected,
-            }
-        );
-        assert_eq!(err.rank(), Some(2), "corruption is pinned to the receiver");
+        let err =
+            PlanCache::new().replay(&mut arrays, &stmts, true, &mut backend).unwrap_err();
+        let corrupt = ExchangeError::CorruptMessage {
+            sender: 1,
+            receiver: 2,
+            step: 0,
+            got: expected - 1,
+            expected,
+        };
+        assert_eq!(corrupt.rank(), Some(2), "corruption is pinned to the receiver");
+        assert_eq!(err, HpfError::from(corrupt));
     }
 
     #[test]
@@ -1061,17 +879,16 @@ mod tests {
         // match the reference (the poison recovery is satellite #1: one
         // fault stays one fault)
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(3)]);
-        let stmt = shift_stmt(48, &arrays);
-        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
-        let mut ws = PlanWorkspace::new();
+        let stmts = [shift_stmt(48, &arrays)];
+        let mut cache = PlanCache::new();
         let mut backend = ChannelsBackend::new();
         backend.inject(
             FaultPlan::parse("delay:from=0,to=1,step=0,ms=30; poison:rank=2,step=1")
                 .unwrap(),
         );
         for _ in 0..3 {
-            let expect = dense_reference(&arrays, &stmt);
-            backend.step(&plan, &mut arrays, &mut ws).unwrap();
+            let expect = dense_reference(&arrays, &stmts[0]);
+            cache.replay(&mut arrays, &stmts, false, &mut backend).unwrap();
             assert_eq!(arrays[0].to_dense(), expect);
         }
         assert_eq!(backend.steps(), 3);

@@ -1750,7 +1750,9 @@ impl fmt::Display for FusionReport {
 ///   its home superstep; every dirty-tracking unit's static
 ///   `intra_dirty`/`post_dirty` flags match a re-derivation from the
 ///   store schedules (unsound flags would let ghost reuse skip data a
-///   statement rewrites);
+///   statement rewrites). A plan compiled unfused is held to the
+///   per-statement schedule instead: statement `s` alone in superstep
+///   `s`, home-phase packing, every unit re-sent every timestep;
 /// * **deadlock freedom** — the coalesced segments are exactly (as a
 ///   multiset) the constituent [`MessagePlan`](crate::MessagePlan)
 ///   segments: no orphan fused send, no dropped constituent message;
@@ -1812,9 +1814,14 @@ pub fn verify_program_plan(
     }
 
     // ---- re-derive the level schedule and per-statement store intervals ----
+    // The plan's recorded mode says *which* schedule to re-derive; its
+    // levels, phases and flags are never read, only compared against.
+    // Unfused: one superstep per statement, every message packed at its
+    // home superstep, every unit re-sent every timestep.
+    let fused = plan.fused();
     let n = stmts.len();
-    let mut level = vec![0usize; n];
-    for s in 0..n {
+    let mut level: Vec<usize> = if fused { vec![0; n] } else { (0..n).collect() };
+    for s in (0..n).filter(|_| fused) {
         for r in 0..s {
             let raw = stmts[s].terms.iter().any(|t| t.array == stmts[r].lhs);
             let waw = stmts[s].lhs == stmts[r].lhs;
@@ -1927,6 +1934,9 @@ pub fn verify_program_plan(
         let mut required_phase = 0usize;
         for (si, seg) in pair.segments.iter().enumerate() {
             report.segments += 1;
+            if !fused {
+                required_phase = required_phase.max(level.get(seg.stmt).copied().unwrap_or(0));
+            }
             fused_runs
                 .entry((seg.stmt, pair.sender, pair.receiver, seg.term))
                 .or_default()
@@ -1959,7 +1969,7 @@ pub fn verify_program_plan(
                         && u.superstep == pair.superstep =>
                 {
                     // re-derive the writer split from the store schedules
-                    let (mut intra, mut post) = (false, false);
+                    let (mut intra, mut post) = (!fused, false);
                     for (w, stmt) in stmts.iter().enumerate() {
                         if stmt.lhs != seg.array
                             || !intersects(

@@ -1,7 +1,7 @@
 //! Reusable execution scratch — the zero-allocation warm-replay contract.
 //!
 //! A [`PlanWorkspace`] owns the per-processor, per-term packed operand
-//! buffers of a plan replay. What lands in them is decided per term at
+//! buffers of one statement. What lands in them is decided per term at
 //! inspect time (see [`crate::plan`]): the exchange delivers **ghost**
 //! data at the positions the message schedules name, and the stage phase
 //! snapshots the local runs of **staged** terms — those naming the
@@ -12,17 +12,19 @@
 //! shard. Every buffer keeps the full `dst_off` layout either way (so
 //! message schedules, fused segments and dirty tracking address it
 //! unchanged); the untouched stretches of a zero-initialised buffer are
-//! never paged in. Building a workspace costs the allocations once; every
-//! subsequent
-//! [`ExecPlan::execute_seq_with`](crate::ExecPlan::execute_seq_with) /
-//! [`ExecPlan::execute_par_with`](crate::ExecPlan::execute_par_with)
-//! against the same plan reuses the buffers, so a **warm replay performs
+//! never paged in.
+//!
+//! A [`FusedWorkspace`] holds one `PlanWorkspace` per statement of a
+//! timestep plus the per-pair message staging buffers. Building it costs
+//! the allocations once; every later
+//! [`ExchangeBackend::step`](crate::ExchangeBackend::step) on the
+//! `SharedMem` backend reuses the buffers, so a **warm timestep performs
 //! zero heap allocations** (asserted by the `zero_alloc_replay`
 //! integration test with a counting global allocator).
-//!
-//! [`crate::PlanCache`] keeps one workspace per cached plan, which is how
-//! [`crate::Program::run`] gets allocation-free timesteps without callers
-//! managing workspaces themselves.
+//! [`crate::PlanCache`] keeps the workspace beside the cached
+//! [`ProgramPlan`], which is how a [`crate::Session`] gets
+//! allocation-free timesteps without callers managing workspaces
+//! themselves.
 
 use crate::fuse::ProgramPlan;
 use crate::plan::ExecPlan;
@@ -30,15 +32,10 @@ use crate::plan::ExecPlan;
 /// Preallocated pack buffers for one [`ExecPlan`]: `bufs[p][t]` is the
 /// packed operand buffer of simulated processor `p` for RHS term `t`,
 /// sized to exactly the processor's computed volume (ghost positions
-/// always; local positions only for staged terms — see the module docs). `stage[k]` is the
-/// persistent message staging buffer for the plan's `k`-th communicating
-/// processor pair (in [`MessagePlan`](crate::MessagePlan) order), sized
-/// to exactly that pair's message length — the shared-memory backend's
-/// send/recv buffer.
+/// always; local positions only for staged terms — see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct PlanWorkspace {
     pub(crate) bufs: Vec<Vec<Vec<f64>>>,
-    pub(crate) stage: Vec<Vec<f64>>,
 }
 
 impl PlanWorkspace {
@@ -60,14 +57,11 @@ impl PlanWorkspace {
     /// needs (in which case a replay reuses them without allocating).
     pub fn matches(&self, plan: &ExecPlan) -> bool {
         let per_proc = plan.per_proc();
-        let pairs = plan.message_plan().pairs();
         self.bufs.len() == per_proc.len()
             && self.bufs.iter().zip(per_proc).all(|(bufs, pp)| {
                 bufs.len() == pp.terms.len()
                     && bufs.iter().zip(&pp.terms).all(|(b, ts)| b.len() == ts.elements)
             })
-            && self.stage.len() == pairs.len()
-            && self.stage.iter().zip(pairs).all(|(s, p)| s.len() == p.elements)
     }
 
     /// Resize for `plan` if the shape differs (the only point where a
@@ -81,25 +75,12 @@ impl PlanWorkspace {
             .iter()
             .map(|pp| pp.terms.iter().map(|ts| vec![0.0f64; ts.elements]).collect())
             .collect();
-        self.stage = plan
-            .message_plan()
-            .pairs()
-            .iter()
-            .map(|p| vec![0.0f64; p.elements])
-            .collect();
     }
 
     /// Total `f64` elements held across all pack buffers (the workspace's
-    /// memory footprint in elements, excluding the message staging
-    /// buffers — see [`PlanWorkspace::stage_elements`]).
+    /// memory footprint in elements).
     pub fn buffer_elements(&self) -> usize {
         self.bufs.iter().flatten().map(Vec::len).sum()
-    }
-
-    /// Total `f64` elements held across the per-pair message staging
-    /// buffers (= the plan's wire traffic per replay).
-    pub fn stage_elements(&self) -> usize {
-        self.stage.iter().map(Vec::len).sum()
     }
 }
 
@@ -115,9 +96,10 @@ pub struct FusedWorkspace {
     pub(crate) per_stmt: Vec<PlanWorkspace>,
     pub(crate) stage: Vec<Vec<f64>>,
     /// Measured wall-nanoseconds each simulated processor spent in compute
-    /// kernels during the last fused replay through this workspace —
-    /// the adaptive controller's per-rank load sample. Preallocated here so
-    /// sampling never costs the warm path an allocation.
+    /// kernels during the last timestep through this workspace, written by
+    /// whichever backend ran it — the adaptive controller's per-rank load
+    /// sample. Preallocated here so sampling never costs the warm path an
+    /// allocation.
     pub(crate) rank_ns: Vec<u64>,
 }
 

@@ -84,16 +84,19 @@ fn run_scheme(label: &str, maps: Vec<Arc<EffectiveDist>>, machine: &Machine) -> 
     let stmt = statement(&maps);
 
     // build real distributed arrays and execute
-    let mut arrays = vec![
+    let arrays = vec![
         DistArray::new("P", maps[0].clone(), np, 0.0),
         DistArray::from_fn("U", maps[1].clone(), np, |i| (i[0] * 1000 + i[1]) as f64),
         DistArray::from_fn("V", maps[2].clone(), np, |i| (i[0] + i[1] * 1000) as f64),
     ];
     let expect = dense_reference(&arrays, &stmt);
-    let analysis = SeqExecutor.execute(&mut arrays, &stmt).expect("execution");
-    assert_eq!(arrays[0].to_dense(), expect, "{label}: numerics must match");
+    let mut program = Program::new(arrays);
+    program.push(stmt).expect("conforming sections");
+    let mut session = Session::new(program);
+    session.run(1).expect("execution");
+    assert_eq!(session.program().arrays[0].to_dense(), expect, "{label}: numerics must match");
 
-    StatementTrace::new(label, analysis, machine)
+    StatementTrace::new(label, (*session.last_analyses()[0]).clone(), machine)
 }
 
 fn main() {

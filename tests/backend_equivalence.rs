@@ -1,16 +1,18 @@
 //! Backend-equivalence property suite: the `Channels` message-passing
-//! SPMD executor, the `SharedMem` staged-copy backend, the direct
-//! plan replay, and the dense naive oracle all agree bit-for-bit over
-//! random block / cyclic(k) / general-block / replicated mappings — and
-//! the bytes each backend actually puts on the wire match the frozen
-//! schedules exactly (and, for partitioning mappings, the frozen
-//! `CommAnalysis` pair for pair).
+//! SPMD executor, the `SharedMem` staged-copy backend (inline and under a
+//! thread bound), fused and unfused, and the dense naive oracle all agree
+//! bit-for-bit over random block / cyclic(k) / general-block / replicated
+//! mappings — and the bytes each backend actually puts on the wire match
+//! the frozen schedules exactly (and, for partitioning mappings, the
+//! frozen `CommAnalysis` pair for pair).
 //!
 //! This is what finally *validates* the paper's statically-computed
 //! communication sets against a real distributed-memory execution model:
 //! each `Channels` worker owns only its local shards, so any element the
 //! schedule fails to ship would be read as stale/zero data and break the
 //! equality with the oracle.
+
+mod common;
 
 use hpf::prelude::*;
 use proptest::prelude::*;
@@ -138,38 +140,39 @@ fn build_stmt_2d(n: i64, combine_k: u8, arrays: &[DistArray<f64>]) -> Assignment
     .unwrap()
 }
 
-/// Run one statement on every execution path over identically-initialized
-/// arrays and assert they all equal the dense oracle; then assert the
-/// wire accounting: both backends moved exactly the frozen schedule's
-/// bytes, and for partitioning mappings that equals the frozen
-/// `CommAnalysis` down to the per-pair entries.
+/// Run one statement on every row of the configuration matrix over
+/// identically-initialized arrays and assert they all equal the dense
+/// oracle; then assert the wire accounting: every backend moved exactly
+/// the frozen schedule's bytes, and for partitioning mappings that equals
+/// the frozen `CommAnalysis` down to the per-pair entries.
 fn assert_backends_agree(
     arrays: Vec<DistArray<f64>>,
     stmt: &Assignment,
     partitioned: bool,
 ) {
-    // clones share the mapping allocations, so one plan drives all three
-    let mut direct = arrays;
-    let mut shared = direct.clone();
-    let mut channels = direct.clone();
-    let plan = Arc::new(ExecPlan::inspect(&direct, stmt).unwrap());
-    let expect = dense_reference(&direct, stmt);
-
-    plan.execute_seq(&mut direct);
-    let mut shared_be = SharedMemBackend::new();
-    shared_be.step(&plan, &mut shared, &mut PlanWorkspace::new()).unwrap();
-    let mut channels_be = ChannelsBackend::new();
-    channels_be.step(&plan, &mut channels, &mut PlanWorkspace::new()).unwrap();
-
-    assert_eq!(direct[0].to_dense(), expect, "direct replay ≡ oracle");
-    assert_eq!(shared[0].to_dense(), expect, "SharedMem ≡ oracle");
-    assert_eq!(channels[0].to_dense(), expect, "Channels ≡ oracle");
-    assert_eq!(shared[1].to_dense(), channels[1].to_dense(), "RHS untouched");
-
-    // bytes on the wire: measured == frozen message schedule, always
+    let plan = ExecPlan::inspect(&arrays, stmt).unwrap();
     let msgs = plan.message_plan();
-    assert_eq!(shared_be.bytes_sent(), msgs.wire_bytes());
-    assert_eq!(channels_be.bytes_sent(), msgs.wire_bytes());
+    let expect = dense_reference(&arrays, stmt);
+    for config in common::MATRIX {
+        // clones share the mapping allocations
+        let mut prog = Program::new(arrays.clone());
+        prog.push(stmt.clone()).unwrap();
+        let mut sess = config.apply(Session::new(prog));
+        sess.run(1).unwrap();
+        let prog = sess.program();
+        assert_eq!(prog.arrays[0].to_dense(), expect, "{config:?} ≡ oracle");
+        assert_eq!(prog.arrays[1].to_dense(), arrays[1].to_dense(), "{config:?}: RHS untouched");
+        // bytes on the wire: measured == frozen message schedule, always
+        // (a cold timestep ships everything, fused or not)
+        assert_eq!(prog.stats().bytes_sent, msgs.wire_bytes(), "{config:?}");
+        let fs = prog.fusion_stats();
+        if !config.fused {
+            assert_eq!(fs.messages_after, fs.messages_before, "unfused coalesces nothing");
+        }
+        if config.backend == Backend::Channels {
+            assert_eq!(prog.spmd_workers_spawned(), prog.np() as u64, "{config:?} ran the fleet");
+        }
+    }
     if partitioned {
         // ... and exactly the frozen CommAnalysis for partitioning
         // mappings, down to each (sender, receiver) entry
@@ -194,8 +197,8 @@ fn assert_backends_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// 1-D: Channels ≡ SharedMem ≡ direct replay ≡ dense oracle over
-    /// random mapping-family pairs, with exact wire accounting.
+    /// 1-D: every configuration ≡ dense oracle over random mapping-family
+    /// pairs, with exact wire accounting.
     #[test]
     fn backends_agree_1d(
         n in 16usize..48,

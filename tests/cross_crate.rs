@@ -1,6 +1,9 @@
 //! Full-pipeline integration: directive source → frontend elaboration →
 //! core mappings → runtime execution → machine cost model.
 
+mod common;
+
+use common::{run_stmt, Config};
 use hpf::prelude::*;
 use std::sync::Arc;
 
@@ -56,18 +59,18 @@ fn staggered_program_through_all_crates() {
         })
         .collect();
     let expect = dense_reference(&arrays, &stmt);
-    let analysis = SeqExecutor.execute(&mut arrays, &stmt).unwrap();
+    let analysis = run_stmt(&mut arrays, &stmt, Config::DEFAULT);
     assert_eq!(arrays[pos(ev.lhs)].to_dense(), expect);
 
     // machine pricing: boundary exchange only
     let machine = Machine::new(4, Topology::Mesh2D { rows: 2, cols: 2 }, CostModel::default());
-    let trace = StatementTrace::new("direct blocks", analysis, &machine);
+    let trace = StatementTrace::new("direct blocks", (*analysis).clone(), &machine);
     assert!(trace.analysis.remote_fraction() < 0.1);
     assert!(trace.report.comm_time > 0.0);
     assert!(trace.report.compute_time > 0.0);
 }
 
-/// The same pipeline with the parallel executor, checking bit-equality.
+/// The same pipeline under a thread bound, checking bit-equality.
 #[test]
 fn parallel_executor_through_pipeline() {
     let src = r#"
@@ -102,8 +105,8 @@ fn parallel_executor_through_pipeline() {
     .unwrap();
     let mut seq = build();
     let mut par = build();
-    let s1 = SeqExecutor.execute(&mut seq, &stmt).unwrap();
-    let s2 = ParExecutor::with_threads(4).execute(&mut par, &stmt).unwrap();
+    let s1 = run_stmt(&mut seq, &stmt, Config::DEFAULT);
+    let s2 = run_stmt(&mut par, &stmt, Config { threads: 2, ..Config::DEFAULT });
     assert_eq!(seq[0].to_dense(), par[0].to_dense());
     assert_eq!(s1.comm, s2.comm);
     // mismatched distributions → substantial traffic

@@ -1,6 +1,6 @@
-//! Equivalence suite for operands read in place: every executor —
-//! `ExecPlan::execute_seq` / `execute_par`, the `SharedMem` and `Channels`
-//! backends, unfused and through the fused program plan — must stay
+//! Equivalence suite for operands read in place: every configuration of
+//! the one step path — `SharedMem`, `SharedMem` with a thread bound, and
+//! `Channels`, each fused and unfused (`common::MATRIX`) — must stay
 //! **bit-identical** to the dense oracle on exactly the statement shapes
 //! where skipping the pack snapshot could go wrong: LHS aliasing,
 //! same-superstep write-after-read, replicated operands, mixed
@@ -10,7 +10,9 @@
 //! The random suites (`backend_equivalence`, `plan_equivalence`,
 //! `program_fusion`) use extents too small for any term to reach the
 //! direct threshold, so these deterministic cases are what drives the
-//! in-place path through every executor.
+//! in-place path through every configuration.
+
+mod common;
 
 use hpf::prelude::*;
 use std::sync::Arc;
@@ -77,9 +79,9 @@ fn assert_bits(got: &[DistArray<f64>], want: &[Vec<f64>], path: &str) {
     }
 }
 
-/// Run `stmts` for `steps` timesteps on every execution path and hold
-/// each to the dense oracle bit for bit. Returns the inspected plans so a
-/// case can assert which terms its shape made direct.
+/// Run `stmts` for `steps` timesteps on every row of the configuration
+/// matrix and hold each to the dense oracle bit for bit. Returns the
+/// inspected plans so a case can assert which terms its shape made direct.
 fn check_all_paths(
     arrays: Vec<DistArray<f64>>,
     stmts: &[Assignment],
@@ -101,53 +103,18 @@ fn check_all_paths(
             Arc::new(plan)
         })
         .collect();
-
-    // unfused: one statement at a time, in program order
-    type Step<'a> = Box<dyn FnMut(&Arc<ExecPlan>, &mut [DistArray<f64>]) + 'a>;
-    let mut shared = SharedMemBackend::new();
-    let mut channels = ChannelsBackend::new();
-    let mut ws_shared = PlanWorkspace::new();
-    let mut ws_channels = PlanWorkspace::new();
-    let unfused: Vec<(&str, Step)> = vec![
-        ("execute_seq", Box::new(|p, a| p.execute_seq(a))),
-        ("execute_par", Box::new(|p, a| p.execute_par(a, 3))),
-        ("SharedMem unfused", Box::new(|p, a| shared.step(p, a, &mut ws_shared).unwrap())),
-        (
-            "Channels unfused",
-            Box::new(|p, a| channels.step(p, a, &mut ws_channels).unwrap()),
-        ),
-    ];
-    for (path, mut step) in unfused {
-        let mut arrs = arrays.clone();
-        for _ in 0..steps {
-            for plan in &plans {
-                step(plan, &mut arrs);
-            }
-        }
-        assert_bits(&arrs, &oracle, path);
-    }
-
-    // fused: whole timesteps through the program plan (and the session's
-    // own unfused route, which shares the plan cache)
-    type Configure = fn(Session) -> Session;
-    let sessions: [(&str, Configure); 4] = [
-        ("SharedMem fused", |s| s.backend(Backend::SharedMem)),
-        ("Channels fused", |s| s.backend(Backend::Channels)),
-        ("scoped threads fused", |s| s.threads(2)),
-        ("session unfused", |s| s.fused(false)),
-    ];
-    for (path, configure) in sessions {
+    for config in common::MATRIX {
         let mut prog = Program::new(arrays.clone());
         for s in stmts {
             prog.push(s.clone()).unwrap();
         }
-        let mut sess = configure(Session::new(prog));
+        let mut sess = config.apply(Session::new(prog));
         // one timestep per run call, so warm replays (ghost reuse, the
         // persistent worker buffers) are part of what is checked
         for _ in 0..steps {
             sess.run(1).unwrap();
         }
-        assert_bits(&sess.program().arrays, &oracle, path);
+        assert_bits(&sess.program().arrays, &oracle, &format!("{config:?}"));
     }
     plans
 }
@@ -180,7 +147,7 @@ fn shifted_self_reference_keeps_its_snapshot() {
 fn same_superstep_war_with_a_direct_reader() {
     // C = A + B reads A in place; A = B overwrites it in the same
     // superstep (WAR fuses). Program-order compute keeps the reader ahead
-    // of the writer on every executor.
+    // of the writer on every backend.
     let n = 192usize;
     let block = || Fmt(FormatSpec::Block);
     let arrays = arrays_1d(n, 3, &[block(), block(), block()]);
@@ -190,7 +157,7 @@ fn same_superstep_war_with_a_direct_reader() {
     let stmts = [reader, writer];
     let plans = check_all_paths(arrays.clone(), &stmts, 3);
     assert!(direct(&plans[0], 0) && direct(&plans[0], 1));
-    let fused = ProgramPlan::compile(&stmts, plans);
+    let fused = ProgramPlan::compile(&stmts, plans, true);
     assert_eq!(fused.supersteps().len(), 1, "WAR shares a superstep");
     assert!(verify_program_plan(&arrays, &stmts, &fused).is_clean());
 }
@@ -212,7 +179,7 @@ fn writer_is_not_hoisted_before_a_deeper_direct_reader() {
     ];
     let plans = check_all_paths(arrays.clone(), &stmts, 3);
     assert!(direct(&plans[1], 1), "the deeper reader reads A in place");
-    let fused = ProgramPlan::compile(&stmts, plans);
+    let fused = ProgramPlan::compile(&stmts, plans, true);
     let level_of = |s: usize| {
         fused.supersteps().iter().position(|st| st.stmts.contains(&s)).unwrap()
     };

@@ -327,35 +327,47 @@ fn adaptive_remap_survives_injected_kill() {
 
 /// Three consecutive fleet deaths exhaust the `Channels` retry budget
 /// and the trajectory degrades to `SharedMem` — completing with the
-/// same result instead of failing.
+/// same result instead of failing. The fleet degrades the same whether it
+/// was asked for by name or by a thread bound covering every processor.
 #[test]
 fn repeated_fleet_death_degrades_to_shared_mem() {
-    let dir = tmpdir("degrade");
     let steps = 4u64;
-    let mut reference = Session::new(build_program((1, 3), 35, 5));
+    let np = 5;
+    let mut reference = Session::new(build_program((1, 3), 35, np));
     reference.run(steps).unwrap();
 
-    // a failed superstep does not advance the backend's step counter, so
-    // each retry replays step 0 and consumes the next identical kill —
-    // three *consecutive* failures
-    let mut sess = Session::new(build_program((1, 3), 35, 5))
-        .backend(Backend::Channels)
-        .checkpoint(CheckpointSpec::new(&dir, 1))
-        .inject_faults(
-            FaultPlan::new()
-                .with(Fault::KillWorker { rank: 1, step: 0 })
-                .with(Fault::KillWorker { rank: 1, step: 0 })
-                .with(Fault::KillWorker { rank: 1, step: 0 }),
-        );
-    let rep = sess.run(steps).unwrap();
-    assert_eq!(rep.timesteps, steps);
-    assert_eq!(rep.failures, 3);
-    assert!(rep.degraded, "three consecutive failures must degrade");
-    assert_eq!(rep.final_backend, Backend::SharedMem);
-    for (a, b) in sess.program().arrays.iter().zip(&reference.program().arrays) {
-        assert_eq!(a.to_dense(), b.to_dense(), "{} after degradation", a.name());
+    type Configure = fn(Session) -> Session;
+    let fleets: [(&str, Configure); 2] = [
+        ("degrade", |s| s.backend(Backend::Channels)),
+        ("degrade-threads", |s| s.threads(5)),
+    ];
+    for (tag, fleet) in fleets {
+        // what runs is what is reported
+        let mut clean = fleet(Session::new(build_program((1, 3), 35, np)));
+        assert_eq!(clean.run(1).unwrap().final_backend, Backend::Channels, "{tag}");
+
+        // a failed superstep does not advance the backend's step counter, so
+        // each retry replays step 0 and consumes the next identical kill —
+        // three *consecutive* failures
+        let dir = tmpdir(tag);
+        let mut sess = fleet(Session::new(build_program((1, 3), 35, np)))
+            .checkpoint(CheckpointSpec::new(&dir, 1))
+            .inject_faults(
+                FaultPlan::new()
+                    .with(Fault::KillWorker { rank: 1, step: 0 })
+                    .with(Fault::KillWorker { rank: 1, step: 0 })
+                    .with(Fault::KillWorker { rank: 1, step: 0 }),
+            );
+        let rep = sess.run(steps).unwrap();
+        assert_eq!(rep.timesteps, steps);
+        assert_eq!(rep.failures, 3);
+        assert!(rep.degraded, "{tag}: three consecutive failures must degrade");
+        assert_eq!(rep.final_backend, Backend::SharedMem);
+        for (a, b) in sess.program().arrays.iter().zip(&reference.program().arrays) {
+            assert_eq!(a.to_dense(), b.to_dense(), "{} after degradation ({tag})", a.name());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Without a checkpoint to restore from, the typed fault propagates to

@@ -2,6 +2,9 @@
 //!
 //! Section references are to Chapman, Mehrotra & Zima, ICASE 93-17.
 
+mod common;
+
+use common::{run_stmt, Config};
 use hpf::prelude::*;
 use std::sync::Arc;
 
@@ -180,7 +183,7 @@ fn s811_staggered_grid_direct_blocks() {
         DistArray::from_fn("V", maps[2].clone(), np, |i| (i[0] + i[1] * 100) as f64),
     ];
     let expect = dense_reference(&arrays, &stmt);
-    let analysis = SeqExecutor.execute(&mut arrays, &stmt).unwrap();
+    let analysis = run_stmt(&mut arrays, &stmt, Config::DEFAULT);
     assert_eq!(arrays[0].to_dense(), expect);
     // P(i,j) = U(i-1,j) + U(i,j) + V(i,j-1) + V(i,j)
     let val = arrays[0].get(&Idx::d2(5, 5));

@@ -1,11 +1,14 @@
-//! Property tests for the compiled-plan runtime: plan-based sequential and
-//! parallel execution are bit-identical to the naive element-wise reference
-//! executor across random block / cyclic / general-block / replicated
+//! Property tests for the compiled-plan runtime: plan-based execution —
+//! inline and under a random thread bound — is bit-identical to the naive
+//! element-wise reference across random block / cyclic / general-block / replicated
 //! mappings in 1-D and 2-D, the run-length compressed schedules expand to
 //! exactly the uncompressed per-element `(src, offset)` sequences, and a
 //! cached plan replay equals a freshly inspected one — including across a
 //! remap invalidation.
 
+mod common;
+
+use common::{run_stmt, Config};
 use hpf::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -215,8 +218,10 @@ fn build_stmt(n: i64, combine_k: u8, arrays: &[DistArray<f64>]) -> Assignment {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Plan-based Seq and Par execution are bit-identical to the naive
-    /// element-wise reference, for every mapping family combination.
+    /// Plan-based execution, inline and under a thread bound (bounded
+    /// scoped threads below `np`, the SPMD fleet from `np` up), is
+    /// bit-identical to the naive element-wise reference, for every
+    /// mapping family combination.
     #[test]
     fn plan_execution_matches_naive_reference(
         n in 16usize..48,
@@ -231,8 +236,8 @@ proptest! {
         let mut par = build_arrays(n, np, ka, kb, seed);
         let stmt = build_stmt(n as i64, combine_k, &seq);
         let expect = dense_reference(&seq, &stmt);
-        SeqExecutor.execute(&mut seq, &stmt).unwrap();
-        ParExecutor::with_threads(threads).execute(&mut par, &stmt).unwrap();
+        run_stmt(&mut seq, &stmt, Config::DEFAULT);
+        run_stmt(&mut par, &stmt, Config { threads, ..Config::DEFAULT });
         prop_assert_eq!(seq[0].to_dense(), expect);
         prop_assert_eq!(seq[0].to_dense(), par[0].to_dense());
         prop_assert_eq!(seq[1].to_dense(), par[1].to_dense());
@@ -257,11 +262,11 @@ proptest! {
         // expansion and replay agree with the naive reference too
         let mut seq = build_arrays(n, np, ka, kb, seed);
         let expect = dense_reference(&seq, &stmt);
-        SeqExecutor.execute(&mut seq, &stmt).unwrap();
+        run_stmt(&mut seq, &stmt, Config::DEFAULT);
         prop_assert_eq!(seq[0].to_dense(), expect);
     }
 
-    /// 2-D: compressed Seq and Par replay are bit-identical to the naive
+    /// 2-D: compressed replay, inline and thread-bounded, is bit-identical to the naive
     /// reference over random per-dimension block / cyclic(k) /
     /// general-block formats and replicated mappings; the compressed
     /// schedules expand exactly; and for partitioning mappings the plan's
@@ -297,8 +302,8 @@ proptest! {
             prop_assert_eq!(plan.ghost_elements() as u64, plan.analysis().remote_reads);
         }
         let expect = dense_reference(&seq, &stmt);
-        SeqExecutor.execute(&mut seq, &stmt).unwrap();
-        ParExecutor::with_threads(threads).execute(&mut par, &stmt).unwrap();
+        run_stmt(&mut seq, &stmt, Config::DEFAULT);
+        run_stmt(&mut par, &stmt, Config { threads, ..Config::DEFAULT });
         prop_assert_eq!(seq[0].to_dense(), expect);
         prop_assert_eq!(seq[0].to_dense(), par[0].to_dense());
         prop_assert_eq!(seq[1].to_dense(), par[1].to_dense());

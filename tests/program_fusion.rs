@@ -145,12 +145,13 @@ proptest! {
         let mut oracle = arrays.clone();
         let threads = (np / 2).max(2).min(np.saturating_sub(1)).max(2);
         let mut paths: Vec<Session> = {
-            let mut ps = programs(&arrays, &stmts, 4).into_iter();
+            let mut ps = programs(&arrays, &stmts, 5).into_iter();
             vec![
                 Session::new(ps.next().unwrap()),
                 Session::new(ps.next().unwrap()).backend(Backend::Channels),
                 Session::new(ps.next().unwrap()).threads(threads),
                 Session::new(ps.next().unwrap()).fused(false),
+                Session::new(ps.next().unwrap()).backend(Backend::Channels).fused(false),
             ]
         };
         for _ in 0..timesteps {
@@ -183,6 +184,19 @@ proptest! {
                     + (timesteps as u64 - 1) * stmts.len() as u64
             );
             prop_assert_eq!(p.fusion_stats().fused_timesteps, timesteps as u64);
+        }
+        // unfused is a compile mode, not a backend: it runs where it was
+        // asked to, ships the full exchange every timestep on either
+        // backend, and coalesces nothing
+        let (shared, fleet) = (paths[3].program(), paths[4].program());
+        prop_assert_eq!(fleet.spmd_workers_spawned(), np as u64);
+        prop_assert_eq!(shared.spmd_workers_spawned(), 0);
+        prop_assert_eq!(fleet.stats().bytes_sent, shared.stats().bytes_sent);
+        for p in [shared, fleet] {
+            let fs = p.fusion_stats();
+            prop_assert_eq!(fs.messages_after, fs.messages_before);
+            prop_assert_eq!(fs.supersteps, stmts.len());
+            prop_assert_eq!(fs.ghost_elements_avoided, 0);
         }
     }
 
@@ -353,7 +367,7 @@ fn verifier_catches_corrupted_fused_plans() {
         .iter()
         .map(|s| Arc::new(ExecPlan::inspect(&arrays, s).unwrap()))
         .collect();
-    let pristine = ProgramPlan::compile(&stmts, plans);
+    let pristine = ProgramPlan::compile(&stmts, plans, true);
     let report = verify_program_plan(&arrays, &stmts, &pristine);
     assert!(report.is_clean(), "the honest plan must verify:\n{report}");
     assert!(report.segments > 0, "the workload must actually communicate");

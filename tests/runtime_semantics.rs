@@ -1,8 +1,11 @@
-//! Property tests on the runtime: executors agree with the dense
-//! reference, the parallel executor is bit-identical to the sequential
-//! one, and the region-algebraic communication analysis agrees with exact
-//! element-wise enumeration on random statements.
+//! Property tests on the runtime: execution agrees with the dense
+//! reference, thread-bounded execution is bit-identical to inline
+//! execution, and the region-algebraic communication analysis agrees with
+//! exact element-wise enumeration on random statements.
 
+mod common;
+
+use common::{run_stmt, Config};
 use hpf::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -100,22 +103,23 @@ fn brute_analysis(maps: &[Arc<EffectiveDist>], _np: usize, stmt: &Assignment) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sequential execution equals the dense reference.
+    /// Inline execution equals the dense reference.
     #[test]
     fn seq_matches_dense_reference(s in arb_scenario()) {
         let (mut arrays, stmt) = build(&s);
         let expect = dense_reference(&arrays, &stmt);
-        SeqExecutor.execute(&mut arrays, &stmt).unwrap();
+        run_stmt(&mut arrays, &stmt, Config::DEFAULT);
         prop_assert_eq!(arrays[0].to_dense(), expect);
     }
 
-    /// Parallel execution is bit-identical to sequential.
+    /// Execution under a thread bound (scoped threads below `np`, the
+    /// SPMD fleet from `np` up) is bit-identical to inline execution.
     #[test]
     fn par_matches_seq(s in arb_scenario(), threads in 1usize..5) {
         let (mut seq_arrays, stmt) = build(&s);
         let (mut par_arrays, _) = build(&s);
-        SeqExecutor.execute(&mut seq_arrays, &stmt).unwrap();
-        ParExecutor::with_threads(threads).execute(&mut par_arrays, &stmt).unwrap();
+        run_stmt(&mut seq_arrays, &stmt, Config::DEFAULT);
+        run_stmt(&mut par_arrays, &stmt, Config { threads, ..Config::DEFAULT });
         prop_assert_eq!(seq_arrays[0].to_dense(), par_arrays[0].to_dense());
         prop_assert_eq!(seq_arrays[1].to_dense(), par_arrays[1].to_dense());
     }
@@ -197,7 +201,7 @@ fn transpose_statement_consistency() {
     .unwrap();
     let expect = dense_reference(&arrays, &stmt);
     let maps: Vec<Arc<EffectiveDist>> = arrays.iter().map(|x| x.mapping().clone()).collect();
-    let analysis = SeqExecutor.execute(&mut arrays, &stmt).unwrap();
+    let analysis = run_stmt(&mut arrays, &stmt, Config::DEFAULT);
     assert_eq!(arrays[0].to_dense(), expect);
     assert_eq!(&analysis.comm, &brute_analysis(&maps, np, &stmt));
 }

@@ -1,7 +1,7 @@
 //! A warm [`Session::run`] timestep performs **zero heap allocations**.
 //!
-//! The plan cache keeps a preallocated `PlanWorkspace` per compiled plan,
-//! the compressed schedules replay with `copy_from_slice` block moves and
+//! The plan cache keeps a preallocated `FusedWorkspace` beside the compiled
+//! program plan, the compressed schedules replay with `copy_from_slice` block moves and
 //! slice kernels, and the per-statement analyses come back as `Arc`
 //! handles into the frozen plans — so once the first timestep has
 //! populated the cache, later timesteps touch no allocator at all. This
@@ -200,6 +200,9 @@ fn warm_direct_path_step_adds_no_allocation_on_channels() {
         in_place, staged,
         "in-place operands changed the Channels fleet's warm allocations per timestep"
     );
+    // the constant itself: one shard vector per worker plus the channel
+    // implementation's amortized block — the work order must not grow it
+    assert!(staged <= 5, "a warm Channels timestep allocates {staged} times (was 5)");
 }
 
 #[test]
@@ -220,8 +223,8 @@ fn warm_parallel_run_reuses_spmd_workers() {
         4,
         "warm parallel timesteps must reuse the persistent workers, not respawn"
     );
-    // Unlike the old scoped-thread executor (two spawn waves per statement
-    // per timestep), a warm superstep only pays bounded channel traffic:
+    // Unlike a thread bound below np (two spawn waves per statement per
+    // timestep), a warm fleet timestep only pays bounded channel traffic:
     // command/done handoffs and recycled message buffers. Pin that the
     // per-timestep allocation count stays a small constant — far below
     // what per-timestep thread spawning plus workspace rebuilds would cost.
@@ -242,27 +245,28 @@ fn warm_parallel_run_reuses_spmd_workers() {
 #[test]
 fn warm_cache_replay_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
-    // the same contract one level down: PlanCache::replay_seq on a hit
+    // the same contract one level down: PlanCache::replay on a hit
     let mut prog = stencil_program(STAGED_N);
     let mut arrays = std::mem::take(&mut prog.arrays);
     let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
     let n = 24i64;
-    let stmt = Assignment::new(
+    let stmts = [Assignment::new(
         0,
         Section::from_triplets(vec![span(2, n - 1), span(2, n - 1)]),
         vec![Term::new(1, Section::from_triplets(vec![span(1, n - 2), span(2, n - 1)]))],
         Combine::Copy,
         &doms,
     )
-    .unwrap();
+    .unwrap()];
     let mut cache = PlanCache::new();
-    cache.replay_seq(&mut arrays, &stmt).unwrap();
+    let mut backend = SharedMemBackend::new();
+    cache.replay(&mut arrays, &stmts, true, &mut backend).unwrap();
 
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..3 {
-        cache.replay_seq(&mut arrays, &stmt).unwrap();
+        cache.replay(&mut arrays, &stmts, true, &mut backend).unwrap();
     }
     let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "warm replay_seq must not allocate");
+    assert_eq!(after - before, 0, "warm replay must not allocate");
     assert_eq!((cache.hits(), cache.misses()), (3, 1));
 }
