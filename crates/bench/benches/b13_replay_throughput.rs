@@ -1,13 +1,13 @@
-//! B13 — warm replay throughput of the run-length compressed schedules.
+//! B13 — warm replay throughput of the strided-run schedules.
 //!
 //! Measures elements/second of a warm (cached-plan, preallocated
 //! workspace, zero-allocation) one-statement `Session` step on the
 //! `SharedMem` backend for three statement shapes — 1-D
 //! shift, 2-D 5-point stencil, and a block↔cyclic redistribution copy
 //! ("cyclic transpose") — each under BLOCK and CYCLIC(1) distributions, to
-//! show the coalescing spread: block mappings compress to a handful of
-//! `copy_from_slice` runs per processor, while CYCLIC(1) degenerates to
-//! length-1 runs. The `elementwise` variants replay the *same plans*
+//! show the spread: block mappings compress to a handful of
+//! `copy_from_slice` runs per processor, a BLOCK↔CYCLIC(1) reference to
+//! one strided gather per processor pair. The `elementwise` variants replay the *same plans*
 //! through the expanded per-element path
 //! ([`ExecPlan::execute_seq_uncompressed`]) — the pre-compression
 //! baseline the acceptance criterion compares against.
@@ -119,7 +119,7 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // block ← cyclic(1) redistribution copy: all-to-all, length-1 runs
+    // block ← cyclic(1) redistribution copy: all-to-all, one strided run per pair
     let n = 65_536i64;
     let (arrays, stmt) = cyclic_transpose(n, 8);
     let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();

@@ -63,6 +63,12 @@ fn measure(elems: usize, budget: Duration, reps: usize, mut replay: impl FnMut()
     best
 }
 
+/// A hardware-neutral hard floor: both rates come from this process on
+/// this machine, so the bound holds whatever the committed baselines say.
+fn hard_floor(what: &str, ratio: f64, floor: f64) {
+    assert!(ratio >= floor, "{what} must reach >= {floor}, got {ratio:.3}");
+}
+
 struct Entry {
     name: &'static str,
     value: f64,
@@ -85,19 +91,22 @@ impl Entry {
 fn measure_b13(budget: Duration, reps: usize) -> Vec<Entry> {
     let mut out = Vec::new();
     let n1 = 65_536i64;
-    for (fmt, name) in [
-        (FormatSpec::Block, "shift_1d_block"),
-        (FormatSpec::Cyclic(1), "shift_1d_cyclic1"),
-    ] {
+    let [block_shift, cyclic_shift] = [FormatSpec::Block, FormatSpec::Cyclic(1)].map(|fmt| {
         let a = arrays_1d(n1, 8, &fmt);
         let s = shift_1d(n1, &a);
         let elems = replay_elements(&ExecPlan::inspect(&a, &s).unwrap());
         let mut session = statement_session(a, &s, Backend::SharedMem);
-        let rate = measure(elems, budget, reps, || {
+        measure(elems, budget, reps, || {
             session.run(1).expect("no faults injected");
-        });
-        out.push(Entry::rate(name, rate));
-    }
+        })
+    });
+    out.push(Entry::rate("shift_1d_block", block_shift));
+    out.push(Entry::rate("shift_1d_cyclic1", cyclic_shift));
+    // hard floor, independent of the committed baseline: the cyclic shift
+    // moves every element through one contiguous message per pair, which
+    // may cost at most ~8x the in-place block shift (measured 0.18–0.21)
+    hard_floor("shift_1d_cyclic1 / shift_1d_block", cyclic_shift / block_shift, 0.12);
+    out.push(Entry::ratio("shift_1d_cyclic1_vs_block", cyclic_shift / block_shift));
     let n2 = 192i64;
     for (fmt, name) in [
         (FormatSpec::Block, "stencil_2d_block"),
@@ -150,6 +159,11 @@ fn measure_b13(budget: Duration, reps: usize) -> Vec<Entry> {
         session.run(1).expect("no faults injected");
     });
     out.push(Entry::rate("cyclic_transpose", rate));
+    // hard floor for the strided-run schedule: BLOCK against CYCLIC(1) is a
+    // strided gather per processor pair, not a schedule entry per element
+    // (measured 0.12–0.13; 0.022 with per-element runs)
+    hard_floor("cyclic_transpose / shift_1d_block", rate / block_shift, 0.07);
+    out.push(Entry::ratio("cyclic_transpose_vs_shift_1d_block", rate / block_shift));
     out
 }
 

@@ -73,7 +73,7 @@ fn usage() -> ! {
          --verify     statically verify every compiled plan, then check the\n\
          \x20            distributed result element-for-element against the\n\
          \x20            dense oracle\n\
-         --stats      print plan-cache, fusion, and wire-traffic statistics\n\
+         --stats      print plan-cache, fusion, schedule-size, and wire-traffic statistics\n\
          --adapt      adaptive redistribution: watch measured per-rank load\n\
          \x20            and remap live when a rebalance pays for itself\n\
          --checkpoint-dir D   run fault-tolerantly, snapshotting distributed\n\
@@ -352,6 +352,13 @@ fn main() -> ExitCode {
             fs.messages_before,
             fs.messages_after,
             fs.ghost_bytes_avoided()
+        );
+        let runs = lowered.program.plan_schedule_runs();
+        println!(
+            "  schedule: {} run(s), {} byte(s), ×{:.1} compression",
+            runs,
+            lowered.program.plan_schedule_bytes(),
+            lowered.program.plan_schedule_elements() as f64 / runs.max(1) as f64
         );
         println!(
             "  wire: {} byte(s) sent, {} SPMD worker(s) spawned",

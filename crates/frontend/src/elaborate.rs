@@ -437,31 +437,35 @@ impl Ctx {
                         subs.len()
                     )));
                 }
-                let sets: Vec<Vec<i64>> = ranges.iter().map(|t| t.iter().collect()).collect();
-                let lens: Vec<usize> = sets.iter().map(|s| s.len()).collect();
+                // names resolve once; a point of the domain costs arithmetic only
+                let mut bound_subs = Vec::with_capacity(subs.len());
+                for sd in subs {
+                    match sd {
+                        SectionDimAst::Scalar(e) => bound_subs.push(self.env.bind(e, &dummies)?),
+                        SectionDimAst::Triplet { .. } => {
+                            return Err(FrontendError::Parse {
+                                line,
+                                what: "subscript triplets are not allowed in a FORALL \
+                                       assignment"
+                                    .into(),
+                            })
+                        }
+                    }
+                }
+                let bound_value = self.env.bind(value, &dummies)?;
+                let lens: Vec<usize> = ranges.iter().map(Triplet::len).collect();
                 let total: usize = lens.iter().product();
                 let mut elements = Vec::with_capacity(total);
+                let mut point = vec![0i64; indices.len()];
                 for flat in 0..total {
                     let mut rem = flat;
-                    let mut overlay = HashMap::new();
-                    for (k, ix) in indices.iter().enumerate() {
-                        overlay.insert(ix.name.clone(), sets[k][rem % lens[k]]);
+                    for (k, t) in ranges.iter().enumerate() {
+                        point[k] = t.nth(rem % lens[k]).expect("within the range");
                         rem /= lens[k];
                     }
                     let mut idx = Idx::SCALAR;
-                    for sd in subs {
-                        let v = match sd {
-                            SectionDimAst::Scalar(e) => self.env.eval_with(e, &overlay)?,
-                            SectionDimAst::Triplet { .. } => {
-                                return Err(FrontendError::Parse {
-                                    line,
-                                    what: "subscript triplets are not allowed in a FORALL \
-                                           assignment"
-                                        .into(),
-                                })
-                            }
-                        };
-                        idx.push(v);
+                    for sub in &bound_subs {
+                        idx.push(sub.eval(&point)?);
                     }
                     if !dom.contains(&idx) {
                         return Err(FrontendError::Eval(format!(
@@ -469,7 +473,7 @@ impl Ctx {
                             lhs.name, idx, dom
                         )));
                     }
-                    elements.push((idx, self.env.eval_with(value, &overlay)? as f64));
+                    elements.push((idx, bound_value.eval(&point)? as f64));
                 }
                 self.report.events.push(Event::Fill(FillEvent {
                     name: lhs.name.clone(),

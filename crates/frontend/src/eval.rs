@@ -18,6 +18,53 @@ pub struct Env {
     pub array_bounds: HashMap<String, Vec<(i64, i64)>>,
 }
 
+/// An expression whose names are resolved (see [`Env::bind`]): evaluating
+/// it at one point of a `FORALL` domain touches no name table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BoundExpr {
+    /// A literal, parameter or folded inquiry.
+    Const(i64),
+    /// The `FORALL` index in this slot.
+    Slot(usize),
+    /// `a + b`.
+    Add(Box<BoundExpr>, Box<BoundExpr>),
+    /// `a − b`.
+    Sub(Box<BoundExpr>, Box<BoundExpr>),
+    /// `a * b`.
+    Mul(Box<BoundExpr>, Box<BoundExpr>),
+    /// `a / b` (integer division).
+    Div(Box<BoundExpr>, Box<BoundExpr>),
+    /// `−a`.
+    Neg(Box<BoundExpr>),
+    /// `MAX(a, b)`.
+    Max(Box<BoundExpr>, Box<BoundExpr>),
+    /// `MIN(a, b)`.
+    Min(Box<BoundExpr>, Box<BoundExpr>),
+}
+
+impl BoundExpr {
+    /// Evaluate with `indices[k]` as the value of slot `k`.
+    pub fn eval(&self, indices: &[i64]) -> Result<i64, FrontendError> {
+        Ok(match self {
+            BoundExpr::Const(v) => *v,
+            BoundExpr::Slot(k) => indices[*k],
+            BoundExpr::Add(a, b) => a.eval(indices)? + b.eval(indices)?,
+            BoundExpr::Sub(a, b) => a.eval(indices)? - b.eval(indices)?,
+            BoundExpr::Mul(a, b) => a.eval(indices)? * b.eval(indices)?,
+            BoundExpr::Div(a, b) => {
+                let d = b.eval(indices)?;
+                if d == 0 {
+                    return Err(FrontendError::Eval("division by zero".into()));
+                }
+                a.eval(indices)? / d
+            }
+            BoundExpr::Neg(a) => -a.eval(indices)?,
+            BoundExpr::Max(a, b) => a.eval(indices)?.max(b.eval(indices)?),
+            BoundExpr::Min(a, b) => a.eval(indices)?.min(b.eval(indices)?),
+        })
+    }
+}
+
 impl Env {
     /// Evaluate a dummyless specification expression.
     pub fn eval(&self, e: &Expr) -> Result<i64, FrontendError> {
@@ -59,40 +106,35 @@ impl Env {
         }
     }
 
-    /// Evaluate an expression with an overlay of extra named values (the
-    /// `FORALL` index variables): overlay names shadow parameters.
-    pub fn eval_with(
+    /// Resolve the names of an expression once, for repeated evaluation
+    /// over a `FORALL` domain: a name in `slots` (the `FORALL` indices,
+    /// which shadow parameters) becomes its slot, every other leaf its
+    /// value.
+    pub fn bind(
         &self,
         e: &Expr,
-        overlay: &HashMap<String, i64>,
-    ) -> Result<i64, FrontendError> {
-        match e {
-            Expr::Name(n) => {
-                if let Some(v) = overlay.get(n) {
-                    return Ok(*v);
-                }
-                self.eval(e)
+        slots: &HashMap<String, usize>,
+    ) -> Result<BoundExpr, FrontendError> {
+        let pair = |a: &Expr, b: &Expr| -> Result<_, FrontendError> {
+            Ok((Box::new(self.bind(a, slots)?), Box::new(self.bind(b, slots)?)))
+        };
+        Ok(match e {
+            Expr::Name(n) => match slots.get(n) {
+                Some(&k) => BoundExpr::Slot(k),
+                None => BoundExpr::Const(self.eval(e)?),
+            },
+            Expr::Int(_) | Expr::LBound(..) | Expr::UBound(..) | Expr::Size(..) => {
+                BoundExpr::Const(self.eval(e)?)
             }
-            Expr::Int(_) => self.eval(e),
-            Expr::Add(a, b) => Ok(self.eval_with(a, overlay)? + self.eval_with(b, overlay)?),
-            Expr::Sub(a, b) => Ok(self.eval_with(a, overlay)? - self.eval_with(b, overlay)?),
-            Expr::Mul(a, b) => Ok(self.eval_with(a, overlay)? * self.eval_with(b, overlay)?),
-            Expr::Div(a, b) => {
-                let d = self.eval_with(b, overlay)?;
-                if d == 0 {
-                    return Err(FrontendError::Eval("division by zero".into()));
-                }
-                Ok(self.eval_with(a, overlay)? / d)
-            }
-            Expr::Neg(a) => Ok(-self.eval_with(a, overlay)?),
-            Expr::Max(a, b) => {
-                Ok(self.eval_with(a, overlay)?.max(self.eval_with(b, overlay)?))
-            }
-            Expr::Min(a, b) => {
-                Ok(self.eval_with(a, overlay)?.min(self.eval_with(b, overlay)?))
-            }
-            Expr::LBound(..) | Expr::UBound(..) | Expr::Size(..) => self.eval(e),
-        }
+            Expr::Add(a, b) => pair(a, b).map(|(a, b)| BoundExpr::Add(a, b))?,
+            Expr::Sub(a, b) => pair(a, b).map(|(a, b)| BoundExpr::Sub(a, b))?,
+            Expr::Mul(a, b) => pair(a, b).map(|(a, b)| BoundExpr::Mul(a, b))?,
+            // the divisor first, as evaluation takes it
+            Expr::Div(a, b) => pair(b, a).map(|(b, a)| BoundExpr::Div(a, b))?,
+            Expr::Neg(a) => BoundExpr::Neg(Box::new(self.bind(a, slots)?)),
+            Expr::Max(a, b) => pair(a, b).map(|(a, b)| BoundExpr::Max(a, b))?,
+            Expr::Min(a, b) => pair(a, b).map(|(a, b)| BoundExpr::Min(a, b))?,
+        })
     }
 
     /// Translate an alignment expression into a core [`AlignExpr`]: names
@@ -251,6 +293,25 @@ mod tests {
             Stmt::Parameter(p) => p[0].1.clone(),
             s => panic!("{s:?}"),
         }
+    }
+
+    #[test]
+    fn bound_expressions_evaluate_like_the_tree_they_came_from() {
+        let e = env();
+        // `N` names a FORALL index here and shadows the parameter
+        let slots: HashMap<String, usize> = [("I".to_string(), 0), ("N".to_string(), 1)].into();
+        let b = e.bind(&expr_of("MAX(2*I - M, N/2) + UBOUND(A, 2)"), &slots).unwrap();
+        for (i, n) in [(1, 8), (5, 2), (-3, 7)] {
+            assert_eq!(b.eval(&[i, n]).unwrap(), (2 * i - 3).max(n / 2) + 9);
+        }
+        // an unknown name fails when bound, a zero divisor where it occurs
+        assert!(matches!(
+            e.bind(&expr_of("I + Q"), &slots),
+            Err(FrontendError::UnknownParameter(q)) if q == "Q"
+        ));
+        let d = e.bind(&expr_of("M / (I - 2)"), &slots).unwrap();
+        assert_eq!(d.eval(&[3, 0]).unwrap(), 3);
+        assert!(matches!(d.eval(&[2, 0]), Err(FrontendError::Eval(_))));
     }
 
     #[test]

@@ -62,8 +62,21 @@ impl Triplet {
     /// Number of elements, by the Fortran rule
     /// `MAX((upper − lower + stride) / stride, 0)`.
     pub fn len(&self) -> usize {
-        let n = (self.upper as i128 - self.lower as i128 + self.stride as i128)
-            / self.stride as i128;
+        // 64-bit arithmetic whenever it cannot overflow (every per-element
+        // membership test lands here); the 128-bit form only for extents
+        // near the ends of the `i64` range
+        let narrow = self
+            .upper
+            .checked_sub(self.lower)
+            .and_then(|d| d.checked_add(self.stride))
+            .and_then(|d| if self.stride == 1 { Some(d) } else { d.checked_div(self.stride) });
+        let n = match narrow {
+            Some(n) => n as i128,
+            None => {
+                (self.upper as i128 - self.lower as i128 + self.stride as i128)
+                    / self.stride as i128
+            }
+        };
         if n <= 0 {
             0
         } else {
@@ -130,12 +143,25 @@ impl Triplet {
 
     /// Position of `v` in declaration order, or `None` if absent.
     pub fn position(&self, v: i64) -> Option<usize> {
-        let d = v as i128 - self.lower as i128;
-        let s = self.stride as i128;
-        if d % s != 0 {
-            return None;
-        }
-        let k = d / s;
+        // 64-bit arithmetic unless `v − lower` overflows (see `len`)
+        let k = match (v.checked_sub(self.lower), self.stride) {
+            (Some(d), 1) => d as i128,
+            (Some(d), -1) => -(d as i128),
+            (Some(d), s) => {
+                if d % s != 0 {
+                    return None;
+                }
+                (d / s) as i128
+            }
+            (None, _) => {
+                let d = v as i128 - self.lower as i128;
+                let s = self.stride as i128;
+                if d % s != 0 {
+                    return None;
+                }
+                d / s
+            }
+        };
         if k < 0 || k as usize >= self.len() {
             None
         } else {
@@ -332,6 +358,34 @@ mod tests {
         assert_eq!(t(5, 4, 1).len(), 0);
         assert_eq!(t(4, 5, -1).len(), 0);
         assert_eq!(t(7, 7, 5).len(), 1);
+    }
+
+    #[test]
+    fn len_and_position_agree_with_wide_arithmetic_at_the_ends_of_the_range() {
+        // the 64-bit fast paths must give what 128-bit arithmetic gives,
+        // also where `upper − lower`, `+ stride` or `v − lower` overflow
+        let wide_len = |tr: &Triplet| {
+            let n = (tr.upper as i128 - tr.lower as i128 + tr.stride as i128) / tr.stride as i128;
+            n.max(0) as usize
+        };
+        let wide_position = |tr: &Triplet, v: i64| {
+            let (d, s) = (v as i128 - tr.lower as i128, tr.stride as i128);
+            let k = d / s;
+            (d % s == 0 && k >= 0 && (k as usize) < wide_len(tr)).then_some(k as usize)
+        };
+        let ends = [i64::MIN, i64::MIN + 1, -7, -1, 0, 1, 6, i64::MAX - 1, i64::MAX];
+        let strides = [1, -1, 2, -2, 3, 1 << 40, -(1 << 40), i64::MAX, i64::MIN];
+        for &l in &ends {
+            for &u in &ends {
+                for &s in &strides {
+                    let tr = t(l, u, s);
+                    assert_eq!(tr.len(), wide_len(&tr), "{l}:{u}:{s}");
+                    for &v in &ends {
+                        assert_eq!(tr.position(v), wide_position(&tr, v), "{v} in {l}:{u}:{s}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use hpf_core::EffectiveDist;
-use hpf_index::{Idx, IndexDomain, Rect, Region};
+use hpf_index::{Idx, IndexDomain, Rect, Region, MAX_RANK};
 use hpf_procs::ProcId;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -200,12 +200,11 @@ impl<T: Clone> DistArray<T> {
     pub fn local_offset(&self, p: ProcId, i: &Idx) -> Option<usize> {
         let region = &self.regions[p.zero_based()];
         let bases = &self.rect_bases[p.zero_based()];
-        for (rect, &base) in region.rects().iter().zip(bases) {
-            if rect.contains(i) {
-                return Some(base + rect_position(rect, i));
-            }
-        }
-        None
+        region
+            .rects()
+            .iter()
+            .zip(bases)
+            .find_map(|(rect, &base)| Some(base + rect_position(rect, i)?))
     }
 
     /// Read-only view of processor `p0`'s (zero-based) local buffer.
@@ -241,11 +240,13 @@ impl<T: Clone> DistArray<T> {
     ///
     /// Walks each processor's region rects in local-buffer fill order and
     /// scatters the values to their linearized global positions — one pass
-    /// over the distributed storage, no per-element owner lookups or rect
-    /// scans (this is the oracle of every equivalence test, so its cost
-    /// dominates test time on large domains). Replicated mappings write
-    /// each element once per copy; the copies are coherent, so the
-    /// snapshot is the same whichever owner lands last.
+    /// over the distributed storage, a strided walk per rect (two position
+    /// lookups per dimension, then additions), no per-element owner
+    /// lookups, rect scans or index arithmetic (this is the oracle of
+    /// every equivalence test, so its cost dominates test time on large
+    /// domains). Replicated mappings write each element once per copy; the
+    /// copies are coherent, so the snapshot is the same whichever owner
+    /// lands last.
     ///
     /// # Panics
     /// Panics if the mapping leaves some element of the domain unowned.
@@ -256,11 +257,10 @@ impl<T: Clone> DistArray<T> {
             let buf: &[T] = buf;
             let mut k = 0usize;
             for rect in region.rects() {
-                for i in rect.iter() {
-                    let lin = dom.linearize(&i).expect("owned region is in the domain");
+                for_each_linear(dom, rect, |lin| {
                     dense[lin] = Some(buf[k].clone());
                     k += 1;
-                }
+                });
             }
         }
         dense
@@ -348,15 +348,78 @@ impl<T: Clone> DistArray<T> {
     }
 }
 
-/// Column-major position of `i` within a rect (assumes membership).
-pub(crate) fn rect_position(rect: &Rect, i: &Idx) -> usize {
+/// Call `f` with the column-major position in `dom` of every index of
+/// `rect`, in the rect's own column-major order. A rect dimension is an
+/// arithmetic progression of the domain's, so the position is affine in
+/// each rect coordinate: two [`Triplet::position`](hpf_index::Triplet)
+/// calls per dimension fix first position and step, and the walk itself
+/// is additions only.
+///
+/// # Panics
+/// Panics if the rect reaches outside the domain.
+fn for_each_linear(dom: &IndexDomain, rect: &Rect, mut f: impl FnMut(usize)) {
+    let rank = rect.rank();
+    assert_eq!(rank, dom.rank(), "rect and domain ranks differ");
+    if rect.is_empty() {
+        return;
+    }
+    let mut step = [0isize; MAX_RANK];
+    let mut len = [0usize; MAX_RANK];
+    let mut outer = 0isize;
+    let mut w = 1isize;
+    for (d, (t, dt)) in rect.dims().iter().zip(dom.dims()).enumerate() {
+        let at = |k: usize| {
+            let v = t.nth(k).expect("within the triplet");
+            dt.position(v).expect("owned region is in the domain") as isize
+        };
+        let p0 = at(0);
+        len[d] = t.len();
+        step[d] = if len[d] > 1 { (at(1) - p0) * w } else { 0 };
+        outer += p0 * w;
+        w *= dt.len() as isize;
+    }
+    if rank == 0 {
+        return f(0);
+    }
+    // `outer` is the position of `(first of dimension 0, cursor[1..])`
+    let mut cursor = [0usize; MAX_RANK];
+    loop {
+        let mut lin = outer;
+        for _ in 0..len[0] {
+            f(lin as usize);
+            lin += step[0];
+        }
+        let mut d = 1;
+        loop {
+            if d == rank {
+                return;
+            }
+            cursor[d] += 1;
+            outer += step[d];
+            if cursor[d] < len[d] {
+                break;
+            }
+            outer -= step[d] * len[d] as isize;
+            cursor[d] = 0;
+            d += 1;
+        }
+    }
+}
+
+/// Column-major position of `i` within a rect, `None` if the rect does
+/// not hold it — membership test and addressing in one pass over the
+/// dimensions.
+pub(crate) fn rect_position(rect: &Rect, i: &Idx) -> Option<usize> {
+    if i.rank() != rect.rank() {
+        return None;
+    }
     let mut pos = 0usize;
     let mut w = 1usize;
-    for (d, t) in rect.dims().iter().enumerate() {
-        pos += t.position(i[d]).expect("membership checked") * w;
+    for (t, &v) in rect.dims().iter().zip(i.as_slice()) {
+        pos += t.position(v)? * w;
         w *= t.len();
     }
-    pos
+    Some(pos)
 }
 
 #[cfg(test)]
@@ -398,6 +461,29 @@ mod tests {
         let empty: Shard<f64> = Shard::seated(512, 0, std::iter::empty());
         assert!(empty.is_empty());
         assert!(Shard::<f64>::default().is_empty());
+    }
+
+    #[test]
+    fn linear_walk_matches_per_index_linearization() {
+        use hpf_index::Triplet;
+        let t = |l, u, s| Triplet::new(l, u, s).unwrap();
+        let dom = IndexDomain::new(vec![t(0, 11, 1), t(-3, 21, 3), t(5, 5, 1)]).unwrap();
+        let rects = [
+            Rect::new(vec![t(1, 11, 2), t(0, 21, 6), t(5, 5, 1)]),
+            Rect::new(vec![t(10, 0, -5), t(21, -3, -3), t(5, 5, 1)]),
+            Rect::new(vec![t(4, 4, 1), t(3, 3, 3), t(5, 5, 1)]),
+            Rect::new(vec![t(4, 3, 1), t(-3, 21, 3), t(5, 5, 1)]),
+        ];
+        for rect in &rects {
+            let want: Vec<usize> = rect.iter().map(|i| dom.linearize(&i).unwrap()).collect();
+            let mut got = Vec::new();
+            for_each_linear(&dom, rect, |lin| got.push(lin));
+            assert_eq!(got, want, "{rect}");
+        }
+        let scalar = IndexDomain::new(vec![]).unwrap();
+        let mut got = Vec::new();
+        for_each_linear(&scalar, &Rect::new(vec![]), |lin| got.push(lin));
+        assert_eq!(got, vec![0]);
     }
 
     #[test]

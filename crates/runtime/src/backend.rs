@@ -4,8 +4,8 @@
 //! * At inspect time, each plan's remote [`CopyRun`]s are **regrouped into
 //!   per-`(sender, receiver)` message schedules** — a [`MessagePlan`]
 //!   holding one [`PairSchedule`] per communicating processor pair, each a
-//!   list of [`MsgSegment`]s (what the sender packs, where the receiver
-//!   unpacks). This is exactly the vectorized-message aggregation the
+//!   list of strided [`MsgSegment`]s (what the sender gathers into the
+//!   message, where the receiver scatters it). This is exactly the vectorized-message aggregation the
 //!   machine model prices: one message per pair per statement. A
 //!   [`ProgramPlan`] coalesces them per superstep.
 //! * [`ExchangeBackend`] abstracts *how* those messages move, and it is
@@ -167,9 +167,14 @@ impl From<ExchangeError> for HpfError {
     }
 }
 
-/// One contiguous piece of a pair's message: `len` elements read from the
-/// sender's local buffer of array `array` at `src_off`, landing in the
-/// receiver's packed operand buffer for term `term` at `dst_off`.
+/// One strided piece of a pair's message — a remote [`CopyRun`] seen from
+/// the wire: `len` elements read from the sender's local buffer of array
+/// `array` at `src_off + i·src_stride` (the sender's pack is a strided
+/// gather into the message), landing in the receiver's packed operand
+/// buffer for term `term` at `dst_off + i·dst_stride` (the unpack is a
+/// strided scatter).
+///
+/// [`CopyRun`]: crate::CopyRun
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgSegment {
     /// RHS term index the data feeds (selects the receiver's operand
@@ -177,10 +182,14 @@ pub struct MsgSegment {
     pub term: usize,
     /// Operand array index (selects the sender's local buffer).
     pub array: usize,
-    /// Flat offset into the sender's local buffer.
+    /// First flat offset into the sender's local buffer.
     pub src_off: usize,
-    /// Position in the receiver's packed operand buffer for `term`.
+    /// Distance between consecutive source offsets.
+    pub src_stride: usize,
+    /// First position in the receiver's packed operand buffer for `term`.
     pub dst_off: usize,
+    /// Distance between consecutive packed positions.
+    pub dst_stride: usize,
     /// Elements moved.
     pub len: usize,
 }
@@ -264,7 +273,9 @@ impl MessagePlan {
                         term: t,
                         array: ts.array,
                         src_off: r.src_off,
+                        src_stride: r.src_stride,
                         dst_off: r.dst_off,
+                        dst_stride: r.dst_stride,
                         len: r.len,
                     });
                 }

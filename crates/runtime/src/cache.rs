@@ -230,11 +230,23 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
-    /// Bytes held by the compressed schedules of every cached plan (see
-    /// [`ExecPlan::schedule_bytes`]) — what the run-length compression
+    /// Bytes held by the schedules of every cached plan (see
+    /// [`ExecPlan::schedule_bytes`]) — what the strided-run representation
     /// makes observable.
     pub fn schedule_bytes(&self) -> usize {
         self.entries.values().map(|plan| plan.schedule_bytes()).sum()
+    }
+
+    /// Runs in the schedules of every cached plan (see
+    /// [`ExecPlan::schedule_runs`]).
+    pub fn schedule_runs(&self) -> usize {
+        self.entries.values().map(|plan| plan.schedule_runs()).sum()
+    }
+
+    /// Element entries the same schedules would hold uncompressed (see
+    /// [`ExecPlan::schedule_elements`]).
+    pub fn schedule_elements(&self) -> usize {
+        self.entries.values().map(|plan| plan.schedule_elements()).sum()
     }
 
     /// Drop every cached plan, including the fused program plan

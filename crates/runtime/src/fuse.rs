@@ -25,9 +25,11 @@
 //!    vectorized message per pair per superstep instead of one per pair
 //!    per statement.
 //! 3. **Ghost-region reuse** — each coalesced segment is a dirty-tracking
-//!    *unit*. At compile time the fused plan computes, from store-run /
-//!    source-interval intersections, which statements overwrite each
-//!    unit's source data; at run time a [`FusedState`] combines that with
+//!    *unit*: a strided progression of source offsets on the sending
+//!    shard. At compile time the fused plan computes, from exact store-run
+//!    / source-progression intersections (a store that lands *between* two
+//!    elements of a strided unit does not touch it), which statements
+//!    overwrite each unit's source data; at run time a [`FusedState`] combines that with
 //!    per-shard write epochs (see `DistArray::shard_version`) to skip
 //!    re-sending units whose receiver-side copy is still current. The
 //!    receiving buffers persist across timesteps, so a skipped unit's data
@@ -47,14 +49,16 @@
 
 use crate::array::DistArray;
 use crate::assign::Assignment;
-use crate::plan::ExecPlan;
+use crate::plan::{copy_strided, ExecPlan};
 use crate::workspace::FusedWorkspace;
 use std::sync::Arc;
 
-/// One contiguous piece of a coalesced message, tied back to the
-/// statement it feeds: `len` elements from shard `sender` of array
-/// `array` at `src_off`, landing in statement `stmt`'s packed operand
-/// buffer for term `term` at `dst_off` on the receiver. Also the
+/// One strided piece of a coalesced message, tied back to the statement
+/// it feeds: `len` elements from shard `sender` of array `array` at
+/// `src_off + i·src_stride`, landing in statement `stmt`'s packed operand
+/// buffer for term `term` at `dst_off + i·dst_stride` on the receiver — a
+/// constituent [`MsgSegment`](crate::MsgSegment), or the sub-progression
+/// of one between two write boundaries (same strides). Also the
 /// granularity of ghost dirty tracking (`unit` indexes the plan's
 /// [`UnitMeta`] table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,10 +69,14 @@ pub struct FusedSegment {
     pub term: usize,
     /// Operand array index (selects the sender's local buffer).
     pub array: usize,
-    /// Flat offset into the sender's local shard.
+    /// First flat offset into the sender's local shard.
     pub src_off: usize,
-    /// Position in the receiver's packed operand buffer for `term`.
+    /// Distance between consecutive source offsets.
+    pub src_stride: usize,
+    /// First position in the receiver's packed operand buffer for `term`.
     pub dst_off: usize,
+    /// Distance between consecutive packed positions.
+    pub dst_stride: usize,
     /// Elements moved.
     pub len: usize,
     /// Index into [`ProgramPlan::units`] — the segment's dirty-tracking
@@ -101,28 +109,31 @@ pub struct FusedPair {
 }
 
 /// Compile-time dirty-tracking metadata for one coalesced segment: where
-/// its source data lives and which program statements overwrite it.
+/// its source data lives — the offsets `src_off + i·src_stride`, `i < len`,
+/// of one shard — and which program statements overwrite it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitMeta {
     /// Source array index.
     pub array: usize,
     /// Zero-based source shard (the sending processor).
     pub shard: usize,
-    /// Flat source interval start within the shard.
+    /// First flat source offset within the shard.
     pub src_off: usize,
-    /// Source interval length in elements.
+    /// Distance between consecutive source offsets.
+    pub src_stride: usize,
+    /// Source elements.
     pub len: usize,
     /// Home superstep of the pair the unit belongs to.
     pub superstep: usize,
     /// True iff some statement in a superstep *before* the unit's pack
-    /// phase writes its source interval: the unit must then be re-sent
-    /// every timestep regardless of its cross-timestep dirty bit, because
-    /// the current timestep changes the data before it is staged. Always
-    /// true in a plan compiled unfused.
+    /// phase writes one of its source elements: the unit must then be
+    /// re-sent every timestep regardless of its cross-timestep dirty bit,
+    /// because the current timestep changes the data before it is staged.
+    /// Always true in a plan compiled unfused.
     pub intra_dirty: bool,
     /// True iff some statement at or after the unit's home superstep
-    /// writes its source interval: the receiver's copy is stale *after*
-    /// the timestep, so the unit re-enters the next timestep dirty.
+    /// writes one of its source elements: the receiver's copy is stale
+    /// *after* the timestep, so the unit re-enters the next timestep dirty.
     pub post_dirty: bool,
 }
 
@@ -163,16 +174,40 @@ pub(crate) fn merge_intervals(mut iv: Vec<(usize, usize)>) -> Vec<(usize, usize)
     out
 }
 
-/// Does any interval of the sorted disjoint list intersect `[start, end)`?
-pub(crate) fn intersects(iv: &[(usize, usize)], start: usize, end: usize) -> bool {
-    let i = iv.partition_point(|&(_, e)| e <= start);
-    i < iv.len() && iv[i].0 < end
+/// The elements of the progression `off + i·stride`, `i < len`, that the
+/// sorted disjoint interval list `iv` covers, as maximal index ranges
+/// `[lo, hi)` in ascending order — exact: an interval lying strictly
+/// between two elements hits nothing. `stride ≥ 1`.
+pub(crate) fn hit_ranges(
+    iv: &[(usize, usize)],
+    off: usize,
+    stride: usize,
+    len: usize,
+) -> impl Iterator<Item = (usize, usize)> + '_ {
+    // index of the first element at or after offset `x`
+    let first_at = move |x: usize| x.saturating_sub(off).div_ceil(stride).min(len);
+    let end = crate::plan::span_end(off, stride, len);
+    let mut ranges = iv[iv.partition_point(|&(_, e)| e <= off)..]
+        .iter()
+        .take_while(move |&&(s, _)| s < end)
+        .map(move |&(s, e)| (first_at(s), first_at(e)))
+        .filter(|&(lo, hi)| lo < hi)
+        .peekable();
+    std::iter::from_fn(move || {
+        let (lo, mut hi) = ranges.next()?;
+        while let Some(&(_, h)) = ranges.peek().filter(|r| r.0 == hi) {
+            hi = h;
+            ranges.next();
+        }
+        Some((lo, hi))
+    })
 }
 
 impl ProgramPlan {
     /// Compile the fused schedule for one timestep: level-schedule the
     /// statements, coalesce their message plans per superstep, and derive
-    /// the static dirty/phase metadata from store-run intersections.
+    /// the static dirty/phase metadata from exact store-run /
+    /// source-progression intersections.
     ///
     /// `plans[s]` must be the compiled plan of `stmts[s]` against the
     /// current mappings (the `PlanCache` resolves them; direct callers can
@@ -237,12 +272,14 @@ impl ProgramPlan {
         // 3. coalesce messages: all constituent segments of one
         // superstep's statements sharing a (sender, receiver) pair merge
         // into one fused message, in (superstep, sender, receiver) order.
-        // Each constituent segment is split at the boundaries of the
-        // statically-known store intervals on its source shard, so a
-        // never-written stretch (e.g. a fixed boundary element a stencil
-        // reads but no sweep updates) gets its own dirty-tracking unit —
-        // ghost validity is decided per homogeneous stretch, not per
-        // whole gather run.
+        // Each constituent segment is split where the set of statements
+        // writing its source elements changes, so a never-written stretch
+        // (e.g. a fixed boundary element a stencil reads but no sweep
+        // updates) gets its own dirty-tracking unit — ghost validity is
+        // decided per homogeneous stretch, not per whole gather run. The
+        // boundaries are element indices into the segment's progression,
+        // from the exact progression-vs-store-interval test: stores that
+        // fall between the elements of a strided segment cut nothing.
         let mut messages_before = 0usize;
         let mut map: std::collections::BTreeMap<(usize, u32, u32), Vec<FusedSegment>> =
             std::collections::BTreeMap::new();
@@ -253,22 +290,14 @@ impl ProgramPlan {
             for pair in msgs.pairs() {
                 let bucket = map.entry((level[s], pair.sender, pair.receiver)).or_default();
                 for seg in &pair.segments {
-                    let (start, end) = (seg.src_off, seg.src_off + seg.len);
                     cuts.clear();
-                    cuts.push(start);
-                    for (w, stmt) in stmts.iter().enumerate() {
-                        if stmt.lhs != seg.array {
-                            continue;
-                        }
-                        for &(ws, we) in &writes[w][pair.sender as usize] {
-                            for c in [ws, we] {
-                                if c > start && c < end {
-                                    cuts.push(c);
-                                }
-                            }
+                    cuts.extend([0, seg.len]);
+                    for (w, _) in stmts.iter().enumerate().filter(|(_, st)| st.lhs == seg.array) {
+                        let written = &writes[w][pair.sender as usize];
+                        for (lo, hi) in hit_ranges(written, seg.src_off, seg.src_stride, seg.len) {
+                            cuts.extend([lo, hi]);
                         }
                     }
-                    cuts.push(end);
                     cuts.sort_unstable();
                     cuts.dedup();
                     for w in cuts.windows(2) {
@@ -276,8 +305,10 @@ impl ProgramPlan {
                             stmt: s,
                             term: seg.term,
                             array: seg.array,
-                            src_off: w[0],
-                            dst_off: seg.dst_off + (w[0] - start),
+                            src_off: seg.src_off + w[0] * seg.src_stride,
+                            src_stride: seg.src_stride,
+                            dst_off: seg.dst_off + w[0] * seg.dst_stride,
+                            dst_stride: seg.dst_stride,
                             len: w[1] - w[0],
                             unit: 0, // assigned below
                         });
@@ -302,11 +333,14 @@ impl ProgramPlan {
                 let (mut intra, mut post) = (!fused, false);
                 for (w, stmt) in stmts.iter().enumerate() {
                     if stmt.lhs != seg.array
-                        || !intersects(
+                        || hit_ranges(
                             &writes[w][sender as usize],
                             seg.src_off,
-                            seg.src_off + seg.len,
+                            seg.src_stride,
+                            seg.len,
                         )
+                        .next()
+                        .is_none()
                     {
                         continue;
                     }
@@ -321,6 +355,7 @@ impl ProgramPlan {
                     array: seg.array,
                     shard: sender as usize,
                     src_off: seg.src_off,
+                    src_stride: seg.src_stride,
                     len: seg.len,
                     superstep,
                     intra_dirty: intra,
@@ -383,12 +418,6 @@ impl ProgramPlan {
         self.plans.iter().all(|p| p.is_valid_for(arrays))
     }
 
-    /// Elements pair `k` actually ships under the effective-send mask
-    /// `eff` (indexed by unit).
-    pub(crate) fn pair_eff_elements(&self, k: usize, eff: &[bool]) -> usize {
-        self.pairs[k].segments.iter().filter(|s| eff[s.unit]).map(|s| s.len).sum()
-    }
-
     /// Mutable access to the coalesced pairs.
     ///
     /// Only for mutation tests that corrupt a frozen fused schedule to
@@ -428,13 +457,11 @@ pub struct FusedState {
     /// Effective-send mask of the current timestep; `Arc` so the
     /// `Channels` driver can ship it to the workers without copying.
     eff: Arc<Vec<bool>>,
-    /// Effective elements per coalesced pair under the current mask —
-    /// the executors' O(1) whole-pair skip (a cyclic gather degrades to
-    /// per-element segments, so anything per-segment is the hot path).
-    pair_eff: Vec<u64>,
-    /// Bumped whenever the mask is rebuilt, so `Channels` workers can
-    /// cache their per-pair filter results across steady warm timesteps.
-    eff_version: u64,
+    /// Effective elements per coalesced pair under the current mask — the
+    /// executors' O(1) whole-pair skip and the length each `Channels`
+    /// message must have; `Arc` so it ships to the workers beside the mask
+    /// it was built with.
+    pair_eff: Arc<Vec<u64>>,
     /// True while `eff`/`pair_eff` match `dirty` — steady warm timesteps
     /// skip every per-unit pass.
     eff_current: bool,
@@ -468,8 +495,7 @@ impl FusedState {
         FusedState {
             dirty: vec![true; plan.units.len()],
             eff: Arc::new(vec![false; plan.units.len()]),
-            pair_eff: vec![0; plan.pairs.len()],
-            eff_version: 0,
+            pair_eff: Arc::new(vec![0; plan.pairs.len()]),
             eff_current: false,
             dirty_is_post: false,
             eff_ranges: vec![(0, 0); plan.pairs.len()],
@@ -489,9 +515,9 @@ impl FusedState {
     /// out-of-band shard writes detected via the write epochs, and build
     /// the effective-send mask (`dirty ∨ intra_dirty`).
     ///
-    /// The expensive passes here are all O(units), and a cyclic gather
-    /// degrades to per-element units — so the steady warm state must not
-    /// touch them. The out-of-band probe is O(arrays × shards); when it
+    /// The expensive passes here are all O(units), and a strided LHS
+    /// (red-black) or a misaligned `CYCLIC(k)` still has a unit per few
+    /// elements — so the steady warm state must not touch them. The out-of-band probe is O(arrays × shards); when it
     /// is quiet, the domain is unchanged, and the mask already matches
     /// the dirty bits, the previous timestep's mask, per-pair totals and
     /// segment lists are all still exact and the call returns
@@ -539,8 +565,9 @@ impl FusedState {
         self.last_avoided = avoided;
         self.eff_segs.clear();
         let mut start = 0u32;
+        let pair_eff = Arc::make_mut(&mut self.pair_eff);
         for ((range, elems), pair) in
-            self.eff_ranges.iter_mut().zip(self.pair_eff.iter_mut()).zip(&plan.pairs)
+            self.eff_ranges.iter_mut().zip(pair_eff.iter_mut()).zip(&plan.pairs)
         {
             let mut n = 0u64;
             for (i, seg) in pair.segments.iter().enumerate() {
@@ -554,7 +581,6 @@ impl FusedState {
             *elems = n;
             start = end;
         }
-        self.eff_version = self.eff_version.wrapping_add(1);
         self.eff_current = true;
     }
 
@@ -564,16 +590,15 @@ impl FusedState {
         &self.eff_segs[lo as usize..hi as usize]
     }
 
-    /// Monotone stamp of the current mask, bumped on every rebuild — lets
-    /// the `Channels` workers cache their per-pair filter results across
-    /// steady warm timesteps.
-    pub fn eff_version(&self) -> u64 {
-        self.eff_version
-    }
-
     /// The mask as a shareable handle (for the `Channels` driver).
     pub fn eff_arc(&self) -> Arc<Vec<bool>> {
         self.eff.clone()
+    }
+
+    /// The elements each pair ships under the current mask, as a
+    /// shareable handle (for the `Channels` driver).
+    pub fn pair_eff_arc(&self) -> Arc<Vec<u64>> {
+        self.pair_eff.clone()
     }
 
     /// Elements the current timestep's mask ships.
@@ -700,9 +725,10 @@ impl std::fmt::Display for FusionStats {
 }
 
 /// Stage the effective segments of every fused pair hoisted to `phase`
-/// into its staging buffer and deliver them into the per-statement packed
-/// operand buffers — the workspace executors' exchange leg. Returns the
-/// elements staged.
+/// into its staging buffer (a strided gather per segment, the message as
+/// it would ride the wire) and deliver them into the per-statement packed
+/// operand buffers (a strided scatter per segment) — the workspace
+/// executors' exchange leg. Returns the elements staged.
 fn stage_phase(
     plan: &ProgramPlan,
     arrays: &[DistArray<f64>],
@@ -720,18 +746,16 @@ fn stage_phase(
         let mut off = 0usize;
         for &i in segs {
             let seg = &pair.segments[i as usize];
-            let src =
-                &arrays[seg.array].local(pair.sender as usize)[seg.src_off..seg.src_off + seg.len];
-            stage[off..off + seg.len].copy_from_slice(src);
+            let shard = arrays[seg.array].local(pair.sender as usize);
+            copy_strided(stage, (off, 1), shard, (seg.src_off, seg.src_stride), seg.len);
             off += seg.len;
         }
         staged_total += off as u64;
         let mut off = 0usize;
         for &i in segs {
             let seg = &pair.segments[i as usize];
-            ws.per_stmt[seg.stmt].bufs[pair.receiver as usize][seg.term]
-                [seg.dst_off..seg.dst_off + seg.len]
-                .copy_from_slice(&stage[off..off + seg.len]);
+            let buf = &mut ws.per_stmt[seg.stmt].bufs[pair.receiver as usize][seg.term];
+            copy_strided(buf, (seg.dst_off, seg.dst_stride), stage, (off, 1), seg.len);
             off += seg.len;
         }
     }
@@ -920,9 +944,17 @@ mod tests {
     fn interval_helpers() {
         let merged = merge_intervals(vec![(5, 8), (0, 2), (2, 4), (7, 10)]);
         assert_eq!(merged, vec![(0, 4), (5, 10)]);
-        assert!(intersects(&merged, 3, 5));
-        assert!(!intersects(&merged, 4, 5));
-        assert!(intersects(&merged, 9, 20));
-        assert!(!intersects(&merged, 10, 20));
+        let hits = |off, stride, len| hit_ranges(&merged, off, stride, len).collect::<Vec<_>>();
+        // contiguous progressions: plain interval overlap
+        assert_eq!(hits(3, 1, 2), [(0, 1)]);
+        assert_eq!(hits(4, 1, 1), []);
+        assert_eq!(hits(3, 1, 4), [(0, 1), (2, 4)]);
+        assert_eq!(hits(9, 1, 11), [(0, 1)]);
+        assert_eq!(hits(10, 1, 10), []);
+        // strided: 4 falls in the gap, and hits in touching ranges merge
+        assert_eq!(hits(1, 3, 4), [(0, 1), (2, 3)], "1 ✓, 4 ✗, 7 ✓, 10 ✗");
+        assert_eq!(hits(3, 2, 4), [(0, 4)], "3 | 5 7 9 span both intervals, no gap between");
+        assert_eq!(hits(4, 6, 3), [], "4, 10, 16 all fall between or beyond");
+        assert_eq!(hits(0, 1, 0), []);
     }
 }

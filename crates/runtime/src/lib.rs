@@ -15,9 +15,10 @@
 //!   regular-section algebra (no per-element enumeration for affine
 //!   mappings);
 //! * [`ExecPlan`] / [`PlanCache`] — the inspector–executor split: a
-//!   statement is lowered **once** into per-processor *run-length
-//!   compressed* store/gather schedules ([`StoreRun`]/[`CopyRun`] block
-//!   transfers instead of per-element entries) plus a compute-piece table
+//!   statement is lowered **once** into per-processor store/gather
+//!   schedules of regular sections ([`StoreRun`] blocks and strided
+//!   [`CopyRun`]s — a BLOCK↔CYCLIC exchange costs a run per processor
+//!   pair, not per element) plus a compute-piece table
 //!   saying which local operands the kernel reads in place and which are
 //!   staged first, then replayed every timestep from a cache keyed by
 //!   statement shape and mapping identity;

@@ -7,22 +7,35 @@
 //! do: an [`ExecPlan`] is inspected **once** from an [`Assignment`] and the
 //! arrays' [`EffectiveDist`] mappings, and then replayed every timestep.
 //!
-//! Schedules are **run-length compressed**. Block and general-block
-//! mappings own rectangular regions, so the element sequence a processor
-//! reads from one peer is overwhelmingly made of contiguous stretches of
-//! that peer's local buffer. Instead of one `(src, offset)` entry per
+//! Schedules are lists of **strided runs**. The paper's owner and
+//! communication sets are closed-form regular sections: the elements one
+//! processor reads from one peer form arithmetic progressions both in the
+//! peer's local buffer and in the reader's element order — contiguous
+//! stretches between block mappings, stride-`np` triplets between a
+//! `BLOCK` and a `CYCLIC` array. Instead of one `(src, offset)` entry per
 //! element, a plan stores:
 //!
-//! * per RHS term, a list of [`CopyRun`]s — `len` consecutive elements of
-//!   one source processor's buffer, landing at a contiguous position range
-//!   of the packed operand buffer (remote runs are exactly the statement's
-//!   SUPERB-style ghost blocks, the paper's reference \[11\]); and
+//! * per RHS term, a list of [`CopyRun`]s — `len` elements of one source
+//!   processor's buffer at `src_off + i·src_stride`, landing at positions
+//!   `dst_off + i·dst_stride` of the packed operand buffer (remote runs
+//!   are exactly the statement's SUPERB-style ghost blocks, the paper's
+//!   reference \[11\]). Both strides 1 is the contiguous run; the
+//!   inspector grows maximal progressions *online*, one open run per
+//!   source processor, so `A(1:N) = B(1:N)` with `A` `BLOCK` and `B`
+//!   `CYCLIC` costs a run per processor pair, never a run per element.
+//!   The **invariant** is that a term's `dst` progressions *partition*
+//!   `0..elements` (every position filled exactly once); runs are stored
+//!   by ascending `dst_off`, but progressions from different sources
+//!   interleave, so they do not tile the element order contiguously; and
 //! * for the LHS, a list of [`StoreRun`]s — contiguous slices of the
-//!   owner's local buffer that receive consecutive computed elements.
+//!   owner's local buffer that receive consecutive computed elements
+//!   (`pos` ranges do tile `0..volume` in order; a strided LHS section
+//!   degrades to short store runs).
 //!
-//! A replay therefore moves data with `copy_from_slice` block transfers
-//! and combines operands with single-pass slice kernels specialized by
-//! `(Combine, term count)`, instead of per-element indexed loads.
+//! A replay therefore moves data with one strided gather/scatter per run
+//! ([`copy_strided`], a `copy_from_slice` block transfer when both strides
+//! are 1) and combines operands with single-pass slice kernels specialized
+//! by `(Combine, term count)`, instead of per-element indexed loads.
 //!
 //! ## What is staged and what is read in place
 //!
@@ -30,13 +43,14 @@
 //! distribution — the point of the paper's model — so a replay does not
 //! copy local operands anywhere. Each [`ProcPlan`] carries a
 //! **compute-piece table** ([`ProcPlan::pieces`]): its store runs refined
-//! at the run boundaries of every *direct* term. A piece names, per term,
+//! at the boundaries of every run read in place. A piece names, per term,
 //! either an offset into the processor's **own shard** (read in place by
 //! the kernel) or its position in the term's **packed operand buffer**.
 //! A replay is then stage → exchange → compute:
 //!
-//! * **stage** ([`pack_staged_runs`]) snapshots the local runs of the
-//!   *staged* terms only;
+//! * **stage** ([`pack_staged_runs`]) snapshots the *staged* local runs
+//!   only — every local run of a staged term, and the strided local runs
+//!   of a direct one;
 //! * **exchange** delivers every remote run (the ghost data) into the
 //!   packed buffers at its `dst_off` — the layout messages, fused
 //!   segments, and dirty tracking address;
@@ -53,11 +67,19 @@
 //!   snapshot. Any other array is not written by this statement, and the
 //!   executors compute a superstep's statements in program order, so an
 //!   in-place read sees exactly the values the pack would have copied;
-//! * its local runs average at least [`DIRECT_MIN_RUN`] elements. A
-//!   BLOCK↔CYCLIC reference degrades to length-1 runs; refining the store
-//!   runs at each of them would turn one long vectorized kernel call into
-//!   a table walk with a piece per element, which is slower and larger
-//!   than the block-copy pack it replaces. Such terms stay staged.
+//! * its **unit-stride** local runs (both strides 1) average at least
+//!   [`DIRECT_MIN_RUN`] elements. Only a unit-stride run is a slice the
+//!   kernel can read in place; refining the store runs at many short ones
+//!   would turn one long vectorized kernel call into a table walk, which
+//!   is slower and larger than the block-copy pack it replaces.
+//!
+//! A **strided local run stays staged**, in a direct term too: its
+//! elements are scattered over the element order (a BLOCK↔CYCLIC
+//! reference interleaves them with the ghosts of every other processor),
+//! so reading it in place would need a piece per element. One strided
+//! scatter into the packed buffer turns it into the contiguous operand
+//! the kernels want; a term whose local runs are all strided is simply
+//! not direct.
 //!
 //! Both are properties of the compiled schedule, identical for every
 //! executor, and [`crate::verify::verify_plan`] proves them. Reading in
@@ -96,19 +118,75 @@ pub struct GatherRef {
     pub offset: usize,
 }
 
-/// A run-length compressed gather: `len` consecutive elements of one
-/// source processor's local buffer, copied to a contiguous range of the
-/// packed operand buffer with a single `copy_from_slice`.
+/// A strided gather run — the one schedule entry: `len` elements of one
+/// source processor's local buffer at `src_off + i·src_stride`, copied to
+/// positions `dst_off + i·dst_stride` of the packed operand buffer
+/// (`i < len`). Both strides 1 is the contiguous run, moved with a single
+/// `copy_from_slice`. Strides are at least 1; a one-element run carries
+/// strides 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyRun {
     /// Zero-based source processor.
     pub src: u32,
-    /// Starting flat offset into the source processor's local buffer.
+    /// First flat offset into the source processor's local buffer.
     pub src_off: usize,
-    /// Starting position in the packed operand buffer (element order).
+    /// Distance between consecutive source offsets.
+    pub src_stride: usize,
+    /// First position in the packed operand buffer (element order).
     pub dst_off: usize,
-    /// Number of consecutive elements moved.
+    /// Distance between consecutive packed positions.
+    pub dst_stride: usize,
+    /// Number of elements moved.
     pub len: usize,
+}
+
+impl CopyRun {
+    /// True iff the run is contiguous on both sides — a slice the kernel
+    /// can read in place.
+    pub fn is_unit(&self) -> bool {
+        self.src_stride == 1 && self.dst_stride == 1
+    }
+}
+
+/// One past the largest offset of the progression `off + i·stride`,
+/// `i < len` (`off` itself when empty) — what a bounds check compares with
+/// the buffer extent. Saturates instead of overflowing, so a corrupted
+/// schedule entry is reported as out of bounds rather than wrapping into
+/// range.
+pub(crate) fn span_end(off: usize, stride: usize, len: usize) -> usize {
+    match len.checked_sub(1) {
+        None => off,
+        Some(steps) => off.saturating_add(steps.saturating_mul(stride)).saturating_add(1),
+    }
+}
+
+/// `dst[dst_off + i·dst_stride] = src[src_off + i·src_stride]` for
+/// `i < len` — the strided gather/scatter every run, message segment and
+/// fused segment is moved with. Contiguous on both sides it is one
+/// `copy_from_slice`.
+///
+/// # Panics
+/// Panics if either progression leaves its slice, or a stride is 0 on a
+/// run longer than one element.
+#[inline]
+pub(crate) fn copy_strided(
+    dst: &mut [f64],
+    (dst_off, dst_stride): (usize, usize),
+    src: &[f64],
+    (src_off, src_stride): (usize, usize),
+    len: usize,
+) {
+    // exact extents: a progression that leaves its buffer panics here
+    // instead of being cut short by the zip below
+    let dst = &mut dst[dst_off..span_end(dst_off, dst_stride, len)];
+    let src = &src[src_off..span_end(src_off, src_stride, len)];
+    if dst_stride == 1 && src_stride == 1 {
+        dst.copy_from_slice(src);
+    } else {
+        for (d, s) in dst.iter_mut().step_by(dst_stride).zip(src.iter().step_by(src_stride)) {
+            *d = *s;
+        }
+    }
 }
 
 /// A run-length compressed store: `len` consecutive computed elements
@@ -124,9 +202,9 @@ pub struct StoreRun {
     pub len: usize,
 }
 
-/// Minimum average length, in elements, of a term's local runs for the
-/// term to be read in place (see the module docs for why short runs stay
-/// staged).
+/// Minimum average length, in elements, of a term's unit-stride local
+/// runs for them to be read in place (see the module docs for why short
+/// runs stay staged).
 pub const DIRECT_MIN_RUN: usize = 32;
 
 /// Where one compute piece reads one term's operand from.
@@ -145,27 +223,47 @@ pub enum PieceSrc {
 pub struct TermSchedule {
     /// Index of the operand array.
     pub array: usize,
-    /// Compressed gather runs, covering the processor's element order
-    /// exactly (`dst_off` ranges tile `0..elements` in order).
+    /// Strided gather runs by ascending `dst_off`; their `dst`
+    /// progressions partition `0..elements` (every position filled exactly
+    /// once).
     pub runs: Vec<CopyRun>,
     /// Total elements gathered (the processor's computed volume).
     pub elements: usize,
     /// How many of the gathered elements are remote — the term's ghost
     /// volume on this processor.
     pub ghost_elements: usize,
-    /// True iff the kernel reads this term's local runs in place from the
-    /// processor's own shard (they are then never packed); false iff they
-    /// are staged into the packed operand buffer first.
+    /// True iff the kernel reads this term's unit-stride local runs in
+    /// place from the processor's own shard (they are then never packed);
+    /// false iff every local run is staged into the packed operand buffer
+    /// first. Strided local runs are staged either way.
     pub direct: bool,
 }
 
 impl TermSchedule {
-    /// Expand the compressed runs into the exact per-element
-    /// `(src, offset)` sequence an uncompressed schedule would hold.
+    /// Expand the runs into the exact per-element `(src, offset)` sequence
+    /// an uncompressed schedule would hold, in element order.
     pub fn iter_refs(&self) -> impl Iterator<Item = GatherRef> + '_ {
-        self.runs.iter().flat_map(|r| {
-            (0..r.len).map(move |i| GatherRef { src: r.src, offset: r.src_off + i })
-        })
+        let mut refs = vec![GatherRef { src: 0, offset: 0 }; self.elements];
+        for r in &self.runs {
+            for i in 0..r.len {
+                refs[r.dst_off + i * r.dst_stride] =
+                    GatherRef { src: r.src, offset: r.src_off + i * r.src_stride };
+            }
+        }
+        refs.into_iter()
+    }
+
+    /// True iff the kernel of processor `me` (zero-based) reads `run` in
+    /// place from its own shard: a unit-stride local run of a direct term.
+    pub(crate) fn in_place(&self, run: &CopyRun, me: u32) -> bool {
+        self.direct && run.src == me && run.is_unit()
+    }
+
+    /// True iff the stage phase of processor `me` snapshots `run` into the
+    /// packed operand buffer: a local run the kernel does not read in
+    /// place.
+    pub(crate) fn staged(&self, run: &CopyRun, me: u32) -> bool {
+        run.src == me && !self.in_place(run, me)
     }
 }
 
@@ -182,8 +280,8 @@ pub struct ProcPlan {
     pub lhs_runs: Vec<StoreRun>,
     /// Per-term gather schedules (parallel to the statement's terms).
     pub terms: Vec<TermSchedule>,
-    /// The compute-piece table: `lhs_runs` refined at the run boundaries
-    /// of every direct term, so each piece reads each operand from one
+    /// The compute-piece table: `lhs_runs` refined at the boundaries of
+    /// every run read in place, so each piece reads each operand from one
     /// contiguous source. Empty iff no term is direct — the kernel then
     /// walks `lhs_runs` with every operand packed.
     pub pieces: Vec<StoreRun>,
@@ -212,29 +310,27 @@ impl ProcPlan {
         }
     }
 
-    /// Refine `lhs_runs` at the run boundaries of every direct term into
+    /// Refine `lhs_runs` at the boundaries of every run read in place into
     /// the compute-piece table (both stay empty when no term is direct).
+    /// Packed positions need no cut: whatever run filled them, the packed
+    /// buffer is contiguous in element order.
     fn build_pieces(&mut self) {
         if !self.terms.iter().any(|ts| ts.direct) {
             return;
         }
         let me = self.proc.zero_based() as u32;
-        let mut cuts: Vec<usize> = self
-            .lhs_runs
-            .iter()
-            .map(|r| r.pos)
-            .chain(
-                self.terms
-                    .iter()
-                    .filter(|ts| ts.direct)
-                    .flat_map(|ts| ts.runs.iter().map(|r| r.dst_off)),
-            )
-            .collect();
+        let mut cuts: Vec<usize> = self.lhs_runs.iter().map(|r| r.pos).collect();
+        for ts in &self.terms {
+            for r in ts.runs.iter().filter(|r| ts.in_place(r, me)) {
+                cuts.extend([r.dst_off, r.dst_off + r.len]);
+            }
+        }
         cuts.push(self.volume);
         cuts.sort_unstable();
         cuts.dedup();
-        // store runs and every term's copy runs tile 0..volume in order,
-        // so one forward cursor each finds the run covering a piece
+        // store runs tile 0..volume in order and every term's runs are
+        // sorted by `dst_off`, so one forward cursor each finds the store
+        // run and the in-place run (if any) covering a piece
         let mut store = 0usize;
         let mut cursors = vec![0usize; self.terms.len()];
         for w in cuts.windows(2) {
@@ -245,18 +341,16 @@ impl ProcPlan {
             let sr = self.lhs_runs[store];
             self.pieces.push(StoreRun { pos, dst_off: sr.dst_off + (pos - sr.pos), len });
             for (ts, cur) in self.terms.iter().zip(cursors.iter_mut()) {
-                if !ts.direct {
-                    self.piece_srcs.push(PieceSrc::Packed);
-                    continue;
-                }
-                while ts.runs[*cur].dst_off + ts.runs[*cur].len <= pos {
+                while ts
+                    .runs
+                    .get(*cur)
+                    .is_some_and(|r| !ts.in_place(r, me) || r.dst_off + r.len <= pos)
+                {
                     *cur += 1;
                 }
-                let r = ts.runs[*cur];
-                self.piece_srcs.push(if r.src == me {
-                    PieceSrc::Own(r.src_off + (pos - r.dst_off))
-                } else {
-                    PieceSrc::Packed
+                self.piece_srcs.push(match ts.runs.get(*cur) {
+                    Some(r) if r.dst_off <= pos => PieceSrc::Own(r.src_off + (pos - r.dst_off)),
+                    _ => PieceSrc::Packed,
                 });
             }
         }
@@ -301,8 +395,9 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Inspect `stmt` over `arrays`: validate conformance, lower the
-    /// owner-computes iteration into per-processor compressed store/gather
-    /// runs, and freeze the exact communication analysis.
+    /// owner-computes iteration into per-processor store runs and strided
+    /// gather runs (grown online — the per-element list is never
+    /// materialised), and freeze the exact communication analysis.
     pub fn inspect(
         arrays: &[DistArray<f64>],
         stmt: &Assignment,
@@ -312,6 +407,10 @@ impl ExecPlan {
         let np = arrays[stmt.lhs].np();
 
         let mut per_proc = Vec::with_capacity(np);
+        // one open run per source processor (`len == 0`: none open)
+        let closed =
+            CopyRun { src: 0, src_off: 0, src_stride: 1, dst_off: 0, dst_stride: 1, len: 0 };
+        let mut open = vec![closed; np];
         for p in (1..=np as u32).map(ProcId) {
             let lhs_arr = &arrays[stmt.lhs];
             // the section-relative positions this processor computes
@@ -327,10 +426,10 @@ impl ExecPlan {
                     _ => lhs_runs.push(StoreRun { pos, dst_off: off, len: 1 }),
                 }
             }
+            let me = p.zero_based() as u32;
             let mut terms = Vec::with_capacity(stmt.terms.len());
             for (t, term) in stmt.terms.iter().enumerate() {
                 let src_arr = &arrays[term.array];
-                let own = src_arr.region_of(p);
                 let mut runs: Vec<CopyRun> = Vec::new();
                 let mut ghost_elements = 0usize;
                 for (k, rel) in positions.iter().enumerate() {
@@ -338,33 +437,57 @@ impl ExecPlan {
                     // prefer the processor's own copy (replication makes
                     // ownership non-exclusive); otherwise gather from the
                     // first owner — a ghost element
-                    let src = if own.contains(&ri) {
-                        p
-                    } else {
-                        ghost_elements += 1;
-                        src_arr.mapping().owner(&ri)
-                    };
-                    let offset = src_arr
-                        .local_offset(src, &ri)
-                        .expect("owner holds its region");
-                    let src0 = src.zero_based() as u32;
-                    match runs.last_mut() {
-                        Some(r) if r.src == src0 && r.src_off + r.len == offset => {
-                            r.len += 1
+                    let (src, offset) = match src_arr.local_offset(p, &ri) {
+                        Some(offset) => (p, offset),
+                        None => {
+                            ghost_elements += 1;
+                            let owner = src_arr.mapping().owner(&ri);
+                            let offset = src_arr
+                                .local_offset(owner, &ri)
+                                .expect("owner holds its region");
+                            (owner, offset)
                         }
-                        _ => runs.push(CopyRun {
-                            src: src0,
+                    };
+                    // grow the source processor's open progression, or
+                    // close it and open the next: the second element of a
+                    // run fixes its strides, every later one must continue
+                    // both progressions
+                    let r = &mut open[src.zero_based()];
+                    if r.len == 1 && offset > r.src_off {
+                        r.src_stride = offset - r.src_off;
+                        r.dst_stride = k - r.dst_off;
+                        r.len = 2;
+                    } else if r.len > 1
+                        && offset == r.src_off + r.len * r.src_stride
+                        && k == r.dst_off + r.len * r.dst_stride
+                    {
+                        r.len += 1;
+                    } else {
+                        if r.len > 0 {
+                            runs.push(*r);
+                        }
+                        *r = CopyRun {
+                            src: src.zero_based() as u32,
                             src_off: offset,
+                            src_stride: 1,
                             dst_off: k,
+                            dst_stride: 1,
                             len: 1,
-                        }),
+                        };
                     }
                 }
-                let me = p.zero_based() as u32;
-                let local_runs = runs.iter().filter(|r| r.src == me).count();
+                for r in open.iter_mut().filter(|r| r.len > 0) {
+                    runs.push(*r);
+                    r.len = 0;
+                }
+                runs.sort_unstable_by_key(|r| r.dst_off);
+                let (unit_runs, unit_elements) = runs
+                    .iter()
+                    .filter(|r| r.src == me && r.is_unit())
+                    .fold((0usize, 0usize), |(n, e), r| (n + 1, e + r.len));
                 let direct = term.array != stmt.lhs
-                    && local_runs > 0
-                    && volume - ghost_elements >= DIRECT_MIN_RUN * local_runs;
+                    && unit_runs > 0
+                    && unit_elements >= DIRECT_MIN_RUN * unit_runs;
                 terms.push(TermSchedule {
                     array: term.array,
                     runs,
@@ -480,7 +603,7 @@ impl ExecPlan {
         self.per_proc.iter().map(ProcPlan::ghost_elements).sum()
     }
 
-    /// Number of compressed runs in the schedule (store runs + copy runs,
+    /// Number of runs in the schedule (store runs + strided copy runs,
     /// over all processors and terms).
     pub fn schedule_runs(&self) -> usize {
         self.per_proc
@@ -502,8 +625,8 @@ impl ExecPlan {
             .sum()
     }
 
-    /// Memory held by the compressed schedule entries (store runs, copy
-    /// runs, and the compute-piece table), in bytes.
+    /// Memory held by the schedule entries (store runs, copy runs, and
+    /// the compute-piece table), in bytes.
     pub fn schedule_bytes(&self) -> usize {
         self.per_proc
             .iter()
@@ -533,9 +656,10 @@ impl ExecPlan {
             .sum()
     }
 
-    /// Element entries per compressed run — how much the run-length
-    /// compression collapsed the schedule (1.0 = no compression, e.g.
-    /// CYCLIC(1) gathers; ≫ 1 for block mappings).
+    /// Element entries per run — how much the strided-run representation
+    /// collapsed the schedule (≫ 1 between block and `CYCLIC` mappings;
+    /// near the block length for misaligned `CYCLIC(k)`; 1.0 = a run per
+    /// element, e.g. reversed sections).
     pub fn compression_ratio(&self) -> f64 {
         let runs = self.schedule_runs();
         if runs == 0 {
@@ -711,22 +835,21 @@ fn split_lhs(
     (lhs_arr, Others { before, after })
 }
 
-/// Stage phase for one processor: snapshot the local runs of every
-/// *staged* term from the processor's own shards (`own(k)` is its shard of
-/// array `k`) into the packed operand buffers. Direct terms are skipped —
-/// the kernel reads them in place — and remote positions are left for the
-/// exchange to fill.
+/// Stage phase for one processor: snapshot every *staged* local run (see
+/// [`TermSchedule::staged`]) from the processor's own shards (`own(k)` is
+/// its shard of array `k`) into the packed operand buffers — one strided
+/// gather/scatter per run. Runs read in place are skipped, and remote
+/// positions are left for the exchange to fill.
 pub(crate) fn pack_staged_runs<'a>(
     pp: &ProcPlan,
     packed: &mut [Vec<f64>],
     own: impl Fn(usize) -> &'a [f64],
 ) {
     let me = pp.proc.zero_based() as u32;
-    for (ts, buf) in pp.terms.iter().zip(packed).filter(|(ts, _)| !ts.direct) {
+    for (ts, buf) in pp.terms.iter().zip(packed) {
         let shard = own(ts.array);
-        for r in ts.runs.iter().filter(|r| r.src == me) {
-            buf[r.dst_off..r.dst_off + r.len]
-                .copy_from_slice(&shard[r.src_off..r.src_off + r.len]);
+        for r in ts.runs.iter().filter(|r| ts.staged(r, me)) {
+            copy_strided(buf, (r.dst_off, r.dst_stride), shard, (r.src_off, r.src_stride), r.len);
         }
     }
 }
@@ -945,25 +1068,57 @@ mod tests {
 
     #[test]
     fn cyclic_schedule_expands_exactly() {
-        // CYCLIC(1) source: every gather run has length 1, and the
-        // expansion tiles the element order exactly
-        let arrays = setup(32, 4, &[FormatSpec::Block, FormatSpec::Cyclic(1)]);
-        let stmt = shift_stmt(32, &arrays);
+        // BLOCK ← CYCLIC(1) shift: what a processor reads from one source
+        // is a single progression — contiguous in the source's shard,
+        // stride np in the reader's element order — and the progressions
+        // of the np sources partition the element order exactly
+        let arrays = setup(64, 4, &[FormatSpec::Block, FormatSpec::Cyclic(1)]);
+        let stmt = shift_stmt(64, &arrays);
         let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
         for pp in plan.per_proc() {
             assert_eq!(pp.iter_lhs_offsets().count(), pp.volume);
             for ts in &pp.terms {
                 assert_eq!(ts.elements, pp.volume);
-                let refs: Vec<GatherRef> = ts.iter_refs().collect();
-                assert_eq!(refs.len(), ts.elements);
-                // dst_off ranges tile 0..elements in order
-                let mut k = 0usize;
+                assert_eq!(ts.runs.len(), 4, "{}: {:?}", pp.proc, ts.runs);
+                assert!(ts.runs.iter().all(|r| r.len >= 3));
+                assert!(ts.runs.windows(2).all(|w| w[0].dst_off < w[1].dst_off));
+                let mut filled = vec![false; ts.elements];
                 for r in &ts.runs {
-                    assert_eq!(r.dst_off, k);
-                    k += r.len;
+                    assert_eq!((r.src_stride, r.dst_stride), (1, 4), "{r:?}");
+                    for i in 0..r.len {
+                        assert!(!std::mem::replace(&mut filled[r.dst_off + i * r.dst_stride], true));
+                    }
                 }
-                assert_eq!(k, ts.elements);
+                assert!(filled.iter().all(|&f| f), "dst progressions partition 0..elements");
+                assert_eq!(ts.iter_refs().count(), ts.elements);
+                assert!(!ts.direct, "strided local runs stay staged");
             }
+        }
+        // the reverse reference gathers with a source stride instead
+        let arrays = setup(64, 4, &[FormatSpec::Cyclic(1), FormatSpec::Block]);
+        let plan = ExecPlan::inspect(&arrays, &shift_stmt(64, &arrays)).unwrap();
+        let strided = plan.per_proc().iter().flat_map(|pp| &pp.terms[0].runs);
+        assert!(strided.filter(|r| r.len > 1).all(|r| (r.src_stride, r.dst_stride) == (4, 1)));
+    }
+
+    #[test]
+    fn copy_strided_gathers_scatters_and_checks_extents() {
+        let src: Vec<f64> = (0..10).map(f64::from).collect();
+        let mut dst = vec![-1.0; 8];
+        copy_strided(&mut dst, (1, 3), &src, (2, 2), 3); // 2,4,6 → 1,4,7
+        assert_eq!(dst, [-1.0, 2.0, -1.0, -1.0, 4.0, -1.0, -1.0, 6.0]);
+        copy_strided(&mut dst, (0, 1), &src, (5, 1), 3); // the copy_from_slice case
+        assert_eq!(dst[..3], [5.0, 6.0, 7.0]);
+        copy_strided(&mut dst, (7, 5), &src, (9, 9), 1); // one element, any stride
+        assert_eq!(dst[7], 9.0);
+        copy_strided(&mut dst, (8, 2), &src, (10, 3), 0); // empty at the very end
+        assert_eq!((span_end(4, 3, 0), span_end(4, 3, 1), span_end(4, 3, 3)), (4, 5, 11));
+        assert_eq!(span_end(usize::MAX / 2, usize::MAX, 3), usize::MAX, "saturates");
+        for (d, s) in [((1, 3), (2, 2)), ((0, 1), (3, 4))] {
+            let past_the_end = std::panic::catch_unwind(|| {
+                copy_strided(&mut [0.0; 8], d, &[0.0; 10], s, 4);
+            });
+            assert!(past_the_end.is_err(), "{d:?} ← {s:?} leaves its buffer");
         }
     }
 
@@ -1075,7 +1230,7 @@ mod tests {
 
     #[test]
     fn staged_statements_get_no_piece_table() {
-        // length-1 local runs (BLOCK ← CYCLIC) and LHS aliasing both keep
+        // strided local runs (BLOCK ← CYCLIC) and LHS aliasing both keep
         // the snapshot: no refinement, no extra schedule bytes
         let arrays = setup(256, 4, &[FormatSpec::Block, FormatSpec::Cyclic(1)]);
         let cyclic = ExecPlan::inspect(&arrays, &shift_stmt(256, &arrays)).unwrap();

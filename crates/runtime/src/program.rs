@@ -450,9 +450,20 @@ impl Program {
         self.cache.clear();
     }
 
-    /// Bytes held by the compressed schedules of every cached plan.
+    /// Bytes held by the schedules of every cached plan.
     pub fn plan_schedule_bytes(&self) -> usize {
         self.cache.schedule_bytes()
+    }
+
+    /// Runs in the schedules of every cached plan.
+    pub fn plan_schedule_runs(&self) -> usize {
+        self.cache.schedule_runs()
+    }
+
+    /// Element entries the cached schedules would hold uncompressed — over
+    /// [`Program::plan_schedule_runs`], how far strided runs collapsed them.
+    pub fn plan_schedule_elements(&self) -> usize {
+        self.cache.schedule_elements()
     }
 
     /// Price a set of per-statement analyses on a machine: the sum of the

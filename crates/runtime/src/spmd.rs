@@ -16,12 +16,12 @@
 //!    worker (an ownership handoff — pointer moves, no copying), together
 //!    with the [`ProgramPlan`] and the timestep's effective-send mask;
 //! 2. every worker runs the plan's supersteps **without global barriers**
-//!    (see `run_step`): it snapshots the local runs of its *staged* terms
-//!    from its own shards (terms naming the LHS array, whose old values
-//!    the kernel must still see once it starts storing, and terms with
-//!    runs too short to be worth reading piecewise — see [`crate::plan`]),
-//!    packs **one message per outgoing pair** hoisted to the phase and
-//!    ships it; spent message buffers are recycled through a shared
+//!    (see `run_step`): it snapshots its *staged* local runs from its own
+//!    shards (terms naming the LHS array, whose old values the kernel
+//!    must still see once it starts storing, and strided or short runs
+//!    not worth reading piecewise — see [`crate::plan`]), packs **one
+//!    message per outgoing pair** hoisted to the phase — a strided gather
+//!    per segment straight into the wire buffer — and ships it; spent message buffers are recycled through a shared
 //!    free-list, so warm steps reuse wire buffers instead of growing the
 //!    heap;
 //! 3. it receives exactly the messages the schedule and the mask say it
@@ -29,7 +29,8 @@
 //!    them — a damaged payload, or sender and receiver executing
 //!    different plans, surfaces as a typed [`ExchangeError`] before any
 //!    garbage is unpacked), unpacks them into its packed operand buffers
-//!    (kept across steps, per worker), and computes into its own LHS
+//!    (a strided scatter per segment; the buffers are kept across steps,
+//!    per worker), and computes into its own LHS
 //!    shards — reading ghost and staged operands from those buffers and
 //!    every other local operand **in place** from the shards it owns;
 //! 4. the driver collects the shards back and reinstalls them. The
@@ -65,7 +66,7 @@ use crate::array::{DistArray, Shard};
 use crate::backend::{ExchangeBackend, ExchangeError};
 use crate::fault::{FaultPlan, FaultSwitch, SendAction};
 use crate::fuse::{BufferDomain, FusedState, ProgramPlan};
-use crate::plan::{compute_pieces, pack_staged_runs, ExecPlan, ProcPlan};
+use crate::plan::{compute_pieces, copy_strided, pack_staged_runs, ExecPlan, ProcPlan};
 use crate::workspace::FusedWorkspace;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,16 +74,17 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One timestep's work order for a worker: the plan, the timestep's
-/// effective-send mask (shared by every worker, so sender and receiver
-/// agree on which units ride the wire), and the worker's own shards (its
-/// local buffer of every array), moved in by value.
+/// effective-send mask with its per-pair element totals (shared by every
+/// worker, so sender and receiver agree on which units ride the wire and
+/// how long each message is), and the worker's own shards (its local
+/// buffer of every array), moved in by value.
 #[derive(Debug)]
 struct Cmd {
     plan: Arc<ProgramPlan>,
     eff: Arc<Vec<bool>>,
-    /// Mask rebuild stamp from [`crate::fuse::FusedState`] — workers
-    /// re-derive their per-pair effective totals only when it moves.
-    eff_version: u64,
+    /// Elements each coalesced pair ships under `eff`, from the same
+    /// [`crate::fuse::FusedState`] rebuild as the mask itself.
+    pair_eff: Arc<Vec<u64>>,
     shards: Vec<Shard<f64>>,
     /// Backend step counter at dispatch (workers use it to stamp errors
     /// and to match injected faults).
@@ -153,20 +155,19 @@ const DRAIN_GRACE: Duration = Duration::from_millis(250);
 
 /// Per-worker fused-replay scratch, persistent across timesteps: the
 /// per-statement packed operand buffers ghost-region reuse relies on
-/// (`packed[s][t]` mirrors the shared path's `FusedWorkspace`), keyed by
-/// the plan's allocation so a new fused plan rebuilds them (the driver
-/// starts every new plan all-dirty, so the fresh zeros never reach a
-/// kernel), plus per-timestep arrival bookkeeping.
+/// (`packed[s][t]` mirrors the shared path's `FusedWorkspace`), rebuilt
+/// whenever a different plan arrives (the driver starts every new plan
+/// all-dirty, so the fresh zeros never reach a kernel), plus per-timestep
+/// arrival bookkeeping.
 #[derive(Debug, Default)]
 struct FusedScratch {
-    key: usize,
+    /// The plan `packed` is shaped for. Held, not just compared by
+    /// address: the driver drops its plan when an array is remapped, and a
+    /// recompiled plan allocated at the freed address must not be taken
+    /// for the old one.
+    plan: Option<Arc<ProgramPlan>>,
     packed: Vec<Vec<Vec<f64>>>,
     arrived: Vec<bool>,
-    eff_elems: Vec<usize>,
-    /// `(plan key, mask version)` the cached `eff_elems` were computed
-    /// for — steady warm timesteps reuse them without rescanning the
-    /// fused segments.
-    eff_key: (usize, u64),
 }
 
 /// Everything a worker thread needs besides the work order itself.
@@ -231,9 +232,10 @@ impl WorkerCtx {
 
 /// One whole timestep on a worker: run the [`ProgramPlan`]'s supersteps
 /// **without global barriers** — snapshot the superstep's staged local
-/// runs, ship every outgoing pair *hoisted* to this phase (only its
-/// effective segments; an all-clean pair sends nothing and the receiver,
-/// holding the same mask, skips it too), unpack whatever has arrived
+/// runs, ship every outgoing pair *hoisted* to this phase (a strided
+/// gather of its effective segments into the wire buffer; an all-clean
+/// pair sends nothing and the receiver, holding the same mask, skips it
+/// too), unpack whatever has arrived with a strided scatter per segment
 /// (messages for later supersteps are welcome early — remote and local
 /// runs fill disjoint buffer positions), block only on the arrivals this
 /// superstep's kernels actually read, then compute the superstep's
@@ -249,12 +251,11 @@ fn run_step(
     scratch: &mut FusedScratch,
     compute_ns: &mut u64,
 ) -> Result<bool, ExchangeError> {
-    let Cmd { plan, eff, eff_version, shards, step } = cmd;
-    let (eff, eff_version, step) = (eff.as_slice(), *eff_version, *step);
+    let Cmd { plan, eff, pair_eff, shards, step } = cmd;
+    let (eff, pair_eff, step) = (eff.as_slice(), pair_eff.as_slice(), *step);
     let me = ctx.me;
     let me32 = me as u32;
-    let key = Arc::as_ptr(plan) as usize;
-    if scratch.key != key {
+    if !scratch.plan.as_ref().is_some_and(|held| Arc::ptr_eq(held, plan)) {
         scratch.packed = plan
             .plans()
             .iter()
@@ -262,17 +263,10 @@ fn run_step(
                 p.per_proc()[me].terms.iter().map(|t| vec![0.0f64; t.elements]).collect()
             })
             .collect();
-        scratch.key = key;
+        scratch.plan = Some(plan.clone());
     }
     scratch.arrived.clear();
     scratch.arrived.resize(plan.pairs().len(), false);
-    if scratch.eff_key != (key, eff_version) {
-        scratch.eff_elems.clear();
-        scratch
-            .eff_elems
-            .extend((0..plan.pairs().len()).map(|k| plan.pair_eff_elements(k, eff)));
-        scratch.eff_key = (key, eff_version);
-    }
 
     for phase in 0..plan.supersteps().len() {
         // snapshot this superstep's staged local runs from this worker's
@@ -283,14 +277,17 @@ fn run_step(
         }
         // ship every outgoing pair hoisted to this phase
         for (k, pair) in plan.pairs().iter().enumerate() {
-            if pair.pack_phase != phase || pair.sender != me32 || scratch.eff_elems[k] == 0 {
+            if pair.pack_phase != phase || pair.sender != me32 || pair_eff[k] == 0 {
                 continue;
             }
+            // a recycled wire buffer usually has this very length already
             let mut data = pool_lock(&ctx.pool).pop().unwrap_or_default();
-            data.clear();
-            data.reserve(scratch.eff_elems[k]);
+            data.resize(pair_eff[k] as usize, 0.0);
+            let mut off = 0usize;
             for seg in pair.segments.iter().filter(|s| eff[s.unit]) {
-                data.extend_from_slice(&shards[seg.array][seg.src_off..seg.src_off + seg.len]);
+                let shard = &shards[seg.array];
+                copy_strided(&mut data, (off, 1), shard, (seg.src_off, seg.src_stride), seg.len);
+                off += seg.len;
             }
             if !ctx.ship(pair.receiver, k as u32, data, step)? {
                 return Ok(false);
@@ -302,7 +299,7 @@ fn run_step(
             let waiting = plan.pairs().iter().enumerate().any(|(k, p)| {
                 p.superstep == phase
                     && p.receiver == me32
-                    && scratch.eff_elems[k] > 0
+                    && pair_eff[k] > 0
                     && !scratch.arrived[k]
             });
             if !waiting {
@@ -322,19 +319,19 @@ fn run_step(
             // sender and receiver hold the same mask, so a length
             // mismatch means the payload was damaged in flight or they
             // executed different fused plans
-            if data.len() != scratch.eff_elems[k] {
+            if data.len() as u64 != pair_eff[k] {
                 return Err(ExchangeError::CorruptMessage {
                     sender: from,
                     receiver: me32,
                     step,
                     got: data.len(),
-                    expected: scratch.eff_elems[k],
+                    expected: pair_eff[k] as usize,
                 });
             }
             let mut off = 0usize;
             for seg in pair.segments.iter().filter(|s| eff[s.unit]) {
-                scratch.packed[seg.stmt][seg.term][seg.dst_off..seg.dst_off + seg.len]
-                    .copy_from_slice(&data[off..off + seg.len]);
+                let buf = &mut scratch.packed[seg.stmt][seg.term];
+                copy_strided(buf, (seg.dst_off, seg.dst_stride), &data, (off, 1), seg.len);
                 off += seg.len;
             }
             scratch.arrived[k] = true;
@@ -679,7 +676,7 @@ impl ExchangeBackend for ChannelsBackend {
             let _ = cmd.send(Cmd {
                 plan: plan.clone(),
                 eff: state.eff_arc(),
-                eff_version: state.eff_version(),
+                pair_eff: state.pair_eff_arc(),
                 shards,
                 step,
             });
@@ -894,5 +891,38 @@ mod tests {
         assert_eq!(backend.steps(), 3);
         assert_eq!(backend.faults_fired(), 2);
         assert_eq!(backend.workers_spawned(), 4, "no respawn: nothing failed");
+    }
+
+    #[test]
+    fn recompiled_plans_never_reuse_a_workers_scratch() {
+        // Recompile a differently shaped plan into the live fleet, round
+        // after round, the way a `remap` does: the driver drops the old
+        // plan — the workers handed theirs back with the step — and the
+        // allocator gives the next one the freed address. A worker that
+        // recognised plans by address, and masks by a version every fresh
+        // `FusedState` restarts, would keep the other shape's operand
+        // buffers (an out-of-range unpack kills it) and per-pair message
+        // lengths (a spurious `CorruptMessage`).
+        let mut backend = ChannelsBackend::new();
+        let mut previous: Option<Arc<ProgramPlan>> = None;
+        for round in 0..20 {
+            for n in [24usize, 96, 40] {
+                let mut arrays = setup(n, 4, &[FormatSpec::Block, FormatSpec::Cyclic(1)]);
+                let stmt = shift_stmt(n as i64, &arrays);
+                let expect = dense_reference(&arrays, &stmt);
+                let exec = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
+                let compiled = ProgramPlan::compile(std::slice::from_ref(&stmt), vec![exec], true);
+                drop(previous.take());
+                let plan = Arc::new(compiled);
+                let mut state = FusedState::new(&plan, &arrays);
+                state.begin_timestep(&plan, &arrays, backend.buffer_domain(4));
+                backend
+                    .step(&plan, &mut arrays, &state, &mut FusedWorkspace::new())
+                    .unwrap_or_else(|e| panic!("round {round}, n = {n}: {e}"));
+                assert_eq!(arrays[0].to_dense(), expect, "round {round}, n = {n}");
+                previous = Some(plan);
+            }
+        }
+        assert_eq!(backend.workers_spawned(), 4, "one fleet served every plan");
     }
 }

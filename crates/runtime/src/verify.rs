@@ -12,8 +12,9 @@
 //!    equals exactly the LHS owned region (∩ the statement's section) of
 //!    every processor: no gap, no overlapping or duplicate write, no write
 //!    landing at an offset the owner-computes rule did not assign.
-//! 2. **Bounds** — every [`CopyRun`](crate::CopyRun) / [`MsgSegment`](crate::MsgSegment)
-//!    source addresses the statement-named element *inside the owning
+//! 2. **Bounds** — every element of every strided
+//!    [`CopyRun`](crate::CopyRun) / [`MsgSegment`](crate::MsgSegment)
+//!    progression addresses the statement-named element *inside the owning
 //!    shard*, and every destination stays inside the pack-buffer extents.
 //! 3. **Race freedom** — the parallel executor's partitioning gives every
 //!    simulated processor to exactly one worker (store sets cannot
@@ -53,8 +54,8 @@ use crate::array::DistArray;
 use crate::assign::Assignment;
 use crate::backend::AnalysisVerdict;
 use crate::commsets::project_region;
-use crate::plan::{ExecPlan, PieceSrc, ProcPlan};
-use hpf_index::Idx;
+use crate::plan::{span_end, ExecPlan, PieceSrc, ProcPlan};
+use hpf_index::{Idx, Triplet};
 use hpf_procs::ProcId;
 use std::collections::HashMap;
 use std::fmt;
@@ -860,7 +861,7 @@ impl fmt::Display for DiagnosticKind {
             FusedUnitMismatch { pair, segment, unit } => write!(
                 f,
                 "fused pair {pair} segment {segment}: disagrees with its \
-                 dirty-tracking unit {unit} about source array/shard/interval"
+                 dirty-tracking unit {unit} about source array/shard/progression"
             ),
         }
     }
@@ -1086,8 +1087,9 @@ pub fn verify_plan(
     }
 
     // Remote gathers, keyed for the send/receive matching below:
-    // (sender, receiver, term, src_off, dst_off, len) → outstanding count.
-    type XchgKey = (u32, u32, usize, usize, usize, usize);
+    // (sender, receiver, term, (src_off, src_stride), (dst_off, dst_stride),
+    // len) → outstanding count.
+    type XchgKey = (u32, u32, usize, (usize, usize), (usize, usize), usize);
     let mut remote_runs: HashMap<XchgKey, i64> = HashMap::new();
     // Per-processor computed volume, for segment unpack extents.
     let mut volumes: HashMap<u32, usize> = HashMap::new();
@@ -1199,9 +1201,9 @@ pub fn verify_plan(
         // -- gather bounds + correctness + pack happens-before --
         // per term, the (source, offset) its gather runs name for every
         // computed position — what the compute pieces are held to below
-        /// `(source processor, offset)` per computed position; `None`
-        /// where no gather run fills it.
-        type Sources = Vec<Option<(u32, usize)>>;
+        /// `(source processor, offset, read in place)` per computed
+        /// position; `None` where no gather run fills it.
+        type Sources = Vec<Option<(u32, usize, bool)>>;
         let mut gathered: Vec<Option<Sources>> = vec![None; pp.terms.len()];
         for (t, ts) in pp.terms.iter().enumerate() {
             let Some(term) = stmt.terms.get(t) else { continue };
@@ -1251,28 +1253,30 @@ pub fn verify_plan(
                     continue;
                 }
                 let src = ProcId(r.src + 1);
-                if r.src_off + r.len > src_arr.local_len(src) {
+                let src_end = span_end(r.src_off, r.src_stride, r.len);
+                if src_end > src_arr.local_len(src) {
                     push(
                         Property::Bounds,
                         DiagnosticKind::CopyRunOutOfBounds {
                             proc: me,
                             term: t,
                             run: ri,
-                            end: r.src_off + r.len,
+                            end: src_end,
                             extent: src_arr.local_len(src),
                         },
                         &mut diags,
                     );
                     continue;
                 }
-                if r.dst_off + r.len > ts.elements {
+                let dst_end = span_end(r.dst_off, r.dst_stride, r.len);
+                if dst_end > ts.elements {
                     push(
                         Property::Bounds,
                         DiagnosticKind::PackRunOutOfBounds {
                             proc: me,
                             term: t,
                             run: ri,
-                            end: r.dst_off + r.len,
+                            end: dst_end,
                             extent: ts.elements,
                         },
                         &mut diags,
@@ -1283,18 +1287,26 @@ pub fn verify_plan(
                     remote += r.len;
                     planned_ghosts += r.len as u64;
                     *remote_runs
-                        .entry((r.src, me, t, r.src_off, r.dst_off, r.len))
+                        .entry((
+                            r.src,
+                            me,
+                            t,
+                            (r.src_off, r.src_stride),
+                            (r.dst_off, r.dst_stride),
+                            r.len,
+                        ))
                         .or_insert(0) += 1;
                 }
+                let in_place = ts.in_place(r, me);
                 let mut wrong = false;
                 for i in 0..r.len {
-                    let k = r.dst_off + i;
-                    if filled[k].replace((r.src, r.src_off + i)).is_some() {
+                    let (k, off) = (r.dst_off + i * r.dst_stride, r.src_off + i * r.src_stride);
+                    if filled[k].replace((r.src, off, in_place)).is_some() {
                         pack_overlaps.push(k);
                     }
                     if !wrong && k < volume {
                         let gi = stmt.rhs_index(t, &rels[k]);
-                        if src_arr.local_offset(src, &gi) != Some(r.src_off + i) {
+                        if src_arr.local_offset(src, &gi) != Some(off) {
                             wrong = true; // one wrong-element diagnostic per run
                             push(
                                 Property::Bounds,
@@ -1303,7 +1315,7 @@ pub fn verify_plan(
                                     term: t,
                                     pos: k,
                                     src: r.src,
-                                    offset: r.src_off + i,
+                                    offset: off,
                                 },
                                 &mut diags,
                             );
@@ -1427,8 +1439,9 @@ pub fn verify_plan(
                                 &mut diags,
                             );
                         } else if let Some(k) = (0..piece.len)
-                            // a staged term has no in-place source at all
-                            .find(|&k| !ts.direct || named(k) != Some((me, off + k)))
+                            // only the runs the stage phase skips are an
+                            // in-place source
+                            .find(|&k| named(k) != Some((me, off + k, true)))
                         {
                             push(
                                 Property::Bounds,
@@ -1443,12 +1456,11 @@ pub fn verify_plan(
                             );
                         }
                     }
-                    PieceSrc::Packed if ts.direct => unpacked[t].extend(
+                    PieceSrc::Packed => unpacked[t].extend(
                         (0..piece.len)
-                            .filter(|&k| named(k).is_some_and(|(src, _)| src == me))
+                            .filter(|&k| named(k).is_some_and(|(_, _, in_place)| in_place))
                             .map(|k| piece.pos + k),
                     ),
-                    PieceSrc::Packed => {}
                 }
             }
         }
@@ -1552,36 +1564,44 @@ pub fn verify_plan(
                 continue;
             }
             let shard = arrays[seg.array].local_len(ProcId(pair.sender + 1));
-            if seg.src_off + seg.len > shard {
+            let src_end = span_end(seg.src_off, seg.src_stride, seg.len);
+            if src_end > shard {
                 push(
                     Property::Bounds,
                     DiagnosticKind::SegmentOutOfBounds {
                         sender: pair.sender,
                         receiver: pair.receiver,
                         segment: si,
-                        end: seg.src_off + seg.len,
+                        end: src_end,
                         extent: shard,
                     },
                     &mut diags,
                 );
             }
-            if seg.dst_off + seg.len > recv_volume {
+            let dst_end = span_end(seg.dst_off, seg.dst_stride, seg.len);
+            if dst_end > recv_volume {
                 push(
                     Property::Bounds,
                     DiagnosticKind::SegmentPackOutOfBounds {
                         sender: pair.sender,
                         receiver: pair.receiver,
                         segment: si,
-                        end: seg.dst_off + seg.len,
+                        end: dst_end,
                         extent: recv_volume,
                     },
                     &mut diags,
                 );
             }
             // send/receive matching: this segment must be a gather some
-            // receiver run expects
-            let key: XchgKey =
-                (pair.sender, pair.receiver, seg.term, seg.src_off, seg.dst_off, seg.len);
+            // receiver run expects, strides included
+            let key: XchgKey = (
+                pair.sender,
+                pair.receiver,
+                seg.term,
+                (seg.src_off, seg.src_stride),
+                (seg.dst_off, seg.dst_stride),
+                seg.len,
+            );
             match remote_runs.get_mut(&key) {
                 Some(n) if *n > 0 => *n -= 1,
                 _ => push(
@@ -1603,7 +1623,7 @@ pub fn verify_plan(
         .map(|(k, _)| k)
         .collect();
     unmatched.sort_unstable();
-    for (src, me, term, src_off, _dst_off, len) in unmatched {
+    for (src, me, term, (src_off, _), _dst, len) in unmatched {
         push(
             Property::RaceFreedom,
             DiagnosticKind::ReadBeforeExchange { proc: me, term, src, src_off, len },
@@ -1760,7 +1780,7 @@ impl fmt::Display for FusionReport {
 ///   the sum of its coalesced segments, summed across the statements the
 ///   pair serves;
 /// * **bounds** — every coalesced segment reads inside the sending shard
-///   and agrees with its dirty-tracking unit about the source interval.
+///   and agrees with its dirty-tracking unit about the source progression.
 ///
 /// Like [`verify_plan`], this is a re-derivation pass run at plan
 /// insertion (see [`crate::PlanCache`]), never on the warm replay path.
@@ -1769,7 +1789,7 @@ pub fn verify_program_plan(
     stmts: &[Assignment],
     plan: &crate::fuse::ProgramPlan,
 ) -> FusionReport {
-    use crate::fuse::{intersects, merge_intervals};
+    use crate::fuse::merge_intervals;
 
     let mut diags: Vec<Diagnostic> = Vec::new();
     let push = |property: Property, kind: DiagnosticKind, diags: &mut Vec<Diagnostic>| {
@@ -1890,19 +1910,44 @@ pub fn verify_program_plan(
     // the fused plan may regroup and *split* constituent message segments
     // (dirty-tracking units are per homogeneous write stretch), but the
     // element flow must be identical — so both sides are normalized to
-    // maximal contiguous (src → dst) runs per (stmt, sender, receiver,
-    // term) and compared as multisets
+    // maximal (src → dst) progressions per (stmt, sender, receiver, term)
+    // and compared as multisets
     type RunKey = (usize, u32, u32, usize);
-    /// `(src_off, dst_off, len, pair, segment)` — the trailing pair/segment
-    /// coordinates ride along for diagnostics and are ignored by merging.
-    type Run = (usize, usize, usize, usize, usize);
+    /// A strided (src → dst) run; `pair`/`segment` ride along for
+    /// diagnostics and are ignored by merging.
+    #[derive(Clone, Copy)]
+    struct Run {
+        src: (usize, usize),
+        dst: (usize, usize),
+        len: usize,
+        pair: usize,
+        segment: usize,
+    }
+    /// The run minus its diagnostic coordinates — what the multisets hold.
+    type Flow = ((usize, usize), (usize, usize), usize);
+    /// Merge runs that continue one another. A piece split off a
+    /// progression keeps its strides, so the pieces of one progression
+    /// share the direction `(src stride, dst stride)` and the line they
+    /// lie on in `(src, dst)` space — `src·dst_stride − dst·src_stride` is
+    /// constant along it — and sort next to each other by source offset.
     fn normalize(mut runs: Vec<Run>) -> Vec<Run> {
-        runs.sort_unstable();
+        let line = |r: &Run| {
+            // wrapping: only a corrupted entry can overflow, and the merge
+            // below re-checks adjacency exactly
+            let cross = (r.src.0 as i128)
+                .wrapping_mul(r.dst.1 as i128)
+                .wrapping_sub((r.dst.0 as i128).wrapping_mul(r.src.1 as i128));
+            (r.src.1, r.dst.1, cross, r.src.0)
+        };
+        runs.sort_unstable_by_key(line);
         let mut out: Vec<Run> = Vec::new();
         for r in runs {
             if let Some(last) = out.last_mut() {
-                if last.0 + last.2 == r.0 && last.1 + last.2 == r.1 {
-                    last.2 += r.2;
+                if (last.src.1, last.dst.1) == (r.src.1, r.dst.1)
+                    && span_end(last.src.0, last.src.1, last.len + 1) == r.src.0.saturating_add(1)
+                    && span_end(last.dst.0, last.dst.1, last.len + 1) == r.dst.0.saturating_add(1)
+                {
+                    last.len += r.len;
                     continue;
                 }
             }
@@ -1917,7 +1962,13 @@ pub fn verify_program_plan(
                 expected_runs
                     .entry((s, pair.sender, pair.receiver, seg.term))
                     .or_default()
-                    .push((seg.src_off, seg.dst_off, seg.len, 0, 0));
+                    .push(Run {
+                        src: (seg.src_off, seg.src_stride),
+                        dst: (seg.dst_off, seg.dst_stride),
+                        len: seg.len,
+                        pair: 0,
+                        segment: 0,
+                    });
             }
         }
     }
@@ -1940,18 +1991,25 @@ pub fn verify_program_plan(
             fused_runs
                 .entry((seg.stmt, pair.sender, pair.receiver, seg.term))
                 .or_default()
-                .push((seg.src_off, seg.dst_off, seg.len, k, si));
-            // bounds: the sender must be able to read the interval
+                .push(Run {
+                    src: (seg.src_off, seg.src_stride),
+                    dst: (seg.dst_off, seg.dst_stride),
+                    len: seg.len,
+                    pair: k,
+                    segment: si,
+                });
+            // bounds: the sender must be able to read every source element
+            let src_end = span_end(seg.src_off, seg.src_stride, seg.len);
             if let Some(arr) = arrays.get(seg.array) {
                 let extent = arr.local_len(ProcId(pair.sender + 1));
-                if seg.src_off + seg.len > extent {
+                if src_end > extent {
                     push(
                         Property::Bounds,
                         DiagnosticKind::SegmentOutOfBounds {
                             sender: pair.sender,
                             receiver: pair.receiver,
                             segment: si,
-                            end: seg.src_off + seg.len,
+                            end: src_end,
                             extent,
                         },
                         &mut diags,
@@ -1965,18 +2023,32 @@ pub fn verify_program_plan(
                     if u.array == seg.array
                         && u.shard == pair.sender as usize
                         && u.src_off == seg.src_off
+                        && u.src_stride == seg.src_stride
                         && u.len == seg.len
-                        && u.superstep == pair.superstep =>
+                        && u.superstep == pair.superstep
+                        && seg.src_stride > 0 =>
                 {
-                    // re-derive the writer split from the store schedules
+                    // re-derive the writer split from the store schedules:
+                    // a writer counts iff one of its store intervals holds
+                    // an element of the source progression — exactly, so a
+                    // store between two strided elements is no writer
+                    let source = Triplet::new(
+                        seg.src_off as i64,
+                        src_end as i64 - 1,
+                        seg.src_stride as i64,
+                    )
+                    .expect("stride checked positive");
                     let (mut intra, mut post) = (!fused, false);
                     for (w, stmt) in stmts.iter().enumerate() {
+                        let written = &writes[w][pair.sender as usize];
+                        let near = written.partition_point(|&(_, e)| e <= seg.src_off);
                         if stmt.lhs != seg.array
-                            || !intersects(
-                                &writes[w][pair.sender as usize],
-                                seg.src_off,
-                                seg.src_off + seg.len,
-                            )
+                            || written[near..]
+                                .iter()
+                                .take_while(|&&(s, _)| s < src_end)
+                                .all(|&(s, e)| {
+                                    source.is_disjoint(&Triplet::unit(s as i64, e as i64 - 1))
+                                })
                         {
                             continue;
                         }
@@ -2034,34 +2106,34 @@ pub fn verify_program_plan(
     }
     // normalized comparison: every fused run must be a constituent run,
     // every constituent run must be shipped
-    let mut expected_norm: HashMap<(RunKey, usize, usize, usize), usize> = HashMap::new();
+    let mut expected_norm: HashMap<(RunKey, Flow), usize> = HashMap::new();
     for (key, runs) in expected_runs {
-        for (src, dst, len, _, _) in normalize(runs) {
-            *expected_norm.entry((key, src, dst, len)).or_insert(0) += 1;
+        for r in normalize(runs) {
+            *expected_norm.entry((key, (r.src, r.dst, r.len))).or_insert(0) += 1;
         }
     }
     let mut fused_keys: Vec<RunKey> = fused_runs.keys().copied().collect();
     fused_keys.sort_unstable();
     for key in fused_keys {
-        for (src, dst, len, pair_k, seg_si) in normalize(fused_runs.remove(&key).unwrap()) {
-            match expected_norm.get_mut(&(key, src, dst, len)) {
+        for r in normalize(fused_runs.remove(&key).unwrap()) {
+            match expected_norm.get_mut(&(key, (r.src, r.dst, r.len))) {
                 Some(c) if *c > 0 => *c -= 1,
                 _ => push(
                     Property::DeadlockFreedom,
-                    DiagnosticKind::FusedSegmentOrphan { pair: pair_k, segment: seg_si },
+                    DiagnosticKind::FusedSegmentOrphan { pair: r.pair, segment: r.segment },
                     &mut diags,
                 ),
             }
         }
     }
     // constituent runs the fused plan never ships
-    let mut missing: Vec<(RunKey, usize, usize, usize)> = expected_norm
+    let mut missing: Vec<(RunKey, Flow)> = expected_norm
         .into_iter()
         .filter(|&(_, c)| c > 0)
         .map(|(k, _)| k)
         .collect();
     missing.sort_unstable();
-    for ((stmt, sender, receiver, _term), _src, _dst, len) in missing {
+    for ((stmt, sender, receiver, _term), (_src, _dst, len)) in missing {
         push(
             Property::DeadlockFreedom,
             DiagnosticKind::FusedSegmentMissing { stmt, sender, receiver, len },
@@ -2083,11 +2155,21 @@ mod tests {
 
     /// BLOCK → CYCLIC(3) shift: plenty of remote traffic, several pairs.
     fn setup(n: usize, np: usize) -> (Vec<DistArray<f64>>, Assignment) {
+        setup_with(n, np, FormatSpec::Block, FormatSpec::Cyclic(3))
+    }
+
+    /// `A(2:n) = B(1:n-1)` with `A` and `B` distributed as given.
+    fn setup_with(
+        n: usize,
+        np: usize,
+        lhs: FormatSpec,
+        rhs: FormatSpec,
+    ) -> (Vec<DistArray<f64>>, Assignment) {
         let mut ds = DataSpace::new(np);
         let a = ds.declare("A", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
         let b = ds.declare("B", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
-        ds.distribute(a, &DistributeSpec::new(vec![FormatSpec::Block])).unwrap();
-        ds.distribute(b, &DistributeSpec::new(vec![FormatSpec::Cyclic(3)])).unwrap();
+        ds.distribute(a, &DistributeSpec::new(vec![lhs])).unwrap();
+        ds.distribute(b, &DistributeSpec::new(vec![rhs])).unwrap();
         let arrays = vec![
             DistArray::from_fn("A", ds.effective(a).unwrap(), np, |i| i[0] as f64),
             DistArray::from_fn("B", ds.effective(b).unwrap(), np, |i| (i[0] * 7) as f64),
@@ -2222,7 +2304,15 @@ mod tests {
             sender: 3,
             receiver: 0,
             elements: 2,
-            segments: vec![MsgSegment { term: 0, array: 1, src_off: 0, dst_off: 0, len: 2 }],
+            segments: vec![MsgSegment {
+                term: 0,
+                array: 1,
+                src_off: 0,
+                src_stride: 1,
+                dst_off: 0,
+                dst_stride: 1,
+                len: 2,
+            }],
         });
         let report = verify_plan(&arrays, &stmt, &plan);
         assert!(
@@ -2232,6 +2322,55 @@ mod tests {
             "{report}"
         );
         assert_eq!(report.verdict, AnalysisVerdict::Divergent);
+    }
+
+    #[test]
+    fn corrupted_strides_and_strided_lengths_of_a_segment_are_caught() {
+        // CYCLIC(1) B read through BLOCK A (and the reverse) ships one
+        // strided segment per pair: whichever of its progression fields is
+        // corrupted, the message no longer is what a receiver run expects
+        for (lhs, rhs) in [
+            (FormatSpec::Block, FormatSpec::Cyclic(1)),
+            (FormatSpec::Cyclic(1), FormatSpec::Block),
+        ] {
+            let (arrays, stmt) = setup_with(64, 4, lhs, rhs);
+            let pristine = ExecPlan::inspect(&arrays, &stmt).unwrap();
+            assert!(verify_plan(&arrays, &stmt, &pristine).is_clean());
+            type Mutation = (&'static str, fn(&mut MsgSegment));
+            let mutations: [Mutation; 5] = [
+                ("src_stride + 1", |seg| seg.src_stride += 1),
+                ("src_stride = 0", |seg| seg.src_stride = 0),
+                ("dst_stride + 1", |seg| seg.dst_stride += 1),
+                ("dst_stride = 0", |seg| seg.dst_stride = 0),
+                ("len - 1", |seg| seg.len -= 1),
+            ];
+            for (what, mutate) in mutations {
+                let mut plan = pristine.clone();
+                let seg = &mut plan.message_plan_mut().pairs_mut()[0].segments[0];
+                assert!(seg.len >= 3 && (seg.src_stride, seg.dst_stride) != (1, 1), "{seg:?}");
+                mutate(seg);
+                let report = verify_plan(&arrays, &stmt, &plan);
+                let found = kinds(&report);
+                assert!(
+                    found.iter().any(|k| matches!(k, DiagnosticKind::OrphanMessage { .. }))
+                        && found
+                            .iter()
+                            .any(|k| matches!(k, DiagnosticKind::ReadBeforeExchange { .. })),
+                    "{what}: {report}"
+                );
+            }
+            // a stride that walks out of the sender's shard is also a
+            // bounds finding of its own
+            let mut plan = pristine.clone();
+            plan.message_plan_mut().pairs_mut()[0].segments[0].src_stride += 40;
+            let report = verify_plan(&arrays, &stmt, &plan);
+            assert!(
+                kinds(&report)
+                    .iter()
+                    .any(|k| matches!(k, DiagnosticKind::SegmentOutOfBounds { .. })),
+                "{report}"
+            );
+        }
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! buffers of one statement. What lands in them is decided per term at
 //! inspect time (see [`crate::plan`]): the exchange delivers **ghost**
 //! data at the positions the message schedules name, and the stage phase
-//! snapshots the local runs of **staged** terms — those naming the
-//! statement's LHS array, whose pre-assignment values the kernel must
-//! still see after it starts storing, and those whose local runs are too
-//! short to be worth a piece each. A *direct* term's local positions are
-//! never written: the kernel reads them in place from the processor's own
-//! shard. Every buffer keeps the full `dst_off` layout either way (so
+//! snapshots the **staged** local runs — every local run of a term naming
+//! the statement's LHS array, whose pre-assignment values the kernel must
+//! still see after it starts storing, strided local runs, and unit-stride
+//! ones too short to be worth a piece each. The unit-stride local
+//! positions of a *direct* term are never written: the kernel reads them
+//! in place from the processor's own shard. Every buffer keeps the full `dst_off` layout either way (so
 //! message schedules, fused segments and dirty tracking address it
 //! unchanged); the untouched stretches of a zero-initialised buffer are
 //! never paged in.

@@ -214,7 +214,7 @@ fn cyclic_terms_stay_staged_beside_direct_ones() {
         4,
         &[Fmt(FormatSpec::Block), Fmt(FormatSpec::Cyclic(1)), Fmt(FormatSpec::Block)],
     );
-    // all staged: length-1 local runs
+    // all staged: strided local runs
     let stmt = stmt_1d(&arrays, 0, (1, n as i64), &[(1, 0)], Combine::Copy);
     let plans = check_all_paths(arrays.clone(), &[stmt], 3);
     assert!(!direct(&plans[0], 0));

@@ -1,10 +1,13 @@
 //! Property tests for the compiled-plan runtime: plan-based execution —
 //! inline and under a random thread bound — is bit-identical to the naive
 //! element-wise reference across random block / cyclic / general-block / replicated
-//! mappings in 1-D and 2-D, the run-length compressed schedules expand to
-//! exactly the uncompressed per-element `(src, offset)` sequences, and a
-//! cached plan replay equals a freshly inspected one — including across a
-//! remap invalidation.
+//! mappings in 1-D and 2-D, the strided-run schedules (gather runs and
+//! fused message segments alike) expand to exactly the uncompressed
+//! per-element `(src, offset)` sequences — over random strided and
+//! reversed sections of `BLOCK` / `CYCLIC(k)` / `GENERAL_BLOCK` /
+//! `INDIRECT` arrays too — a BLOCK↔CYCLIC exchange compiles to a schedule
+//! per processor pair, not per element, and a cached plan replay equals a
+//! freshly inspected one — including across a remap invalidation.
 
 mod common;
 
@@ -13,32 +16,45 @@ use hpf::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Independently recompute the *uncompressed* gather sequence of processor
-/// `p` for term `t`: walk the LHS owner's region rects in local-buffer
-/// order, keep the elements the LHS section selects, and resolve each read
-/// to `(source processor, flat offset)` with first-owner ghost semantics —
-/// the per-element schedule the compressed [`CopyRun`]s must expand to.
+/// The section-relative positions processor `p` computes, in the plan's
+/// element order, recomputed independently: walk the LHS owner's region
+/// rects in local-buffer order, keep the elements the LHS section selects,
+/// positions ascending within a rect (a reversed 1-D section walks its
+/// rect backwards; the 2-D suites use ascending sections only).
+fn computed_positions(arrays: &[DistArray<f64>], stmt: &Assignment, p: ProcId) -> Vec<Idx> {
+    let mut out = Vec::new();
+    for rect in arrays[stmt.lhs].region_of(p).rects() {
+        let mut rels: Vec<Idx> =
+            rect.iter().filter_map(|gi| stmt.lhs_section.project(&gi)).collect();
+        if stmt.lhs_section.rank() == 1 {
+            rels.sort_by_key(|rel| rel[0]);
+        }
+        out.extend(rels);
+    }
+    out
+}
+
+/// The *uncompressed* gather sequence of processor `p` for term `t`:
+/// resolve each computed position's read to `(source processor, flat
+/// offset)` with first-owner ghost semantics — the per-element schedule
+/// the [`CopyRun`]s must expand to.
 fn expected_gather_refs(
     arrays: &[DistArray<f64>],
     stmt: &Assignment,
     p: ProcId,
     t: usize,
 ) -> Vec<(u32, usize)> {
-    let lhs = &arrays[stmt.lhs];
     let term_arr = &arrays[stmt.terms[t].array];
     let own = term_arr.region_of(p);
-    let mut out = Vec::new();
-    for rect in lhs.region_of(p).rects() {
-        for gi in rect.iter() {
-            let Some(rel) = stmt.lhs_section.project(&gi) else { continue };
-            let ri = stmt.rhs_index(t, &rel);
-            let src =
-                if own.contains(&ri) { p } else { term_arr.mapping().owner(&ri) };
+    computed_positions(arrays, stmt, p)
+        .iter()
+        .map(|rel| {
+            let ri = stmt.rhs_index(t, rel);
+            let src = if own.contains(&ri) { p } else { term_arr.mapping().owner(&ri) };
             let off = term_arr.local_offset(src, &ri).expect("owner holds its region");
-            out.push((src.zero_based() as u32, off));
-        }
-    }
-    out
+            (src.zero_based() as u32, off)
+        })
+        .collect()
 }
 
 /// The uncompressed LHS flat-offset sequence of processor `p`, recomputed
@@ -49,20 +65,16 @@ fn expected_lhs_offsets(
     p: ProcId,
 ) -> Vec<usize> {
     let lhs = &arrays[stmt.lhs];
-    let mut out = Vec::new();
-    for rect in lhs.region_of(p).rects() {
-        for gi in rect.iter() {
-            if stmt.lhs_section.project(&gi).is_some() {
-                out.push(lhs.local_offset(p, &gi).expect("owner holds its region"));
-            }
-        }
-    }
-    out
+    computed_positions(arrays, stmt, p)
+        .iter()
+        .map(|rel| lhs.local_offset(p, &stmt.lhs_index(rel)).expect("owner holds its region"))
+        .collect()
 }
 
-/// Assert the compressed schedule of `plan` expands element-for-element to
-/// the uncompressed sequences, and that every run list tiles the element
-/// order contiguously.
+/// Assert the schedule of `plan` expands element-for-element to the
+/// uncompressed sequences, that the store runs tile the element order
+/// contiguously, and that every term's gather runs are well-formed
+/// progressions partitioning it.
 fn assert_schedule_expands_exactly(arrays: &[DistArray<f64>], stmt: &Assignment, plan: &ExecPlan) {
     for pp in plan.per_proc() {
         let want_lhs = expected_lhs_offsets(arrays, stmt, pp.proc);
@@ -81,13 +93,61 @@ fn assert_schedule_expands_exactly(arrays: &[DistArray<f64>], stmt: &Assignment,
             let got: Vec<(u32, usize)> =
                 ts.iter_refs().map(|g| (g.src, g.offset)).collect();
             assert_eq!(got, want, "{} term {t} gather expansion", pp.proc);
-            let mut k = 0usize;
+            assert!(
+                ts.runs.windows(2).all(|w| w[0].dst_off < w[1].dst_off),
+                "{} term {t} gather runs are stored by position",
+                pp.proc
+            );
+            let mut filled = vec![false; ts.elements];
             for r in &ts.runs {
-                assert_eq!(r.dst_off, k, "{} term {t} gather runs must tile", pp.proc);
-                assert!(r.len > 0);
-                k += r.len;
+                assert!(r.len > 0 && r.src_stride > 0 && r.dst_stride > 0, "{r:?}");
+                assert!(r.len > 1 || r.is_unit(), "a one-element run carries strides 1: {r:?}");
+                for i in 0..r.len {
+                    let k = r.dst_off + i * r.dst_stride;
+                    assert!(
+                        !std::mem::replace(&mut filled[k], true),
+                        "{} term {t}: position {k} gathered twice",
+                        pp.proc
+                    );
+                }
             }
-            assert_eq!(k, ts.elements);
+            assert!(filled.iter().all(|&f| f), "{} term {t} gather runs must partition", pp.proc);
+        }
+    }
+}
+
+/// Assert the fused message segments of the one-statement program plan
+/// carry exactly the ghost elements of the per-element enumeration: every
+/// position a receiver reads from another processor is delivered once, by
+/// that owner, from that local offset.
+fn assert_segments_expand_exactly(arrays: &[DistArray<f64>], stmt: &Assignment, plan: &ExecPlan) {
+    let fused =
+        ProgramPlan::compile(std::slice::from_ref(stmt), vec![Arc::new(plan.clone())], true);
+    let report = verify_program_plan(arrays, std::slice::from_ref(stmt), &fused);
+    assert!(report.is_clean(), "{report}");
+    for (t, _) in stmt.terms.iter().enumerate() {
+        for pp in plan.per_proc() {
+            let me = pp.proc.zero_based() as u32;
+            let want = expected_gather_refs(arrays, stmt, pp.proc, t);
+            let mut got: Vec<Option<(u32, usize)>> = vec![None; want.len()];
+            for pair in fused.pairs().iter().filter(|p| p.receiver == me) {
+                for seg in pair.segments.iter().filter(|s| s.term == t) {
+                    let unit = fused.units()[seg.unit];
+                    assert_eq!(
+                        (unit.shard, unit.src_off, unit.src_stride, unit.len),
+                        (pair.sender as usize, seg.src_off, seg.src_stride, seg.len)
+                    );
+                    for i in 0..seg.len {
+                        let slot = &mut got[seg.dst_off + i * seg.dst_stride];
+                        let sent = (pair.sender, seg.src_off + i * seg.src_stride);
+                        assert!(slot.replace(sent).is_none(), "position delivered twice");
+                    }
+                }
+            }
+            for (k, (w, g)) in want.iter().zip(&got).enumerate() {
+                let ghost = (w.0 != me).then_some(*w);
+                assert_eq!(*g, ghost, "{} term {t} position {k}", pp.proc);
+            }
         }
     }
 }
@@ -243,9 +303,9 @@ proptest! {
         prop_assert_eq!(seq[1].to_dense(), par[1].to_dense());
     }
 
-    /// The run-length compressed schedule expands to exactly the
-    /// uncompressed per-element `(src, offset)` sequence, for every 1-D
-    /// mapping family combination (and the runs tile the element order).
+    /// The strided-run schedule expands to exactly the uncompressed
+    /// per-element `(src, offset)` sequence, for every 1-D mapping family
+    /// combination (and the runs partition the element order).
     #[test]
     fn compressed_schedule_expands_exactly_1d(
         n in 16usize..48,
@@ -307,6 +367,84 @@ proptest! {
         prop_assert_eq!(seq[0].to_dense(), expect);
         prop_assert_eq!(seq[0].to_dense(), par[0].to_dense());
         prop_assert_eq!(seq[1].to_dense(), par[1].to_dense());
+    }
+
+    /// Strided runs over what the 1-D suites above never generate: random
+    /// strided and reversed sections of `BLOCK` / `CYCLIC(k)` /
+    /// `GENERAL_BLOCK` / `INDIRECT` arrays. The gather runs and the fused
+    /// message segments both expand to exactly the per-element
+    /// `(owner, local offset)` enumeration, the plans verify clean, and
+    /// every row of the configuration matrix is bit-identical to the dense
+    /// reference.
+    #[test]
+    fn strided_runs_expand_exactly_over_random_sections(
+        n in 24usize..72,
+        np in 1usize..5,
+        ka in 0u8..5,
+        kb in 0u8..5,
+        seed in 0u64..100_000,
+        strides in (1i64..4, 1i64..4, 1i64..4),
+        eighths in 1i64..9,
+        reversed in 0u8..8,
+        alias in 0u8..2,
+    ) {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut mapping = |kind: u8| {
+            let fmt = match kind {
+                0 => FormatSpec::Block,
+                1 => FormatSpec::Cyclic(1),
+                2 => FormatSpec::Cyclic(rng.random_range(2..6u64)),
+                3 => FormatSpec::GeneralBlockSizes(gb_sizes(n, np, rng.random_range(0..1000u64))),
+                _ => FormatSpec::Indirect(
+                    (0..n).map(|_| rng.random_range(1..=np as u64) as u32).collect(),
+                ),
+            };
+            let mut ds = DataSpace::new(np);
+            let a = ds.declare("M", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
+            ds.distribute(a, &DistributeSpec::new(vec![fmt])).unwrap();
+            ds.effective(a).unwrap()
+        };
+        let arrays = vec![
+            DistArray::from_fn("A", mapping(ka), np, |i| (i[0] * 7 % 23) as f64 * 0.1 + 0.3),
+            DistArray::from_fn("B", mapping(kb), np, |i| (i[0] * 13 % 31) as f64 * 0.1 - 0.7),
+        ];
+        // `count` elements per section: as many as the widest stride
+        // allows, scaled down by `eighths`
+        let widest = strides.0.max(strides.1).max(strides.2);
+        let count = (((n as i64 - 1) / widest + 1) * eighths / 8).max(1);
+        let mut section = |stride: i64, reverse: bool| {
+            let extent = (count - 1) * stride + 1;
+            let lo = 1 + rng.random_range(0..=(n as i64 - extent) as u64) as i64;
+            let hi = lo + extent - 1;
+            Section::from_triplets(vec![if reverse {
+                triplet(hi, lo, -stride)
+            } else {
+                triplet(lo, hi, stride)
+            }])
+        };
+        let lhs = section(strides.0, reversed & 1 != 0);
+        let mut terms = vec![Term::new(1, section(strides.1, reversed & 2 != 0))];
+        if alias == 1 {
+            terms.push(Term::new(0, section(strides.2, reversed & 4 != 0)));
+        }
+        let combine = if alias == 1 { Combine::Sum } else { Combine::Copy };
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let stmt = Assignment::new(0, lhs, terms, combine, &doms).unwrap();
+
+        let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
+        let report = verify_plan(&arrays, &stmt, &plan);
+        prop_assert!(report.is_clean(), "{}", report);
+        assert_schedule_expands_exactly(&arrays, &stmt, &plan);
+        assert_segments_expand_exactly(&arrays, &stmt, &plan);
+        let expect = dense_reference(&arrays, &stmt);
+        for config in common::MATRIX {
+            let mut got = arrays.clone();
+            run_stmt(&mut got, &stmt, config);
+            let same =
+                got[0].to_dense().iter().zip(&expect).all(|(x, y)| x.to_bits() == y.to_bits());
+            prop_assert!(same, "{:?} is not bit-identical to the dense reference", config);
+        }
     }
 
     /// A cached plan replay equals a freshly inspected plan on every
@@ -417,4 +555,37 @@ fn iterated_stencil_amortizes_inspection() {
     }
     assert_eq!(sess.program().cache_misses(), 1, "one inspection for the whole loop");
     assert_eq!(sess.program().cache_hits(), timesteps - 1);
+}
+
+/// The point of strided runs: between a `BLOCK` and a `CYCLIC(1)` array the
+/// schedule, the coalesced segments and the dirty-tracking units are
+/// counted in processor pairs, whatever the extent — in both directions.
+#[test]
+fn block_cyclic_exchange_costs_a_schedule_per_pair_not_per_element() {
+    let n = 65_536usize;
+    for np in [2usize, 4] {
+        let arrays = vec![
+            DistArray::from_fn("A", mapping_of(0, n, np, 0), np, |i| i[0] as f64),
+            DistArray::from_fn("B", mapping_of(2, n, np, 0), np, |i| (i[0] * 3) as f64),
+        ];
+        let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+        let whole = || Section::from_triplets(vec![span(1, n as i64)]);
+        for (lhs, rhs) in [(0, 1), (1, 0)] {
+            let stmt =
+                Assignment::new(lhs, whole(), vec![Term::new(rhs, whole())], Combine::Copy, &doms)
+                    .unwrap();
+            let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
+            assert!(plan.schedule_runs() <= 4 * np * np, "{} runs", plan.schedule_runs());
+            assert!(plan.schedule_bytes() < 8 * 1024, "{} bytes", plan.schedule_bytes());
+            assert_eq!(plan.schedule_elements(), 2 * n);
+            let fused = ProgramPlan::compile(
+                std::slice::from_ref(&stmt),
+                vec![Arc::new(plan)],
+                true,
+            );
+            assert!(fused.units().len() <= 2 * np * np, "{} units", fused.units().len());
+            assert_eq!(fused.pairs().len(), np * (np - 1), "one message per ordered pair");
+            assert!(fused.pairs().iter().all(|p| p.segments.len() == 1));
+        }
+    }
 }

@@ -422,6 +422,112 @@ fn verifier_catches_corrupted_fused_plans() {
             .any(|d| matches!(d.kind, DiagnosticKind::FusedSegmentMissing { .. })),
         "the constituent flow it replaced must be reported missing:\n{report}"
     );
+
+    // (d)–(f) the strided form: corrupt a stride or the length of a
+    // strided coalesced segment (CYCLIC B reads BLOCK A with a stride in
+    // the sender's shard)
+    let (k, si) = (0..pristine.pairs().len())
+        .flat_map(|k| (0..pristine.pairs()[k].segments.len()).map(move |si| (k, si)))
+        .find(|&(k, si)| {
+            let seg = &pristine.pairs()[k].segments[si];
+            seg.len >= 2 && seg.src_stride > 1
+        })
+        .expect("a CYCLIC(1) ← BLOCK reference ships strided segments");
+    let flow_diverges = |report: &FusionReport| {
+        let has = |want: fn(&DiagnosticKind) -> bool| {
+            report.findings_for(Property::DeadlockFreedom).any(|d| want(&d.kind))
+        };
+        has(|k| matches!(k, DiagnosticKind::FusedSegmentOrphan { .. }))
+            && has(|k| matches!(k, DiagnosticKind::FusedSegmentMissing { .. }))
+    };
+    // (d) a wider source stride reads other elements than the unit table
+    // and the constituent message name
+    let mut mutant = pristine.clone();
+    mutant.pairs_mut()[k].segments[si].src_stride += 1;
+    let report = verify_program_plan(&arrays, &stmts, &mutant);
+    assert!(
+        report
+            .findings_for(Property::Bounds)
+            .any(|d| matches!(d.kind, DiagnosticKind::FusedUnitMismatch { .. })),
+        "a re-strided source no longer matches its dirty-tracking unit:\n{report}"
+    );
+    assert!(flow_diverges(&report), "{report}");
+    // (e) a wider destination stride scatters into other positions
+    let mut mutant = pristine.clone();
+    mutant.pairs_mut()[k].segments[si].dst_stride += 1;
+    let report = verify_program_plan(&arrays, &stmts, &mutant);
+    assert!(flow_diverges(&report), "a re-strided scatter must diverge:\n{report}");
+    // (f) a shorter strided segment drops the tail of the progression
+    let mut mutant = pristine.clone();
+    mutant.pairs_mut()[k].segments[si].len -= 1;
+    let report = verify_program_plan(&arrays, &stmts, &mutant);
+    assert!(report.findings_for(Property::Conservation).next().is_some(), "{report}");
+    assert!(flow_diverges(&report), "{report}");
+}
+
+/// Dirty tracking is exact on strided units. `A` is `CYCLIC`, `B` and `C`
+/// are `BLOCK` on two processors, so `A(1:n) = B(1:n)` gathers every other
+/// element of the peer's block: processor 1 reads `B(1), B(3), …` from
+/// shard 0 (offsets 0, 2, …, 14) and `B(17), B(19), …` from shard 1.
+/// A writer that stores only *between* a unit's elements must leave it
+/// clean; one that hits a single element must ship that element — and only
+/// it.
+#[test]
+fn strided_units_ship_exactly_when_a_store_hits_one_of_their_elements() {
+    let n = 32i64;
+    let arrays = build_arrays(n as usize, 2, [2, 0, 0], 3);
+    let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+    let whole = Section::from_triplets(vec![span(1, n)]);
+    let reader =
+        Assignment::new(0, whole.clone(), vec![Term::new(1, whole)], Combine::Copy, &doms).unwrap();
+    // B(sec) = B(sec) + C(sec): collocated, and B changes every timestep,
+    // so a unit wrongly left clean would show as a stale A
+    let writer = |sec: Triplet| {
+        let sec = Section::from_triplets(vec![sec]);
+        Assignment::new(
+            1,
+            sec.clone(),
+            vec![Term::new(1, sec.clone()), Term::new(2, sec)],
+            Combine::Sum,
+            &doms,
+        )
+        .unwrap()
+    };
+    // (stored section, ghost elements re-sent per warm timestep)
+    for (stored, resent) in [
+        // the even B: every element processor 2 reads from shard 0, and
+        // exactly the gaps of what processor 1 reads from shard 1
+        (triplet(2, n, 2), 8),
+        // one element of the unit on shard 1 (B(19), offset 2)
+        (span(19, 19), 1),
+        // one gap of it (B(20), offset 3) — processor 2's own element
+        (span(20, 20), 0),
+    ] {
+        let stmts = [reader.clone(), writer(stored)];
+        let plans = stmts.iter().map(|s| Arc::new(ExecPlan::inspect(&arrays, s).unwrap()));
+        let plan = ProgramPlan::compile(&stmts, plans.collect(), true);
+        assert!(verify_program_plan(&arrays, &stmts, &plan).is_clean());
+        let dirty: usize = plan.units().iter().filter(|u| u.post_dirty).map(|u| u.len).sum();
+        assert_eq!(dirty, resent, "{stored}: statically dirty elements");
+        assert!(plan.units().iter().all(|u| !u.intra_dirty), "the writer follows the reader");
+        assert_eq!(plan.units().iter().map(|u| u.len).sum::<usize>(), 16, "half of A is remote");
+
+        let timesteps = 4u64;
+        for backend in [Backend::SharedMem, Backend::Channels] {
+            let mut oracle = arrays.clone();
+            let mut sess = Session::new(programs(&arrays, &stmts, 1).remove(0)).backend(backend);
+            for t in 0..timesteps {
+                oracle_step(&mut oracle, &stmts);
+                sess.run(1).unwrap();
+                for (k, o) in oracle.iter().enumerate() {
+                    assert_eq!(sess.program().arrays[k].to_dense(), o.to_dense(), "{stored} t={t}");
+                }
+            }
+            let fs = sess.program().fusion_stats();
+            assert_eq!(fs.ghost_elements_sent, 16 + resent as u64 * (timesteps - 1), "{stored}");
+            assert_eq!(fs.ghost_elements_avoided, (16 - resent as u64) * (timesteps - 1));
+        }
+    }
 }
 
 /// The fused `Channels` path tolerates an idle-timeout worker-fleet

@@ -376,3 +376,66 @@ fn packed_read_of_an_unstaged_local_run_is_caught() {
         "{kinds:?}"
     );
 }
+
+// ---- strided gather runs: one mutation per progression field --------------
+
+/// Corrupt a stride or the length of a strided [`CopyRun`] — local and
+/// remote, with the stride on the packed side (`BLOCK` ← `CYCLIC(1)`) and
+/// on the source side (`CYCLIC(1)` ← `BLOCK`): every corruption must be
+/// refuted, by the diagnostic that names what it broke.
+#[test]
+fn corrupted_strides_and_strided_lengths_of_a_copy_run_are_caught() {
+    use DiagnosticKind as K;
+    type Mutation = (&'static str, fn(&mut CopyRun), fn(&K) -> bool);
+    let mutations: [Mutation; 6] = [
+        // other source elements than the statement names (or none at all)
+        ("src_stride + 1", |r| r.src_stride += 1, |k| {
+            matches!(k, K::GatherWrongElement { .. } | K::CopyRunOutOfBounds { .. })
+        }),
+        ("src_stride = 0", |r| r.src_stride = 0, |k| matches!(k, K::GatherWrongElement { .. })),
+        // other packed positions: someone else's, or past the buffer
+        ("dst_stride + 1", |r| r.dst_stride += 1, |k| {
+            matches!(k, K::PackOverlap { .. } | K::PackRunOutOfBounds { .. })
+        }),
+        ("dst_stride = 0", |r| r.dst_stride = 0, |k| matches!(k, K::PackOverlap { .. })),
+        // a progression cut short leaves its last position unfilled
+        ("len - 1", |r| r.len -= 1, |k| matches!(k, K::PackGap { .. })),
+        // one element too many lands on a neighbour or leaves a buffer
+        ("len + 1", |r| r.len += 1, |k| {
+            matches!(
+                k,
+                K::PackOverlap { .. } | K::PackRunOutOfBounds { .. } | K::CopyRunOutOfBounds { .. }
+            )
+        }),
+    ];
+    for (ka, kb) in [(0u8, 2u8), (2, 0)] {
+        let arrays = build_arrays(64, 4, ka, kb, 1);
+        let stmt = build_stmt(64, 0, &arrays);
+        let pristine = ExecPlan::inspect(&arrays, &stmt).unwrap();
+        assert!(verify_plan(&arrays, &stmt, &pristine).is_clean());
+        for remote in [false, true] {
+            for (what, mutate, names_it) in mutations {
+                let mut plan = pristine.clone();
+                let pp = &mut plan.per_proc_mut()[1];
+                let run = pp.terms[0]
+                    .runs
+                    .iter_mut()
+                    .find(|r| (r.src != 1) == remote && r.len >= 3 && !r.is_unit())
+                    .expect("every source contributes one strided run");
+                mutate(run);
+                let report = verify_plan(&arrays, &stmt, &plan);
+                let kinds: Vec<&K> = report.diagnostics.iter().map(|d| &d.kind).collect();
+                assert!(kinds.iter().any(|k| names_it(k)), "{what} (remote: {remote}):\n{report}");
+                if remote {
+                    // and run and message schedule no longer pair up
+                    assert!(
+                        kinds.iter().any(|k| {
+                            matches!(k, K::ReadBeforeExchange { .. } | K::OrphanMessage { .. })
+                        }),
+                        "{what}:\n{report}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -1,8 +1,8 @@
 //! A warm [`Session::run`] timestep performs **zero heap allocations**.
 //!
 //! The plan cache keeps a preallocated `FusedWorkspace` beside the compiled
-//! program plan, the compressed schedules replay with `copy_from_slice` block moves and
-//! slice kernels, and the per-statement analyses come back as `Arc`
+//! program plan, the strided-run schedules replay with block moves, strided
+//! gathers/scatters into preallocated buffers and slice kernels, and the per-statement analyses come back as `Arc`
 //! handles into the frozen plans — so once the first timestep has
 //! populated the cache, later timesteps touch no allocator at all. This
 //! test pins that contract with a counting global allocator.
@@ -180,7 +180,7 @@ fn channels_allocs_per_timestep(prog: Program) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     sess.run(timesteps).unwrap();
     let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(sess.program().spmd_workers_spawned(), 4);
+    assert_eq!(sess.program().spmd_workers_spawned(), sess.program().np() as u64);
     (after - before) / timesteps
 }
 
@@ -203,6 +203,65 @@ fn warm_direct_path_step_adds_no_allocation_on_channels() {
     // the constant itself: one shard vector per worker plus the channel
     // implementation's amortized block — the work order must not grow it
     assert!(staged <= 5, "a warm Channels timestep allocates {staged} times (was 5)");
+}
+
+/// The exchange-bound shape of the `pingpong` benchmark workload:
+/// `A = B; B(2:N) = A(1:N-1) + B(2:N)` with `A` `BLOCK` and `B` `CYCLIC` on
+/// two processors. Every operand run is strided, every term is staged,
+/// both sources are rewritten each timestep (nothing is ever clean), and
+/// half of each array crosses the wire.
+fn block_cyclic_program(n: i64) -> Program {
+    let np = 2usize;
+    let mut ds = DataSpace::new(np);
+    let a = ds.declare("A", IndexDomain::standard(&[(1, n)]).unwrap()).unwrap();
+    let b = ds.declare("B", IndexDomain::standard(&[(1, n)]).unwrap()).unwrap();
+    ds.distribute(a, &DistributeSpec::new(vec![FormatSpec::Block])).unwrap();
+    ds.distribute(b, &DistributeSpec::new(vec![FormatSpec::Cyclic(1)])).unwrap();
+    let mut prog = Program::new(vec![
+        DistArray::new("A", ds.effective(a).unwrap(), np, 0.0),
+        DistArray::from_fn("B", ds.effective(b).unwrap(), np, |i| (i[0] % 7) as f64 * 0.25),
+    ]);
+    let doms: Vec<&IndexDomain> = prog.arrays.iter().map(|a| a.domain()).collect();
+    let sec = |lo, hi| Section::from_triplets(vec![span(lo, hi)]);
+    let ping =
+        Assignment::new(0, sec(1, n), vec![Term::new(1, sec(1, n))], Combine::Copy, &doms).unwrap();
+    let pong = Assignment::new(
+        1,
+        sec(2, n),
+        vec![Term::new(0, sec(1, n - 1)), Term::new(1, sec(2, n))],
+        Combine::Sum,
+        &doms,
+    )
+    .unwrap();
+    prog.push(ping).unwrap();
+    prog.push(pong).unwrap();
+    prog
+}
+
+#[test]
+fn warm_block_cyclic_exchange_allocates_nothing_beyond_the_handoff() {
+    let _serial = SERIAL.lock().unwrap();
+    let n = 4096i64;
+    let prog = block_cyclic_program(n);
+    for stmt in prog.statements() {
+        let plan = ExecPlan::inspect(&prog.arrays, stmt).unwrap();
+        assert!(plan.per_proc().iter().all(|pp| pp.terms.iter().all(|ts| !ts.direct)));
+        assert!(plan.schedule_runs() <= 16, "{stmt}: {} runs", plan.schedule_runs());
+    }
+    let mut sess = Session::new(prog).backend(Backend::SharedMem);
+    sess.run(2).unwrap();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    sess.run(5).unwrap();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(after - before, 0, "strided gathers and scatters must reuse the workspace");
+    let fs = sess.program().fusion_stats();
+    assert_eq!(fs.ghost_elements_avoided, 0, "both sources are rewritten every timestep");
+    assert_eq!(fs.ghost_elements_sent, 7 * (n as u64 - 1));
+
+    // the fleet: a strided pack gathers straight into a recycled wire
+    // buffer, so the per-timestep constant stays the shard handoff's
+    let per_timestep = channels_allocs_per_timestep(block_cyclic_program(n));
+    assert!(per_timestep <= 5, "a warm Channels timestep allocates {per_timestep} times");
 }
 
 #[test]
