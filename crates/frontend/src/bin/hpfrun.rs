@@ -226,8 +226,11 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 println!(
-                    "verified: {} plan(s) proven safe before execution",
-                    lowered.statements.len()
+                    "verified: {} statement plan(s) and the timestep plan ({} superstep(s), \
+                     {} message(s)) proven safe before execution",
+                    report.statements.len(),
+                    report.timestep.supersteps,
+                    report.timestep.pairs
                 );
             }
             Err(e) => {

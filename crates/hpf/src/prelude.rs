@@ -40,10 +40,9 @@ pub use hpf_runtime::{
     CkptError, CkptReport, Combine, CommAnalysis, CopyRun, Diagnostic, DiagnosticKind,
     DistArray, ExchangeBackend, ExchangeError, ExecPlan, Fault, FaultPlan, FusedPair,
     FusedSegment, FusedState, FusedWorkspace, FusionReport, FusionStats, GatherRef,
-    GhostReport, MessagePlan, MsgSegment, PairSchedule, PieceSrc, PlanCache, PlanWorkspace,
-    ProcPlan, Program, ProgramPlan, ProgramStats, Property, RecoveryPolicy, RemapAnalysis,
-    RestoreReport, Session, SessionReport, SharedMemBackend, StatementReport,
-    StatementTrace, StoreRun, Superstep, Term, TermSchedule, UnitMeta, VerifyReport,
-    VerifyStats, DIRECT_MIN_RUN,
+    GhostReport, PieceSrc, PlanCache, PlanWorkspace, ProcPlan, Program, ProgramPlan,
+    ProgramStats, Property, RecoveryPolicy, RemapAnalysis, RestoreReport, Session,
+    SessionReport, SharedMemBackend, StatementReport, StatementTrace, StoreRun, Superstep,
+    Term, TermSchedule, VerifyReport, VerifyStats, DIRECT_MIN_RUN,
 };
 pub use hpf_template::{TemplateError, TemplateModel};

@@ -1,13 +1,13 @@
 //! Pluggable exchange backends — the transport-neutral boundary between
 //! compiled schedules and the wire.
 //!
-//! * At inspect time, each plan's remote [`CopyRun`]s are **regrouped into
-//!   per-`(sender, receiver)` message schedules** — a [`MessagePlan`]
-//!   holding one [`PairSchedule`] per communicating processor pair, each a
-//!   list of strided [`MsgSegment`]s (what the sender gathers into the
-//!   message, where the receiver scatters it). This is exactly the vectorized-message aggregation the
-//!   machine model prices: one message per pair per statement. A
-//!   [`ProgramPlan`] coalesces them per superstep.
+//! * What moves is decided before any backend sees it: a [`ProgramPlan`]
+//!   buckets the remote gather runs of its statements' [`ExecPlan`]s into
+//!   one [`FusedPair`](crate::FusedPair) per `(superstep, sender,
+//!   receiver)` — the standard vectorized-message aggregation the machine
+//!   model prices — whose [`FusedSegment`](crate::FusedSegment)s say what
+//!   the sender gathers into the message and where the receiver scatters
+//!   it. There is no other send-side form.
 //! * [`ExchangeBackend`] abstracts *how* those messages move, and it is
 //!   the **only** thing that varies between ways of running a timestep:
 //!   [`ExchangeBackend::step`] executes one whole [`ProgramPlan`] — per
@@ -26,21 +26,20 @@
 //!
 //! Every backend cross-checks the elements it actually moves against the
 //! dirty-tracking mask of the timestep, and
-//! [`MessagePlan::matches_analysis`] records (verified at inspect time)
-//! that for partitioning mappings the full wire traffic is *exactly* the
-//! frozen [`CommAnalysis`] — the paper's statically-computed communication
-//! sets are sufficient for a real distributed-memory exchange.
+//! [`ExecPlan::analysis_verdict`](crate::ExecPlan::analysis_verdict)
+//! records (asserted at inspect time) that for partitioning mappings the
+//! full wire traffic is *exactly* the frozen
+//! [`CommAnalysis`](crate::CommAnalysis) — the paper's statically-computed
+//! communication sets are sufficient for a real distributed-memory
+//! exchange.
 //!
-//! [`CopyRun`]: crate::CopyRun
+//! [`ExecPlan`]: crate::ExecPlan
 
 use crate::array::DistArray;
-use crate::commsets::CommAnalysis;
 use crate::fault::{Fault, FaultPlan, FaultSwitch};
 use crate::fuse::{execute_fused, BufferDomain, FusedState, ProgramPlan};
-use crate::plan::ProcPlan;
 use crate::workspace::FusedWorkspace;
 use hpf_core::HpfError;
-use hpf_procs::ProcId;
 use std::sync::Arc;
 
 /// A typed exchange failure — what used to be a mid-superstep panic.
@@ -164,207 +163,6 @@ impl std::error::Error for ExchangeError {}
 impl From<ExchangeError> for HpfError {
     fn from(e: ExchangeError) -> HpfError {
         HpfError::Exchange { rank: e.rank(), step: e.step(), reason: e.to_string() }
-    }
-}
-
-/// One strided piece of a pair's message — a remote [`CopyRun`] seen from
-/// the wire: `len` elements read from the sender's local buffer of array
-/// `array` at `src_off + i·src_stride` (the sender's pack is a strided
-/// gather into the message), landing in the receiver's packed operand
-/// buffer for term `term` at `dst_off + i·dst_stride` (the unpack is a
-/// strided scatter).
-///
-/// [`CopyRun`]: crate::CopyRun
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MsgSegment {
-    /// RHS term index the data feeds (selects the receiver's operand
-    /// buffer).
-    pub term: usize,
-    /// Operand array index (selects the sender's local buffer).
-    pub array: usize,
-    /// First flat offset into the sender's local buffer.
-    pub src_off: usize,
-    /// Distance between consecutive source offsets.
-    pub src_stride: usize,
-    /// First position in the receiver's packed operand buffer for `term`.
-    pub dst_off: usize,
-    /// Distance between consecutive packed positions.
-    pub dst_stride: usize,
-    /// Elements moved.
-    pub len: usize,
-}
-
-/// Everything one ordered processor pair exchanges for one statement: the
-/// segments are packed into a single message in order (the standard
-/// vectorized-message aggregation), so `elements` is both the message
-/// length and the pair's wire traffic in elements.
-#[derive(Debug, Clone)]
-pub struct PairSchedule {
-    /// Zero-based sending processor.
-    pub sender: u32,
-    /// Zero-based receiving processor.
-    pub receiver: u32,
-    /// Total elements in the message (= sum of segment lengths).
-    pub elements: usize,
-    /// The message layout, in pack order.
-    pub segments: Vec<MsgSegment>,
-}
-
-/// How a [`MessagePlan`]'s wire traffic relates to the statement's frozen
-/// region-algebraic [`CommAnalysis`] — the two are computed independently
-/// (per-element gather enumeration vs. region algebra), so their agreement
-/// is a meaningful cross-check, and their *disagreement* has two very
-/// different causes that used to be conflated in a single silent boolean.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum AnalysisVerdict {
-    /// The schedules match the analysis pair for pair — the strict
-    /// contract that holds whenever every involved mapping partitions its
-    /// array.
-    #[default]
-    Exact,
-    /// An involved mapping replicates, so the comparison is inapplicable
-    /// *by design*: the analysis models first-owner-computes plus a
-    /// result broadcast, while execution has every replica compute its
-    /// own copy (no broadcast ever rides the wire). Expected, documented
-    /// divergence — not a schedule bug.
-    ReplicatedDivergence,
-    /// All mappings partition yet the schedules still disagree with the
-    /// analysis — a genuine schedule or analysis bug.
-    /// [`ExecPlan::inspect`](crate::ExecPlan::inspect) refuses to freeze such
-    /// a plan.
-    Divergent,
-}
-
-impl std::fmt::Display for AnalysisVerdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnalysisVerdict::Exact => write!(f, "exact"),
-            AnalysisVerdict::ReplicatedDivergence => write!(f, "replicated-divergence"),
-            AnalysisVerdict::Divergent => write!(f, "divergent"),
-        }
-    }
-}
-
-/// A plan's remote traffic regrouped by processor pair — the message-level
-/// view of the same schedule the per-processor [`CopyRun`]s describe
-/// element-wise. Built once at inspect time; pairs are sorted by
-/// `(sender, receiver)`.
-///
-/// [`CopyRun`]: crate::CopyRun
-#[derive(Debug, Clone, Default)]
-pub struct MessagePlan {
-    pairs: Vec<PairSchedule>,
-    wire_elements: u64,
-    verdict: AnalysisVerdict,
-}
-
-impl MessagePlan {
-    /// Regroup the remote runs of `per_proc` into per-pair message
-    /// schedules and verify them against the statement's frozen
-    /// communication analysis.
-    pub(crate) fn build(per_proc: &[ProcPlan], analysis: &CommAnalysis) -> MessagePlan {
-        let mut map: std::collections::BTreeMap<(u32, u32), Vec<MsgSegment>> =
-            std::collections::BTreeMap::new();
-        for pp in per_proc {
-            let me = pp.proc.zero_based() as u32;
-            for (t, ts) in pp.terms.iter().enumerate() {
-                for r in ts.runs.iter().filter(|r| r.src != me) {
-                    map.entry((r.src, me)).or_default().push(MsgSegment {
-                        term: t,
-                        array: ts.array,
-                        src_off: r.src_off,
-                        src_stride: r.src_stride,
-                        dst_off: r.dst_off,
-                        dst_stride: r.dst_stride,
-                        len: r.len,
-                    });
-                }
-            }
-        }
-        let pairs: Vec<PairSchedule> = map
-            .into_iter()
-            .map(|((sender, receiver), segments)| PairSchedule {
-                sender,
-                receiver,
-                elements: segments.iter().map(|s| s.len).sum(),
-                segments,
-            })
-            .collect();
-        let wire_elements: u64 = pairs.iter().map(|p| p.elements as u64).sum();
-        // Exact-match cross-check against the region-algebraic analysis:
-        // for partitioning mappings the gather schedule *is* the
-        // communication set, pair for pair. When they disagree, the
-        // verdict separates the expected replication case from a genuine
-        // schedule bug instead of collapsing both into one boolean.
-        let exact = analysis.comm.messages() == pairs.len()
-            && wire_elements == analysis.comm.total_elements()
-            && pairs.iter().all(|p| {
-                analysis.comm.elements_between(
-                    ProcId(p.sender + 1),
-                    ProcId(p.receiver + 1),
-                ) == p.elements as u64
-            });
-        let verdict = if exact {
-            AnalysisVerdict::Exact
-        } else if analysis.region_exact {
-            AnalysisVerdict::Divergent
-        } else {
-            AnalysisVerdict::ReplicatedDivergence
-        };
-        MessagePlan { pairs, wire_elements, verdict }
-    }
-
-    /// The per-pair message schedules, sorted by `(sender, receiver)`.
-    pub fn pairs(&self) -> &[PairSchedule] {
-        &self.pairs
-    }
-
-    /// The schedule for `sender → receiver`, if that pair communicates.
-    pub fn pair(&self, sender: u32, receiver: u32) -> Option<&PairSchedule> {
-        self.pairs
-            .binary_search_by_key(&(sender, receiver), |p| (p.sender, p.receiver))
-            .ok()
-            .map(|i| &self.pairs[i])
-    }
-
-    /// Total elements crossing processor boundaries per replay.
-    pub fn wire_elements(&self) -> u64 {
-        self.wire_elements
-    }
-
-    /// Total bytes crossing processor boundaries per replay.
-    pub fn wire_bytes(&self) -> u64 {
-        self.wire_elements * std::mem::size_of::<f64>() as u64
-    }
-
-    /// True iff the message schedules match the frozen [`CommAnalysis`]
-    /// exactly, pair for pair (always the case when every involved
-    /// mapping partitions its array). Shorthand for
-    /// `analysis_verdict() == AnalysisVerdict::Exact`; callers that need
-    /// to distinguish the expected replication divergence from a genuine
-    /// bug should use [`MessagePlan::analysis_verdict`].
-    pub fn matches_analysis(&self) -> bool {
-        self.verdict == AnalysisVerdict::Exact
-    }
-
-    /// How the schedules relate to the frozen analysis — exact match,
-    /// expected replication divergence, or a genuine mismatch.
-    pub fn analysis_verdict(&self) -> AnalysisVerdict {
-        self.verdict
-    }
-
-    /// Mutable pair schedules — only for the verifier's mutation tests,
-    /// which corrupt frozen plans to prove the diagnostics fire.
-    #[cfg(test)]
-    pub(crate) fn pairs_mut(&mut self) -> &mut Vec<PairSchedule> {
-        &mut self.pairs
-    }
-
-    /// Overwrite the cached wire total — only for the verifier's mutation
-    /// tests.
-    #[cfg(test)]
-    pub(crate) fn set_wire_elements(&mut self, n: u64) {
-        self.wire_elements = n;
     }
 }
 
@@ -592,8 +390,9 @@ mod tests {
     use crate::assign::{Assignment, Combine, Term};
     use crate::exec::dense_reference;
     use crate::testing::{run_stmt, threaded};
-    use crate::{ExecPlan, PlanCache};
+    use crate::{AnalysisVerdict, ExecPlan, PlanCache};
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
+    use hpf_procs::ProcId;
     use hpf_index::{span, triplet, IndexDomain, Section};
 
     fn setup(n: usize, np: usize, fmts: &[FormatSpec]) -> Vec<DistArray<f64>> {
@@ -626,27 +425,29 @@ mod tests {
     }
 
     #[test]
-    fn message_plan_matches_comm_analysis_exactly() {
+    fn wire_traffic_matches_comm_analysis_exactly() {
         let arrays = setup(64, 4, &[FormatSpec::Block, FormatSpec::Cyclic(3)]);
         let stmt = shift_stmt(64, &arrays);
-        let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        let msgs = plan.message_plan();
-        assert!(msgs.matches_analysis(), "partitioned mappings must match exactly");
-        assert_eq!(msgs.analysis_verdict(), AnalysisVerdict::Exact);
-        assert_eq!(msgs.wire_elements(), plan.analysis().comm.total_elements());
-        assert_eq!(msgs.wire_bytes(), plan.analysis().total_bytes());
-        assert_eq!(msgs.pairs().len(), plan.analysis().comm.messages());
-        for p in msgs.pairs() {
+        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmt).unwrap());
+        assert_eq!(plan.analysis_verdict(), AnalysisVerdict::Exact, "partitioned mappings");
+        assert_eq!(plan.wire_elements(), plan.analysis().comm.total_elements());
+        assert_eq!(plan.wire_bytes(), plan.analysis().total_bytes());
+        assert_eq!(plan.messages(), plan.analysis().comm.messages());
+        // and the messages that execute carry it pair for pair
+        let fused = ProgramPlan::compile(std::slice::from_ref(&stmt), vec![plan.clone()], true);
+        assert_eq!(fused.pairs().len(), plan.messages());
+        for p in fused.pairs() {
             assert_ne!(p.sender, p.receiver, "local data never rides the wire");
             assert!(p.elements > 0);
             assert_eq!(p.elements, p.segments.iter().map(|s| s.len).sum::<usize>());
-            assert!(msgs.pair(p.sender, p.receiver).is_some());
+            let froze =
+                plan.analysis().comm.elements_between(ProcId(p.sender + 1), ProcId(p.receiver + 1));
+            assert_eq!(p.elements as u64, froze, "{} → {}", p.sender, p.receiver);
         }
-        assert!(msgs.pair(63, 64).is_none());
     }
 
     #[test]
-    fn collocated_statement_has_empty_message_plan() {
+    fn collocated_statement_exchanges_nothing() {
         let arrays = setup(32, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
         let stmt = Assignment::new(
@@ -658,10 +459,8 @@ mod tests {
         )
         .unwrap();
         let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        let msgs = plan.message_plan();
-        assert!(msgs.pairs().is_empty());
-        assert_eq!(msgs.wire_bytes(), 0);
-        assert!(msgs.matches_analysis());
+        assert_eq!((plan.messages(), plan.wire_bytes()), (0, 0));
+        assert_eq!(plan.analysis_verdict(), AnalysisVerdict::Exact);
     }
 
     #[test]
@@ -671,7 +470,7 @@ mod tests {
         let mut fused = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(2)]);
         let mut unfused = fused.clone();
         let stmts = [shift_stmt(48, &fused)];
-        let wire = ExecPlan::inspect(&fused, &stmts[0]).unwrap().message_plan().wire_bytes();
+        let wire = ExecPlan::inspect(&fused, &stmts[0]).unwrap().wire_bytes();
         let (mut c1, mut c2) = (PlanCache::new(), PlanCache::new());
         let (mut b1, mut b2) = (SharedMemBackend::new(), SharedMemBackend::new());
         for _ in 0..3 {
@@ -713,9 +512,8 @@ mod tests {
         )
         .unwrap();
         let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        assert!(!plan.message_plan().matches_analysis());
         assert_eq!(
-            plan.message_plan().analysis_verdict(),
+            plan.analysis_verdict(),
             AnalysisVerdict::ReplicatedDivergence,
             "replication must be reported as the expected divergence, not a bug"
         );

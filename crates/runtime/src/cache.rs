@@ -11,11 +11,13 @@
 //! entries.
 //!
 //! Execution goes through [`PlanCache::replay`], the one way a timestep
-//! runs: it resolves the statement list's [`ProgramPlan`] (compiling and
-//! statically verifying it when the list, the mode or a mapping changed),
-//! brackets the step with the dirty-tracking state's begin/finish, and
-//! hands plan, state and the preallocated [`FusedWorkspace`] to an
-//! [`ExchangeBackend`]. On the `SharedMem` backend a warm replay performs
+//! runs: it resolves the statement list's [`ProgramPlan`] through
+//! [`PlanCache::program_plan_for`] (compiling and statically verifying it
+//! when the list, the mode or a mapping changed — the same lookup
+//! [`Program::verify_all`](crate::Program::verify_all) proves, so what was
+//! proven is what replays), brackets the step with the dirty-tracking
+//! state's begin/finish, and hands plan, state and the entry's
+//! [`FusedWorkspace`] to an [`ExchangeBackend`]. On the `SharedMem` backend a warm replay performs
 //! **zero heap allocations**.
 
 use crate::array::DistArray;
@@ -124,17 +126,48 @@ impl PlanCache {
         Ok(plan)
     }
 
-    /// Execute one whole timestep — every statement of `stmts`, in
-    /// program order — through the cached [`ProgramPlan`] on `backend`,
-    /// compiling (and statically verifying) the plan first if the
-    /// statement sequence or `fused` changed or any involved array was
-    /// remapped. `fused = false` selects the per-statement compile mode
-    /// (see [`ProgramPlan::compile`]).
+    /// The [`ProgramPlan`] of one whole timestep — every statement of
+    /// `stmts`, in program order — compiled (and statically verified)
+    /// first if the statement sequence or `fused` changed or any involved
+    /// array was remapped. `fused = false` selects the per-statement
+    /// compile mode (see [`ProgramPlan::compile`]).
     ///
-    /// A warm timestep counts one hit per statement; a rebuild resolves
-    /// each constituent plan through [`PlanCache::plan_for`], which
-    /// charges hits for statements whose plans are still valid and misses
-    /// for cold or invalidated ones.
+    /// A warm lookup counts one hit per statement; a rebuild resolves each
+    /// constituent plan through [`PlanCache::plan_for`], which charges
+    /// hits for statements whose plans are still valid and misses for cold
+    /// or invalidated ones. The entry's workspace starts empty: the first
+    /// [`ExchangeBackend::step`] sizes it, so a caller that only lints the
+    /// plan never pays for operand buffers.
+    pub fn program_plan_for(
+        &mut self,
+        arrays: &[DistArray<f64>],
+        stmts: &[Assignment],
+        fused: bool,
+    ) -> Result<Arc<ProgramPlan>, HpfError> {
+        let warm = self.fused.as_ref().is_some_and(|e| {
+            e.plan.fused() == fused && e.stmts == stmts && e.plan.is_valid_for(arrays)
+        });
+        if warm {
+            self.hits += stmts.len() as u64;
+        } else {
+            let plans = stmts
+                .iter()
+                .map(|s| self.plan_for(arrays, s))
+                .collect::<Result<Vec<_>, _>>()?;
+            let plan = Arc::new(ProgramPlan::compile(stmts, plans, fused));
+            verify_fused_inserted(arrays, stmts, &plan);
+            let mut state = FusedState::new(&plan, arrays);
+            if let Some(old) = &self.fused {
+                state.carry_counters(&old.state);
+            }
+            let ws = FusedWorkspace::new();
+            self.fused = Some(FusedEntry { stmts: stmts.to_vec(), plan, state, ws });
+        }
+        Ok(self.fused.as_ref().expect("fused entry was just ensured").plan.clone())
+    }
+
+    /// Execute one whole timestep through the cached [`ProgramPlan`] (see
+    /// [`PlanCache::program_plan_for`]) on `backend`.
     ///
     /// Warm timesteps on the `SharedMem` backend perform **zero heap
     /// allocations**: the dirty bits, effective-send mask, staging
@@ -149,25 +182,7 @@ impl PlanCache {
         fused: bool,
         backend: &mut dyn ExchangeBackend,
     ) -> Result<Arc<ProgramPlan>, HpfError> {
-        let warm = self.fused.as_ref().is_some_and(|e| {
-            e.plan.fused() == fused && e.stmts == stmts && e.plan.is_valid_for(arrays)
-        });
-        if warm {
-            self.hits += stmts.len() as u64;
-        } else {
-            let plans = stmts
-                .iter()
-                .map(|s| self.plan_for(arrays, s))
-                .collect::<Result<Vec<_>, _>>()?;
-            let plan = Arc::new(ProgramPlan::compile(stmts, plans, fused));
-            verify_fused_inserted(arrays, stmts, &plan);
-            let ws = FusedWorkspace::for_plan(&plan);
-            let mut state = FusedState::new(&plan, arrays);
-            if let Some(old) = &self.fused {
-                state.carry_counters(&old.state);
-            }
-            self.fused = Some(FusedEntry { stmts: stmts.to_vec(), plan, state, ws });
-        }
+        self.program_plan_for(arrays, stmts, fused)?;
         let FusedEntry { plan, state, ws, .. } =
             self.fused.as_mut().expect("fused entry was just ensured");
         // backend first: a respawned worker fleet has empty buffers, and
@@ -186,6 +201,12 @@ impl PlanCache {
         Ok(plan.clone())
     }
 
+    /// The cached timestep plan, mutably (see
+    /// [`Program::timestep_plan_mut`](crate::Program::timestep_plan_mut)).
+    pub(crate) fn program_plan_mut(&mut self) -> Option<&mut ProgramPlan> {
+        self.fused.as_mut().map(|e| Arc::make_mut(&mut e.plan))
+    }
+
     /// Measured wall-nanoseconds each simulated processor spent in compute
     /// kernels during the last timestep (empty before the first one).
     pub fn rank_compute_ns(&self) -> &[u64] {
@@ -194,7 +215,7 @@ impl PlanCache {
 
     /// Observability snapshot of the timestep plan: DAG shape of the
     /// current [`ProgramPlan`] plus lifetime-cumulative reuse counters
-    /// (carried across rebuilds). Zeroed before the first timestep.
+    /// (carried across rebuilds). Zeroed before the plan is first compiled.
     pub fn fusion_stats(&self) -> FusionStats {
         match &self.fused {
             None => FusionStats::default(),

@@ -19,17 +19,21 @@
 //!    before `s`'s kernel runs, because every executor computes a
 //!    superstep's statements in program order and a processor's in-place
 //!    reads touch only its own shards.
-//! 2. **Message coalescing** — within a superstep, every constituent
-//!    plan's [`PairSchedule`](crate::PairSchedule)s for the same
-//!    `(sender, receiver)` pair merge into one [`FusedPair`]: one
-//!    vectorized message per pair per superstep instead of one per pair
-//!    per statement.
+//! 2. **Message coalescing** — the remote gather runs of a superstep's
+//!    statements ([`ProcPlan::remote_runs`](crate::ProcPlan::remote_runs))
+//!    are bucketed by `(sender, receiver)` straight into one
+//!    [`FusedPair`]: one vectorized message per pair per superstep instead
+//!    of one per pair per statement. The receiver-side runs are the only
+//!    source of the exchange schedule and [`FusedSegment`] its only
+//!    send-side form — nothing is regrouped in between.
 //! 3. **Ghost-region reuse** — each coalesced segment is a dirty-tracking
 //!    *unit*: a strided progression of source offsets on the sending
 //!    shard. At compile time the fused plan computes, from exact store-run
 //!    / source-progression intersections (a store that lands *between* two
 //!    elements of a strided unit does not touch it), which statements
-//!    overwrite each unit's source data; at run time a [`FusedState`] combines that with
+//!    overwrite each segment's source data and records the answer on the
+//!    segment (`intra_dirty` / `post_dirty`); at run time a [`FusedState`]
+//!    combines that with
 //!    per-shard write epochs (see `DistArray::shard_version`) to skip
 //!    re-sending units whose receiver-side copy is still current. The
 //!    receiving buffers persist across timesteps, so a skipped unit's data
@@ -57,10 +61,12 @@ use std::sync::Arc;
 /// it feeds: `len` elements from shard `sender` of array `array` at
 /// `src_off + i·src_stride`, landing in statement `stmt`'s packed operand
 /// buffer for term `term` at `dst_off + i·dst_stride` on the receiver — a
-/// constituent [`MsgSegment`](crate::MsgSegment), or the sub-progression
-/// of one between two write boundaries (same strides). Also the
-/// granularity of ghost dirty tracking (`unit` indexes the plan's
-/// [`UnitMeta`] table).
+/// remote [`CopyRun`](crate::CopyRun) of that statement's gather schedule
+/// seen from the wire, or the sub-progression of one between two write
+/// boundaries (same strides). Also the granularity of ghost dirty
+/// tracking: the two static flags say which program statements overwrite
+/// the source data, and `unit` is the segment's slot in the
+/// [`FusedState`] masks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedSegment {
     /// Index of the statement (and constituent plan) this segment feeds.
@@ -79,14 +85,25 @@ pub struct FusedSegment {
     pub dst_stride: usize,
     /// Elements moved.
     pub len: usize,
-    /// Index into [`ProgramPlan::units`] — the segment's dirty-tracking
-    /// unit (1:1 with segments).
+    /// The segment's flat index in `(pair, segment)` order — its slot in
+    /// the dirty and effective-send masks.
     pub unit: usize,
+    /// True iff some statement in a superstep *before* the pair's pack
+    /// phase writes one of the source elements: the segment must then be
+    /// re-sent every timestep regardless of its cross-timestep dirty bit,
+    /// because the current timestep changes the data before it is staged.
+    /// Always true in a plan compiled unfused.
+    pub intra_dirty: bool,
+    /// True iff some statement at or after the pair's home superstep
+    /// writes one of the source elements: the receiver's copy is stale
+    /// *after* the timestep, so the segment re-enters the next timestep
+    /// dirty.
+    pub post_dirty: bool,
 }
 
 /// Everything one ordered processor pair exchanges for one superstep,
-/// coalesced across every statement of that superstep: the fused
-/// analogue of [`PairSchedule`](crate::PairSchedule).
+/// coalesced across every statement of that superstep — the one message
+/// the sender packs and the receiver unpacks.
 #[derive(Debug, Clone)]
 pub struct FusedPair {
     /// Zero-based sending processor.
@@ -108,35 +125,6 @@ pub struct FusedPair {
     pub segments: Vec<FusedSegment>,
 }
 
-/// Compile-time dirty-tracking metadata for one coalesced segment: where
-/// its source data lives — the offsets `src_off + i·src_stride`, `i < len`,
-/// of one shard — and which program statements overwrite it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitMeta {
-    /// Source array index.
-    pub array: usize,
-    /// Zero-based source shard (the sending processor).
-    pub shard: usize,
-    /// First flat source offset within the shard.
-    pub src_off: usize,
-    /// Distance between consecutive source offsets.
-    pub src_stride: usize,
-    /// Source elements.
-    pub len: usize,
-    /// Home superstep of the pair the unit belongs to.
-    pub superstep: usize,
-    /// True iff some statement in a superstep *before* the unit's pack
-    /// phase writes one of its source elements: the unit must then be
-    /// re-sent every timestep regardless of its cross-timestep dirty bit,
-    /// because the current timestep changes the data before it is staged.
-    /// Always true in a plan compiled unfused.
-    pub intra_dirty: bool,
-    /// True iff some statement at or after the unit's home superstep
-    /// writes one of its source elements: the receiver's copy is stale
-    /// *after* the timestep, so the unit re-enters the next timestep dirty.
-    pub post_dirty: bool,
-}
-
 /// One level of the fused timestep: the statements (by index) that
 /// execute together, pairwise free of RAW/WAW conflicts.
 #[derive(Debug, Clone)]
@@ -146,8 +134,8 @@ pub struct Superstep {
 }
 
 /// A whole timestep compiled as one fused schedule: the constituent
-/// per-statement plans, the superstep DAG flattened to levels, the
-/// coalesced per-pair messages, and the dirty-tracking unit table.
+/// per-statement plans, the superstep DAG flattened to levels, and the
+/// coalesced per-pair messages with their static dirty flags.
 /// Immutable once compiled; see the module docs for invalidation rules.
 #[derive(Debug, Clone)]
 pub struct ProgramPlan {
@@ -155,7 +143,6 @@ pub struct ProgramPlan {
     fused: bool,
     supersteps: Vec<Superstep>,
     pairs: Vec<FusedPair>,
-    units: Vec<UnitMeta>,
     messages_before: usize,
     messages_after: usize,
 }
@@ -205,9 +192,9 @@ pub(crate) fn hit_ranges(
 
 impl ProgramPlan {
     /// Compile the fused schedule for one timestep: level-schedule the
-    /// statements, coalesce their message plans per superstep, and derive
-    /// the static dirty/phase metadata from exact store-run /
-    /// source-progression intersections.
+    /// statements, bucket their remote gather runs into one message per
+    /// `(superstep, sender, receiver)`, and derive the static dirty/phase
+    /// metadata from exact store-run / source-progression intersections.
     ///
     /// `plans[s]` must be the compiled plan of `stmts[s]` against the
     /// current mappings (the `PlanCache` resolves them; direct callers can
@@ -269,68 +256,72 @@ impl ProgramPlan {
             })
             .collect();
 
-        // 3. coalesce messages: all constituent segments of one
-        // superstep's statements sharing a (sender, receiver) pair merge
-        // into one fused message, in (superstep, sender, receiver) order.
-        // Each constituent segment is split where the set of statements
-        // writing its source elements changes, so a never-written stretch
-        // (e.g. a fixed boundary element a stencil reads but no sweep
-        // updates) gets its own dirty-tracking unit — ghost validity is
-        // decided per homogeneous stretch, not per whole gather run. The
-        // boundaries are element indices into the segment's progression,
-        // from the exact progression-vs-store-interval test: stores that
-        // fall between the elements of a strided segment cut nothing.
+        // 3. coalesce messages: every remote gather run of a superstep's
+        // statements lands in the bucket of its (sender, receiver) pair,
+        // in (stmt, term, dst_off) order within the bucket. Each run is
+        // split where the set of statements writing its source elements
+        // changes, so a never-written stretch (e.g. a fixed boundary
+        // element a stencil reads but no sweep updates) gets its own
+        // dirty-tracking unit — ghost validity is decided per homogeneous
+        // stretch, not per whole gather run. The boundaries are element
+        // indices into the run's progression, from the exact
+        // progression-vs-store-interval test: stores that fall between the
+        // elements of a strided run cut nothing.
         let mut messages_before = 0usize;
         let mut map: std::collections::BTreeMap<(usize, u32, u32), Vec<FusedSegment>> =
             std::collections::BTreeMap::new();
         let mut cuts: Vec<usize> = Vec::new();
         for (s, plan) in plans.iter().enumerate() {
-            let msgs = plan.message_plan();
-            messages_before += msgs.pairs().len();
-            for pair in msgs.pairs() {
-                let bucket = map.entry((level[s], pair.sender, pair.receiver)).or_default();
-                for seg in &pair.segments {
+            messages_before += plan.messages();
+            for pp in plan.per_proc() {
+                let me = pp.proc.zero_based() as u32;
+                for (t, ts, r) in pp.remote_runs() {
                     cuts.clear();
-                    cuts.extend([0, seg.len]);
-                    for (w, _) in stmts.iter().enumerate().filter(|(_, st)| st.lhs == seg.array) {
-                        let written = &writes[w][pair.sender as usize];
-                        for (lo, hi) in hit_ranges(written, seg.src_off, seg.src_stride, seg.len) {
+                    cuts.extend([0, r.len]);
+                    for (w, _) in stmts.iter().enumerate().filter(|(_, st)| st.lhs == ts.array) {
+                        let written = &writes[w][r.src as usize];
+                        for (lo, hi) in hit_ranges(written, r.src_off, r.src_stride, r.len) {
                             cuts.extend([lo, hi]);
                         }
                     }
                     cuts.sort_unstable();
                     cuts.dedup();
+                    let bucket = map.entry((level[s], r.src, me)).or_default();
                     for w in cuts.windows(2) {
                         bucket.push(FusedSegment {
                             stmt: s,
-                            term: seg.term,
-                            array: seg.array,
-                            src_off: seg.src_off + w[0] * seg.src_stride,
-                            src_stride: seg.src_stride,
-                            dst_off: seg.dst_off + w[0] * seg.dst_stride,
-                            dst_stride: seg.dst_stride,
+                            term: t,
+                            array: ts.array,
+                            src_off: r.src_off + w[0] * r.src_stride,
+                            src_stride: r.src_stride,
+                            dst_off: r.dst_off + w[0] * r.dst_stride,
+                            dst_stride: r.dst_stride,
                             len: w[1] - w[0],
-                            unit: 0, // assigned below
+                            // assigned below
+                            unit: 0,
+                            intra_dirty: false,
+                            post_dirty: false,
                         });
                     }
                 }
             }
         }
 
-        // 4. units, dirty flags, and pack phases. A unit's writers split
-        // by superstep relative to the pair's home: writers strictly
-        // before the home push the pack phase past them (and force a
-        // same-timestep re-send); writers at or after the home happen
-        // after staging, so they leave the receiver's copy stale for the
-        // *next* timestep.
+        // 4. unit indices, dirty flags, and pack phases. A segment's
+        // writers split by superstep relative to the pair's home: writers
+        // strictly before the home push the pack phase past them (and
+        // force a same-timestep re-send); writers at or after the home
+        // happen after staging, so they leave the receiver's copy stale
+        // for the *next* timestep.
         let mut pairs = Vec::with_capacity(map.len());
-        let mut units = Vec::new();
+        let mut units = 0usize;
         for ((superstep, sender, receiver), mut segments) in map {
             // unfused: packed at home, and every unit re-sent every timestep
             let mut pack_phase = if fused { 0 } else { superstep };
             for seg in &mut segments {
-                seg.unit = units.len();
-                let (mut intra, mut post) = (!fused, false);
+                seg.unit = units;
+                units += 1;
+                seg.intra_dirty = !fused;
                 for (w, stmt) in stmts.iter().enumerate() {
                     if stmt.lhs != seg.array
                         || hit_ranges(
@@ -345,29 +336,19 @@ impl ProgramPlan {
                         continue;
                     }
                     if level[w] < superstep {
-                        intra = true;
+                        seg.intra_dirty = true;
                         pack_phase = pack_phase.max(level[w] + 1);
                     } else {
-                        post = true;
+                        seg.post_dirty = true;
                     }
                 }
-                units.push(UnitMeta {
-                    array: seg.array,
-                    shard: sender as usize,
-                    src_off: seg.src_off,
-                    src_stride: seg.src_stride,
-                    len: seg.len,
-                    superstep,
-                    intra_dirty: intra,
-                    post_dirty: post,
-                });
             }
             let elements = segments.iter().map(|s| s.len).sum();
             pairs.push(FusedPair { sender, receiver, superstep, pack_phase, elements, segments });
         }
         let messages_after = pairs.len();
 
-        ProgramPlan { plans, fused, supersteps, pairs, units, messages_before, messages_after }
+        ProgramPlan { plans, fused, supersteps, pairs, messages_before, messages_after }
     }
 
     /// True iff the plan was compiled fused (see [`ProgramPlan::compile`]).
@@ -390,9 +371,10 @@ impl ProgramPlan {
         &self.pairs
     }
 
-    /// The dirty-tracking unit table (1:1 with coalesced segments).
-    pub fn units(&self) -> &[UnitMeta] {
-        &self.units
+    /// Every coalesced segment with the pair that ships it, in unit order
+    /// (a segment's position here is its [`FusedSegment::unit`]).
+    pub fn segments(&self) -> impl Iterator<Item = (&FusedPair, &FusedSegment)> {
+        self.pairs.iter().flat_map(|p| p.segments.iter().map(move |s| (p, s)))
     }
 
     /// Constituent `(sender, receiver)` messages before coalescing (one
@@ -493,8 +475,8 @@ impl FusedState {
     pub(crate) fn new(plan: &ProgramPlan, arrays: &[DistArray<f64>]) -> FusedState {
         let nseg = plan.pairs.iter().map(|p| p.segments.len()).sum();
         FusedState {
-            dirty: vec![true; plan.units.len()],
-            eff: Arc::new(vec![false; plan.units.len()]),
+            dirty: vec![true; nseg],
+            eff: Arc::new(vec![false; nseg]),
             pair_eff: Arc::new(vec![0; plan.pairs.len()]),
             eff_current: false,
             dirty_is_post: false,
@@ -538,10 +520,9 @@ impl FusedState {
             snap.iter().enumerate().all(|(q, &s)| arr.shard_version(q) == s)
         });
         if !quiet {
-            for (d, meta) in self.dirty.iter_mut().zip(&plan.units) {
-                if arrays[meta.array].shard_version(meta.shard)
-                    != self.snaps[meta.array][meta.shard]
-                {
+            for (d, (pair, seg)) in self.dirty.iter_mut().zip(plan.segments()) {
+                let shard = pair.sender as usize;
+                if arrays[seg.array].shard_version(shard) != self.snaps[seg.array][shard] {
                     *d = true;
                 }
             }
@@ -552,33 +533,26 @@ impl FusedState {
             return; // steady state: mask, counters and segment lists hold
         }
         let eff = Arc::make_mut(&mut self.eff);
-        let (mut sent, mut avoided) = (0u64, 0u64);
-        for ((e, &d), meta) in eff.iter_mut().zip(&self.dirty).zip(&plan.units) {
-            *e = d || meta.intra_dirty;
-            if *e {
-                sent += meta.len as u64;
-            } else {
-                avoided += meta.len as u64;
-            }
-        }
-        self.last_sent = sent;
-        self.last_avoided = avoided;
+        let pair_eff = Arc::make_mut(&mut self.pair_eff);
+        (self.last_sent, self.last_avoided) = (0, 0);
         self.eff_segs.clear();
         let mut start = 0u32;
-        let pair_eff = Arc::make_mut(&mut self.pair_eff);
         for ((range, elems), pair) in
             self.eff_ranges.iter_mut().zip(pair_eff.iter_mut()).zip(&plan.pairs)
         {
-            let mut n = 0u64;
+            *elems = 0;
             for (i, seg) in pair.segments.iter().enumerate() {
+                eff[seg.unit] = self.dirty[seg.unit] || seg.intra_dirty;
                 if eff[seg.unit] {
                     self.eff_segs.push(i as u32);
-                    n += seg.len as u64;
+                    *elems += seg.len as u64;
+                } else {
+                    self.last_avoided += seg.len as u64;
                 }
             }
+            self.last_sent += *elems;
             let end = self.eff_segs.len() as u32;
             *range = (start, end);
-            *elems = n;
             start = end;
         }
         self.eff_current = true;
@@ -614,9 +588,9 @@ impl FusedState {
     pub(crate) fn finish_timestep(&mut self, plan: &ProgramPlan, arrays: &[DistArray<f64>]) {
         if !self.dirty_is_post {
             let mut changed = false;
-            for (d, meta) in self.dirty.iter_mut().zip(&plan.units) {
-                if *d != meta.post_dirty {
-                    *d = meta.post_dirty;
+            for (d, (_, seg)) in self.dirty.iter_mut().zip(plan.segments()) {
+                if *d != seg.post_dirty {
+                    *d = seg.post_dirty;
                     changed = true;
                 }
             }
@@ -850,7 +824,7 @@ mod tests {
         // both statements' pairs coalesce: strictly fewer fused messages
         assert!(plan.messages_after() < plan.messages_before());
         // A2 is never written → every unit is clean in steady state
-        assert!(plan.units().iter().all(|u| !u.intra_dirty && !u.post_dirty));
+        assert!(plan.segments().all(|(_, s)| !s.intra_dirty && !s.post_dirty));
         assert!(plan.pairs().iter().all(|p| p.pack_phase == 0));
     }
 
@@ -888,9 +862,9 @@ mod tests {
         for pair in plan.pairs().iter().filter(|p| p.superstep == 1) {
             assert_eq!(pair.pack_phase, 1, "{} → {}", pair.sender, pair.receiver);
         }
-        for u in plan.units().iter().filter(|u| u.superstep == 1) {
-            assert!(u.intra_dirty, "rewritten before its pack phase → intra");
-            assert!(!u.post_dirty, "packed after the write → current at timestep end");
+        for (_, seg) in plan.segments().filter(|(p, _)| p.superstep == 1) {
+            assert!(seg.intra_dirty, "rewritten before its pack phase → intra");
+            assert!(!seg.post_dirty, "packed after the write → current at timestep end");
         }
     }
 
@@ -932,8 +906,11 @@ mod tests {
         .unwrap();
         let plan = compile(&arrays, &[red, black]);
         assert_eq!(plan.supersteps().len(), 2, "black reads what red writes");
-        let clean: Vec<&UnitMeta> =
-            plan.units().iter().filter(|u| !u.post_dirty && !u.intra_dirty).collect();
+        let clean: Vec<&FusedSegment> = plan
+            .segments()
+            .map(|(_, s)| s)
+            .filter(|s| !s.post_dirty && !s.intra_dirty)
+            .collect();
         // exactly the units sourcing the never-written boundary elements
         assert!(!clean.is_empty(), "U(0)/U(n+1) ghost units must be clean");
         let total_clean: usize = clean.iter().map(|u| u.len).sum();

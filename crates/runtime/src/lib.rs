@@ -21,17 +21,19 @@
 //!   pair, not per element) plus a compute-piece table
 //!   saying which local operands the kernel reads in place and which are
 //!   staged first, then replayed every timestep from a cache keyed by
-//!   statement shape and mapping identity;
+//!   statement shape and mapping identity. The receiver-side gather runs
+//!   are the **one** description of a reference's communication set: a
+//!   remote run is a ghost block, and nothing else writes it down again;
 //! * [`ProgramPlan`] — program-level plan fusion: the statements of a
 //!   timestep scheduled into a superstep DAG (level scheduling over
 //!   RAW/WAW hazards; a WAR pair may share a superstep — operands are
 //!   snapshotted or read before the later statement's kernel runs — but a
-//!   writer is never hoisted before its reader), their [`MessagePlan`]s
-//!   coalesced into one
-//!   aggregated schedule per (sender, receiver, superstep), and every
-//!   coalesced segment bound to a dirty-tracking unit so ghost data whose
-//!   source shard no statement wrote is never re-packed or re-sent on
-//!   warm timesteps. A single statement is the one-superstep plan;
+//!   writer is never hoisted before its reader), their remote gather runs
+//!   bucketed straight into one [`FusedPair`] per (superstep, sender,
+//!   receiver) — the single send-side form, whose [`FusedSegment`]s carry
+//!   the static dirty flags, so ghost data whose source no statement wrote
+//!   is never re-packed or re-sent on warm timesteps. A single statement
+//!   is the one-superstep plan;
 //! * [`ExchangeBackend`] — **the one step path**: a timestep executes as
 //!   [`PlanCache::replay`] → [`ExchangeBackend::step`] on a
 //!   [`ProgramPlan`], and the backend — how messages move — is the only
@@ -51,11 +53,14 @@
 //! * [`Program`] — multi-statement execution with cumulative statistics
 //!   ([`FusionStats`] counting supersteps, coalesced messages, and ghost
 //!   bytes avoided);
-//! * [`verify_plan`] — static schedule verification: prove (or refute
-//!   with precise diagnostics) write coverage, bounds, race freedom,
-//!   deadlock freedom, and analysis conservation of a compiled plan
-//!   before it runs. [`PlanCache`] runs it on every insertion in debug
-//!   builds and behind the `verify` feature in release;
+//! * [`verify_plan`] / [`verify_program_plan`] — static schedule
+//!   verification: prove (or refute with precise diagnostics) write
+//!   coverage, bounds, race freedom and analysis conservation of each
+//!   statement's runs, and hazard freedom, deadlock freedom and
+//!   conservation of the fused messages that execute, before anything
+//!   runs. [`Program::verify_all`] returns both in one [`VerifyReport`];
+//!   [`PlanCache`] also asserts them on every insertion in debug builds
+//!   and behind the `verify` feature in release;
 //! * [`ckpt`] / [`FaultPlan`] — fault-tolerant execution: exchange
 //!   faults surface as typed [`ExchangeError`]s instead of panics,
 //!   deterministic fault injection (worker kills, dropped/corrupted/
@@ -101,10 +106,7 @@ mod workspace;
 
 pub use array::DistArray;
 pub use assign::{Assignment, Combine, Term};
-pub use backend::{
-    AnalysisVerdict, Backend, ExchangeBackend, ExchangeError, MessagePlan, MsgSegment,
-    PairSchedule, SharedMemBackend,
-};
+pub use backend::{Backend, ExchangeBackend, ExchangeError, SharedMemBackend};
 pub use adapt::{AdaptController, AdaptEvent, AdaptPolicy, AdaptReport};
 pub use cache::PlanCache;
 pub use ckpt::{
@@ -116,11 +118,11 @@ pub use commsets::{comm_analysis, CommAnalysis};
 pub use exec::{apply_dense, dense_reference};
 pub use fuse::{
     BufferDomain, FusedPair, FusedSegment, FusedState, FusionStats, ProgramPlan, Superstep,
-    UnitMeta,
 };
 pub use ghost::{ghost_regions, GhostReport};
 pub use plan::{
-    CopyRun, ExecPlan, GatherRef, PieceSrc, ProcPlan, StoreRun, TermSchedule, DIRECT_MIN_RUN,
+    AnalysisVerdict, CopyRun, ExecPlan, GatherRef, PieceSrc, ProcPlan, StoreRun, TermSchedule,
+    DIRECT_MIN_RUN,
 };
 pub use program::{Program, ProgramStats};
 pub use remap::{remap_analysis, RemapAnalysis};

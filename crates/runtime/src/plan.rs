@@ -19,7 +19,10 @@
 //!   processor's buffer at `src_off + i·src_stride`, landing at positions
 //!   `dst_off + i·dst_stride` of the packed operand buffer (remote runs
 //!   are exactly the statement's SUPERB-style ghost blocks, the paper's
-//!   reference \[11\]). Both strides 1 is the contiguous run; the
+//!   reference \[11\] — the one place a reference's communication set is
+//!   recorded; [`ExecPlan::inspect`] tallies them per processor pair once,
+//!   to assert they are the region-algebraic [`CommAnalysis`] pair for
+//!   pair). Both strides 1 is the contiguous run; the
 //!   inspector grows maximal progressions *online*, one open run per
 //!   source processor, so `A(1:N) = B(1:N)` with `A` `BLOCK` and `B`
 //!   `CYCLIC` costs a run per processor pair, never a run per element.
@@ -52,8 +55,10 @@
 //!   only — every local run of a staged term, and the strided local runs
 //!   of a direct one;
 //! * **exchange** delivers every remote run (the ghost data) into the
-//!   packed buffers at its `dst_off` — the layout messages, fused
-//!   segments, and dirty tracking address;
+//!   packed buffers at its `dst_off`. The remote runs *are* the exchange
+//!   schedule: a [`ProgramPlan`](crate::ProgramPlan) buckets them by
+//!   `(superstep, sender, receiver)` into the messages the backends pack
+//!   and send, and nothing in between writes them down again;
 //! * **compute** ([`compute_pieces`]) walks the pieces once, reading
 //!   direct operands from the shard and ghost/staged operands from the
 //!   packed buffers.
@@ -96,11 +101,11 @@
 
 use crate::array::{DistArray, Shard};
 use crate::assign::{Assignment, Combine};
-use crate::backend::MessagePlan;
 use crate::commsets::{comm_analysis, project_region, CommAnalysis};
 use hpf_core::{HpfError, MappingId};
 use hpf_index::IndexDomain;
 use hpf_procs::ProcId;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One gather source: which processor's local buffer to read, and where.
@@ -361,10 +366,55 @@ impl ProcPlan {
         self.terms.iter().map(|t| t.ghost_elements).sum()
     }
 
+    /// The remote gather runs — the ghost blocks other processors ship to
+    /// this one — as `(term index, term schedule, run)`, terms in order and
+    /// each term's runs in schedule order. The one record of what the
+    /// statement exchanges.
+    pub fn remote_runs(&self) -> impl Iterator<Item = (usize, &TermSchedule, &CopyRun)> + '_ {
+        let me = self.proc.zero_based() as u32;
+        self.terms.iter().enumerate().flat_map(move |(t, ts)| {
+            ts.runs.iter().filter(move |r| r.src != me).map(move |r| (t, ts, r))
+        })
+    }
+
     /// Expand the compressed store runs into the per-element flat LHS
     /// offset sequence an uncompressed schedule would hold.
     pub fn iter_lhs_offsets(&self) -> impl Iterator<Item = usize> + '_ {
         self.lhs_runs.iter().flat_map(|r| (0..r.len).map(move |i| r.dst_off + i))
+    }
+}
+
+/// How a plan's remote gather runs relate to the statement's frozen
+/// region-algebraic [`CommAnalysis`] — the two are computed independently
+/// (per-element gather enumeration vs. region algebra), so their agreement
+/// is a meaningful cross-check, and their *disagreement* has two very
+/// different causes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum AnalysisVerdict {
+    /// The schedules match the analysis pair for pair — the strict
+    /// contract that holds whenever every involved mapping partitions its
+    /// array.
+    #[default]
+    Exact,
+    /// An involved mapping replicates, so the comparison is inapplicable
+    /// *by design*: the analysis models first-owner-computes plus a
+    /// result broadcast, while execution has every replica compute its
+    /// own copy (no broadcast ever rides the wire). Expected, documented
+    /// divergence — not a schedule bug.
+    ReplicatedDivergence,
+    /// All mappings partition yet the schedules still disagree with the
+    /// analysis — a genuine schedule or analysis bug.
+    /// [`ExecPlan::inspect`] refuses to freeze such a plan.
+    Divergent,
+}
+
+impl std::fmt::Display for AnalysisVerdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AnalysisVerdict::Exact => write!(f, "exact"),
+            AnalysisVerdict::ReplicatedDivergence => write!(f, "replicated-divergence"),
+            AnalysisVerdict::Divergent => write!(f, "divergent"),
+        }
     }
 }
 
@@ -386,9 +436,10 @@ pub struct ExecPlan {
     combine: Combine,
     per_proc: Vec<ProcPlan>,
     analysis: Arc<CommAnalysis>,
-    /// The remote runs regrouped into per-(sender, receiver) message
-    /// schedules — what the exchange backends move.
-    msgs: MessagePlan,
+    /// Communicating `(sender, receiver)` pairs among the remote runs.
+    messages: usize,
+    /// How the remote runs relate to `analysis`, decided at inspect time.
+    verdict: AnalysisVerdict,
     /// Identity of every involved array's mapping at inspection time.
     mappings: Vec<(usize, MappingId)>,
 }
@@ -511,18 +562,35 @@ impl ExecPlan {
         let maps: Vec<Arc<hpf_core::EffectiveDist>> =
             arrays.iter().map(|a| a.mapping().clone()).collect();
         let analysis = Arc::new(comm_analysis(&maps, np, stmt));
-        let msgs = MessagePlan::build(&per_proc, &analysis);
-        // The real wire cross-check: the message schedules come from
-        // per-element gather enumeration, the analysis from region
-        // algebra — two independent computations of the same
-        // communication sets. For partitioning mappings they must agree
-        // pair for pair; a divergence is a schedule bug, caught here
-        // before anything executes. (Replication legitimately differs —
-        // an expected `AnalysisVerdict::ReplicatedDivergence`, never
-        // `Divergent`.)
+        // The real wire cross-check: the remote runs come from per-element
+        // gather enumeration, the analysis from region algebra — two
+        // independent computations of the same communication sets. For
+        // partitioning mappings they must agree pair for pair; a
+        // divergence is a schedule bug, caught here before anything
+        // executes. (Replication legitimately differs — an expected
+        // `AnalysisVerdict::ReplicatedDivergence`, never `Divergent`.)
+        let mut wire: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        for pp in &per_proc {
+            let me = pp.proc.zero_based() as u32;
+            for (_, _, r) in pp.remote_runs() {
+                *wire.entry((r.src, me)).or_default() += r.len as u64;
+            }
+        }
+        let exact = analysis.comm.messages() == wire.len()
+            && analysis.comm.total_elements() == wire.values().sum::<u64>()
+            && wire.iter().all(|(&(sender, receiver), &n)| {
+                analysis.comm.elements_between(ProcId(sender + 1), ProcId(receiver + 1)) == n
+            });
+        let verdict = if exact {
+            AnalysisVerdict::Exact
+        } else if analysis.region_exact {
+            AnalysisVerdict::Divergent
+        } else {
+            AnalysisVerdict::ReplicatedDivergence
+        };
         assert!(
-            msgs.analysis_verdict() != crate::backend::AnalysisVerdict::Divergent,
-            "message schedules diverge from the region-algebraic analysis"
+            verdict != AnalysisVerdict::Divergent,
+            "gather runs diverge from the region-algebraic analysis"
         );
 
         let mut involved = vec![stmt.lhs];
@@ -539,7 +607,8 @@ impl ExecPlan {
             combine: stmt.combine,
             per_proc,
             analysis,
-            msgs,
+            messages: wire.len(),
+            verdict,
             mappings,
         })
     }
@@ -571,10 +640,28 @@ impl ExecPlan {
         self.combine
     }
 
-    /// The remote runs regrouped into per-(sender, receiver) message
-    /// schedules — the unit the exchange backends move and account.
-    pub fn message_plan(&self) -> &MessagePlan {
-        &self.msgs
+    /// Communicating `(sender, receiver)` pairs: the vectorized messages a
+    /// replay of this statement alone exchanges.
+    pub fn messages(&self) -> usize {
+        self.messages
+    }
+
+    /// Total elements crossing processor boundaries per replay — every
+    /// remote run rides the wire once, so this is the ghost volume.
+    pub fn wire_elements(&self) -> u64 {
+        self.ghost_elements() as u64
+    }
+
+    /// Total bytes crossing processor boundaries per replay.
+    pub fn wire_bytes(&self) -> u64 {
+        self.wire_elements() * std::mem::size_of::<f64>() as u64
+    }
+
+    /// How the remote runs relate to the frozen analysis — exact match
+    /// pair for pair, or the expected replication divergence
+    /// ([`ExecPlan::inspect`] refuses to freeze a `Divergent` plan).
+    pub fn analysis_verdict(&self) -> AnalysisVerdict {
+        self.verdict
     }
 
     /// Identity of every involved array's mapping at inspection time.
@@ -590,12 +677,6 @@ impl ExecPlan {
     #[doc(hidden)]
     pub fn per_proc_mut(&mut self) -> &mut Vec<ProcPlan> {
         &mut self.per_proc
-    }
-
-    /// Mutable message plan — only for the verifier's mutation tests.
-    #[cfg(test)]
-    pub(crate) fn message_plan_mut(&mut self) -> &mut MessagePlan {
-        &mut self.msgs
     }
 
     /// Total ghost elements exchanged per replay, over all processors.

@@ -312,23 +312,41 @@ impl Program {
         self.cache.rank_compute_ns()
     }
 
-    /// Statically verify every statement's compiled plan — prove (or
-    /// refute with precise diagnostics) write coverage, bounds, race
-    /// freedom, deadlock freedom, and analysis conservation *before*
-    /// anything executes (see [`crate::verify::verify_plan`]).
+    /// Statically verify what a timestep executes — prove (or refute with
+    /// precise diagnostics) write coverage, bounds, race freedom and
+    /// analysis conservation of every statement's compiled plan (see
+    /// [`crate::verify::verify_plan`]), and hazard freedom, deadlock
+    /// freedom and conservation across coalescing of the fused
+    /// [`crate::ProgramPlan`] whose messages are actually packed and sent
+    /// (see [`crate::verify::verify_program_plan`]) — *before* anything
+    /// executes.
     ///
-    /// Statements not yet cached are inspected through the plan cache, so
-    /// a later [`Session::run`](crate::Session::run) replays the very
-    /// plans that were just proven safe. No array data moves. Returns `Err` only when a
+    /// The plans are resolved through the plan cache, so a later
+    /// [`Session::run`](crate::Session::run) replays the very plans that
+    /// were just proven safe without compiling anything. No array data
+    /// moves and no operand buffer is allocated. Returns `Err` only when a
     /// statement cannot be compiled at all; schedule defects come back as
     /// diagnostics in the [`VerifyReport`](crate::VerifyReport).
     pub fn verify_all(&mut self) -> Result<crate::VerifyReport, HpfError> {
-        let mut statements = Vec::with_capacity(self.stmts.len());
-        for stmt in &self.stmts {
-            let plan = self.cache.plan_for(&self.arrays, stmt)?;
-            statements.push(crate::verify::verify_plan(&self.arrays, stmt, &plan));
-        }
-        Ok(crate::VerifyReport { statements })
+        let plan = self.cache.program_plan_for(&self.arrays, &self.stmts, true)?;
+        let statements = self
+            .stmts
+            .iter()
+            .zip(plan.plans())
+            .map(|(stmt, p)| crate::verify::verify_plan(&self.arrays, stmt, p))
+            .collect();
+        let timestep = crate::verify::verify_program_plan(&self.arrays, &self.stmts, &plan);
+        Ok(crate::VerifyReport { statements, timestep })
+    }
+
+    /// Mutable access to the cached timestep plan.
+    ///
+    /// Only for mutation tests that corrupt the plan a timestep would run
+    /// to prove [`Program::verify_all`] refutes it — never mutate a plan
+    /// that will execute.
+    #[doc(hidden)]
+    pub fn timestep_plan_mut(&mut self) -> Option<&mut crate::ProgramPlan> {
+        self.cache.program_plan_mut()
     }
 
     /// Remap array `k` onto a new mapping: move every element value into
@@ -430,7 +448,8 @@ impl Program {
     /// messages before/after coalescing, and the ghost traffic
     /// dirty-tracking avoided — alongside the existing
     /// [`Program::cache_hits`] / [`Program::backend_bytes_sent`]
-    /// counters. Zeroed until the first timestep runs.
+    /// counters. Zeroed until the timestep plan is first compiled (by
+    /// [`Program::verify_all`] or the first timestep).
     pub fn fusion_stats(&self) -> FusionStats {
         self.cache.fusion_stats()
     }

@@ -748,7 +748,7 @@ mod tests {
     fn channels_matches_reference_and_counts_bytes() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Cyclic(3)]);
         let stmts = [shift_stmt(48, &arrays)];
-        let wire = ExecPlan::inspect(&arrays, &stmts[0]).unwrap().message_plan().wire_bytes();
+        let wire = ExecPlan::inspect(&arrays, &stmts[0]).unwrap().wire_bytes();
         let mut cache = PlanCache::new();
         let mut backend = ChannelsBackend::new();
         for step in 1..=4u64 {
@@ -852,8 +852,10 @@ mod tests {
     fn injected_corruption_is_detected_before_unpacking() {
         let mut arrays = setup(48, 4, &[FormatSpec::Block, FormatSpec::Block]);
         let stmts = [shift_stmt(48, &arrays)];
-        let plan = ExecPlan::inspect(&arrays, &stmts[0]).unwrap();
-        let expected = plan.message_plan().pair(1, 2).unwrap().elements;
+        let plan = Arc::new(ExecPlan::inspect(&arrays, &stmts[0]).unwrap());
+        let plan = ProgramPlan::compile(&stmts, vec![plan], true);
+        let pair = plan.pairs().iter().find(|p| (p.sender, p.receiver) == (1, 2));
+        let expected = pair.expect("rank 3 reads a ghost from rank 2").elements;
         let mut backend = ChannelsBackend::new();
         backend.inject(FaultPlan::parse("corrupt:from=1,to=2,step=0").unwrap());
         let err =

@@ -3,64 +3,72 @@
 //!
 //! The paper's central claim is that distribution/alignment mappings make
 //! communication sets *statically computable*. The flip side: once a
-//! statement is frozen into an [`ExecPlan`]/[`MessagePlan`](crate::MessagePlan), every safety
-//! property of its execution is statically **decidable** from the plan
+//! timestep is frozen into per-statement [`ExecPlan`]s and the
+//! [`ProgramPlan`](crate::ProgramPlan) that executes them, every safety
+//! property of its execution is statically **decidable** from the plans
 //! alone, before a single element moves. This module decides five of
-//! them, per statement:
+//! them. A schedule is written down once — the receiver-side gather runs
+//! — and sent in one form — the fused pairs — so each property is proven
+//! on the object that carries it, by one of two reports:
 //!
-//! 1. **Write coverage** — the union of all [`StoreRun`](crate::StoreRun)s
-//!    equals exactly the LHS owned region (∩ the statement's section) of
-//!    every processor: no gap, no overlapping or duplicate write, no write
-//!    landing at an offset the owner-computes rule did not assign.
-//! 2. **Bounds** — every element of every strided
-//!    [`CopyRun`](crate::CopyRun) / [`MsgSegment`](crate::MsgSegment)
-//!    progression addresses the statement-named element *inside the owning
-//!    shard*, and every destination stays inside the pack-buffer extents.
-//! 3. **Race freedom** — the parallel executor's partitioning gives every
-//!    simulated processor to exactly one worker (store sets cannot
-//!    intersect), and the stage → exchange → compute happens-before order
-//!    is sound: every pack-buffer position compute reads is filled
-//!    exactly once before, no remote read bypasses the exchange, and the
-//!    compute-piece table reads in place only what is safe to — own-shard
-//!    elements the gather schedule names, never the array the statement
-//!    stores to (the RAW/WAR hazard check that makes LHS-aliasing
-//!    statements under shifted sections safe).
-//! 4. **Deadlock freedom** — the per-pair [`PairSchedule`](crate::PairSchedule)s form a
-//!    schedulable BSP superstep: no self-message, a strict total order
-//!    over pairs, every send matched by the receive the receiver's gather
-//!    schedule expects, with equal byte counts — no orphan message, no
-//!    cyclic wait.
-//! 5. **Conservation** — the wire bytes summed over pairs equal the
-//!    frozen [`CommAnalysis`](crate::CommAnalysis) totals, pair for pair (promoting the
-//!    scattered ad-hoc asserts into one reusable analysis). Replicated
-//!    mappings legitimately diverge from the analysis's
-//!    first-owner-computes model; that case is an explicit
-//!    [`AnalysisVerdict::ReplicatedDivergence`] verdict, reported rather
-//!    than silently skipped.
+//! 1. **Write coverage** ([`verify_plan`] → [`StatementReport`]) — the
+//!    union of all [`StoreRun`](crate::StoreRun)s equals exactly the LHS
+//!    owned region (∩ the statement's section) of every processor: no
+//!    gap, no overlapping or duplicate write, no write landing at an
+//!    offset the owner-computes rule did not assign.
+//! 2. **Bounds** (both) — every element of every strided
+//!    [`CopyRun`](crate::CopyRun) progression addresses the
+//!    statement-named element *inside the owning shard*, and every
+//!    destination stays inside the pack-buffer extents
+//!    ([`StatementReport`]); every
+//!    [`FusedSegment`](crate::FusedSegment) the sender packs stays inside
+//!    its shard ([`FusionReport`]).
+//! 3. **Race freedom** (both) — per statement, the parallel executor's
+//!    partitioning gives every simulated processor to exactly one worker
+//!    (store sets cannot intersect), every pack-buffer position compute
+//!    reads is filled exactly once before, and the compute-piece table
+//!    reads in place only what is safe to — own-shard elements the gather
+//!    schedule names, never the array the statement stores to (the
+//!    RAW/WAR hazard check that makes LHS-aliasing statements under
+//!    shifted sections safe). Per timestep, no two statements of one
+//!    superstep conflict, every message is packed after the last
+//!    in-timestep writer of its source, and the static dirty flags match
+//!    the store schedules.
+//! 4. **Deadlock freedom** ([`verify_program_plan`] → [`FusionReport`]) —
+//!    the [`FusedPair`](crate::FusedPair)s form a schedulable exchange: no
+//!    self-message, every processor inside the machine, a strict total
+//!    order over pairs, no empty message, and the coalesced segments are
+//!    exactly the remote gather runs — every send matched by the receive a
+//!    gather schedule expects, element for element: no orphan message, no
+//!    unserved gather, no cyclic wait.
+//! 5. **Conservation** (both) — the remote runs' elements equal the
+//!    frozen [`CommAnalysis`](crate::CommAnalysis) totals, pair for pair
+//!    ([`StatementReport`]), and each fused pair declares exactly what its
+//!    segments carry ([`FusionReport`]). Replicated mappings legitimately
+//!    diverge from the analysis's first-owner-computes model; that case is
+//!    an explicit [`AnalysisVerdict::ReplicatedDivergence`] verdict,
+//!    reported rather than silently skipped.
 //!
 //! The pass is a *re-derivation*: it recomputes, from the mappings and the
-//! statement, what every schedule entry must say, and diagnoses any
-//! divergence with exact processor/run/segment coordinates — so a plan
-//! rewritten by a future fusion pass either provably preserves the
-//! statement's semantics or fails loudly before executing. Entry points:
-//! [`verify_plan`] for one statement,
-//! [`Program::verify_all`](crate::Program::verify_all) for a whole
-//! program, the `hpf-lint` binary (in the `hpf-verify` crate) for the
-//! command line, and [`crate::PlanCache`], which runs the pass on every
-//! plan insertion in debug builds and, behind the `verify` feature, in
-//! release builds too.
+//! statements, what every schedule entry must say, and diagnoses any
+//! divergence with exact processor/run/segment coordinates. Entry points:
+//! [`verify_plan`] for one statement's runs, [`verify_program_plan`] for
+//! the timestep's messages, [`Program::verify_all`](crate::Program::verify_all)
+//! for both in one [`VerifyReport`] (what `hpfrun --verify` and the
+//! `hpf-lint` binary of the `hpf-verify` crate print), and
+//! [`crate::PlanCache`], which asserts both on every plan insertion in
+//! debug builds and, behind the `verify` feature, in release builds too.
 
 use crate::array::DistArray;
 use crate::assign::Assignment;
-use crate::backend::AnalysisVerdict;
 use crate::commsets::project_region;
-use crate::plan::{span_end, ExecPlan, PieceSrc, ProcPlan};
+use crate::plan::{span_end, AnalysisVerdict, ExecPlan, PieceSrc, ProcPlan};
 use hpf_index::{Idx, Triplet};
 use hpf_procs::ProcId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-/// The five statically-decidable safety properties of a compiled plan.
+/// The five statically-decidable safety properties of a compiled timestep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Property {
     /// Store runs tile each processor's owned LHS section exactly.
@@ -71,10 +79,11 @@ pub enum Property {
     /// Disjoint worker store sets and a sound pack → exchange → compute
     /// happens-before order (RAW/WAR hazard freedom).
     RaceFreedom,
-    /// The pair schedules form a schedulable BSP superstep with matched
-    /// sends and receives.
+    /// The fused pairs form a schedulable exchange with matched sends and
+    /// receives.
     DeadlockFreedom,
-    /// Wire bytes over pairs equal the frozen analysis totals.
+    /// Wire elements over pairs equal the frozen analysis totals, and
+    /// every message declares what it carries.
     Conservation,
 }
 
@@ -94,8 +103,8 @@ impl fmt::Display for Property {
 /// What exactly diverged, with processor/run/segment coordinates.
 ///
 /// Processors are reported zero-based (`p0`, matching
-/// [`PairSchedule`](crate::PairSchedule) sender/receiver numbering); offsets are flat positions
-/// into the named buffer.
+/// [`FusedPair`](crate::FusedPair) sender/receiver numbering); offsets are
+/// flat positions into the named buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DiagnosticKind {
@@ -288,45 +297,30 @@ pub enum DiagnosticKind {
         /// Consecutive doubly-filled positions.
         len: usize,
     },
-    /// A remote gather has no delivering message: on a message-passing
-    /// backend the position would be read before any exchange wrote it —
-    /// a read-after-write hazard across the superstep phases.
-    ReadBeforeExchange {
-        /// Zero-based receiving processor.
-        proc: u32,
-        /// RHS term index.
-        term: usize,
-        /// The remote source the gather expects data from.
-        src: u32,
-        /// Source offset of the unmatched gather run.
-        src_off: usize,
-        /// Elements expected.
-        len: usize,
-    },
-    /// A pair schedule sends a processor data from itself.
+    /// A fused pair sends a processor data from itself.
     SelfMessage {
-        /// Pair index within the message plan.
+        /// Fused pair index.
         pair: usize,
         /// The processor (zero-based).
         proc: u32,
     },
-    /// A pair schedule names a processor outside the machine.
+    /// A fused pair names a processor outside the machine.
     InvalidPairProc {
-        /// Pair index within the message plan.
+        /// Fused pair index.
         pair: usize,
         /// The invalid processor (zero-based).
         proc: u32,
         /// Machine size.
         np: usize,
     },
-    /// Pair schedules are not strictly ordered by `(sender, receiver)` —
-    /// a duplicate or out-of-order pair breaks the superstep's total
-    /// order (and the binary-searched pair lookup).
+    /// Fused pairs are not strictly ordered by `(superstep, sender,
+    /// receiver)` — a duplicate or out-of-order pair breaks the total
+    /// order every rank posts its sends and receives in.
     UnorderedPairs {
         /// Index of the offending pair.
         pair: usize,
     },
-    /// A pair schedule carries no data — an empty send the receiver still
+    /// A fused pair carries no segments — an empty send the receiver still
     /// has to wait for.
     EmptyMessage {
         /// Zero-based sender.
@@ -334,75 +328,18 @@ pub enum DiagnosticKind {
         /// Zero-based receiver.
         receiver: u32,
     },
-    /// A pair's declared message length differs from the sum of its
-    /// segments — sender and receiver disagree on the byte count.
-    PairByteMismatch {
-        /// Zero-based sender.
-        sender: u32,
-        /// Zero-based receiver.
-        receiver: u32,
-        /// Elements the pair schedule declares.
-        declared: usize,
-        /// Elements its segments actually carry.
-        actual: usize,
-    },
-    /// A message segment out of a pair-schedule extent check: the sender
-    /// would read past the end of its shard.
+    /// A coalesced segment's source progression leaves the sender's shard.
     SegmentOutOfBounds {
         /// Zero-based sender.
         sender: u32,
         /// Zero-based receiver.
         receiver: u32,
-        /// Segment index within the pair schedule.
+        /// Segment index within the fused pair.
         segment: usize,
         /// One-past-the-end source offset.
         end: usize,
         /// The sender's shard length.
         extent: usize,
-    },
-    /// A message segment lands past the end of the receiver's pack buffer.
-    SegmentPackOutOfBounds {
-        /// Zero-based sender.
-        sender: u32,
-        /// Zero-based receiver.
-        receiver: u32,
-        /// Segment index within the pair schedule.
-        segment: usize,
-        /// One-past-the-end destination position.
-        end: usize,
-        /// The receiver's pack buffer length.
-        extent: usize,
-    },
-    /// A message segment's term/array pairing contradicts the statement.
-    SegmentTermMismatch {
-        /// Zero-based sender.
-        sender: u32,
-        /// Zero-based receiver.
-        receiver: u32,
-        /// Segment index within the pair schedule.
-        segment: usize,
-        /// Term index the segment names.
-        term: usize,
-        /// Array index the segment names.
-        array: usize,
-    },
-    /// A message no gather run expects — a send nobody receives, which a
-    /// matched-pair exchange can never schedule.
-    OrphanMessage {
-        /// Zero-based sender.
-        sender: u32,
-        /// Zero-based receiver.
-        receiver: u32,
-        /// Segment index within the pair schedule.
-        segment: usize,
-    },
-    /// The message plan's cached wire total differs from the sum of its
-    /// pair schedules.
-    WireTotalMismatch {
-        /// Cached total (elements).
-        declared: u64,
-        /// Actual sum over pairs (elements).
-        actual: u64,
     },
     /// The plan's total ghost (remote-read) volume differs from the
     /// frozen analysis's remote reads.
@@ -429,14 +366,14 @@ pub enum DiagnosticKind {
         sender: u32,
         /// Zero-based receiver.
         receiver: u32,
-        /// Elements the message plan moves.
+        /// Elements the remote gather runs move.
         planned: u64,
         /// Elements the analysis froze.
         analysis: u64,
     },
     /// Total wire elements differ from the frozen analysis total.
     AnalysisTotalMismatch {
-        /// Elements the message plan moves.
+        /// Elements the remote gather runs move.
         planned: u64,
         /// Elements the analysis froze.
         analysis: u64,
@@ -556,18 +493,18 @@ pub enum DiagnosticKind {
         /// The array both touch hazardously.
         array: usize,
     },
-    /// A coalesced segment that no constituent per-statement message
-    /// schedule produces — a fused send nobody's gather expects.
+    /// A coalesced segment that no statement's remote gather run expects —
+    /// a fused send nobody receives.
     FusedSegmentOrphan {
         /// Fused pair index.
         pair: usize,
         /// Segment index within the fused pair.
         segment: usize,
     },
-    /// A constituent message segment the fused schedule dropped — data a
-    /// statement's gather needs would never ride the wire.
+    /// A remote gather run the fused schedule never ships — the receiver
+    /// would wait for (or compute on) data that never rides the wire.
     FusedSegmentMissing {
-        /// Statement whose message was dropped.
+        /// Statement whose gather goes unserved.
         stmt: usize,
         /// Zero-based sender of the dropped segment.
         sender: u32,
@@ -601,11 +538,11 @@ pub enum DiagnosticKind {
         /// The pair's home superstep.
         superstep: usize,
     },
-    /// A dirty-tracking unit's static flags disagree with the store
+    /// A coalesced segment's static dirty flags disagree with the store
     /// schedules: ghost reuse would skip data a statement rewrites (or
     /// re-send data nothing writes).
     FusedDirtyUnsound {
-        /// Unit index.
+        /// The segment's unit index.
         unit: usize,
         /// `intra_dirty` the fused plan declares.
         intra: bool,
@@ -616,8 +553,9 @@ pub enum DiagnosticKind {
         /// `post_dirty` re-derived from the store schedules.
         expected_post: bool,
     },
-    /// A coalesced segment and its dirty-tracking unit disagree about
-    /// what data the segment moves.
+    /// A coalesced segment's `unit` is not its flat position in `(pair,
+    /// segment)` order: two segments would share a slot of the dirty and
+    /// effective-send masks, or index past them.
     FusedUnitMismatch {
         /// Fused pair index.
         pair: usize,
@@ -716,12 +654,6 @@ impl fmt::Display for DiagnosticKind {
                  once",
                 offset + len
             ),
-            ReadBeforeExchange { proc, term, src, src_off, len } => write!(
-                f,
-                "p{proc} term {term}: remote gather of {len} element(s) from \
-                 p{src}[{src_off}] has no delivering message — read precedes the \
-                 exchange"
-            ),
             SelfMessage { pair, proc } => {
                 write!(f, "pair {pair}: p{proc} sends a message to itself")
             }
@@ -731,40 +663,15 @@ impl fmt::Display for DiagnosticKind {
             ),
             UnorderedPairs { pair } => write!(
                 f,
-                "pair {pair}: schedules not strictly ordered by (sender, receiver)"
+                "pair {pair}: not strictly ordered by (superstep, sender, receiver)"
             ),
             EmptyMessage { sender, receiver } => {
                 write!(f, "pair {sender}→{receiver}: empty message")
             }
-            PairByteMismatch { sender, receiver, declared, actual } => write!(
-                f,
-                "pair {sender}→{receiver}: declares {declared} element(s) but its \
-                 segments carry {actual} — send/receive byte counts disagree"
-            ),
             SegmentOutOfBounds { sender, receiver, segment, end, extent } => write!(
                 f,
                 "pair {sender}→{receiver} segment {segment}: send reads end at {end}, \
                  beyond the sender shard extent {extent}"
-            ),
-            SegmentPackOutOfBounds { sender, receiver, segment, end, extent } => write!(
-                f,
-                "pair {sender}→{receiver} segment {segment}: unpack ends at {end}, \
-                 beyond the pack buffer extent {extent}"
-            ),
-            SegmentTermMismatch { sender, receiver, segment, term, array } => write!(
-                f,
-                "pair {sender}→{receiver} segment {segment}: term {term} / array \
-                 #{array} pairing contradicts the statement"
-            ),
-            OrphanMessage { sender, receiver, segment } => write!(
-                f,
-                "pair {sender}→{receiver} segment {segment}: send matches no gather \
-                 run — nobody receives it"
-            ),
-            WireTotalMismatch { declared, actual } => write!(
-                f,
-                "message plan caches {declared} wire element(s) but its pairs carry \
-                 {actual}"
             ),
             GhostTotalMismatch { planned, analysis } => write!(
                 f,
@@ -833,13 +740,13 @@ impl fmt::Display for DiagnosticKind {
             ),
             FusedSegmentOrphan { pair, segment } => write!(
                 f,
-                "fused pair {pair} segment {segment}: no constituent message \
-                 schedule produces it — a send nobody's gather expects"
+                "fused pair {pair} segment {segment}: no remote gather run expects \
+                 it — a send nobody receives"
             ),
             FusedSegmentMissing { stmt, sender, receiver, len } => write!(
                 f,
                 "statement #{stmt} pair {sender}→{receiver}: {len} element(s) of its \
-                 message schedule missing from the fused plan"
+                 remote gather runs missing from the fused plan"
             ),
             FusedPairMismatch { pair, declared, actual } => write!(
                 f,
@@ -860,8 +767,8 @@ impl fmt::Display for DiagnosticKind {
             }
             FusedUnitMismatch { pair, segment, unit } => write!(
                 f,
-                "fused pair {pair} segment {segment}: disagrees with its \
-                 dirty-tracking unit {unit} about source array/shard/progression"
+                "fused pair {pair} segment {segment}: unit {unit} is not its flat \
+                 position in the dirty-tracking masks"
             ),
         }
     }
@@ -891,11 +798,7 @@ pub struct VerifyStats {
     pub store_runs: usize,
     /// Gather runs checked.
     pub copy_runs: usize,
-    /// Communicating pairs checked.
-    pub pairs: usize,
-    /// Message segments checked.
-    pub segments: usize,
-    /// Wire elements accounted.
+    /// Wire elements accounted (the remote gather runs' volume).
     pub wire_elements: u64,
 }
 
@@ -903,7 +806,9 @@ pub struct VerifyStats {
 /// analysis-conservation contract plus zero or more refuting diagnostics.
 ///
 /// A report with no diagnostics is a *proof* (by exhaustive re-derivation
-/// from the mappings) that the five properties hold for this plan. A
+/// from the mappings) that write coverage, bounds, race freedom and
+/// conservation hold for this plan; deadlock freedom is a property of the
+/// messages that execute and is proven by the [`FusionReport`]. A
 /// [`AnalysisVerdict::ReplicatedDivergence`] verdict is clean: it records
 /// that the conservation comparison is inapplicable by design, not that it
 /// failed.
@@ -911,9 +816,10 @@ pub struct VerifyStats {
 pub struct StatementReport {
     /// The statement, rendered.
     pub statement: String,
-    /// How the message plan relates to the frozen analysis.
+    /// How the remote gather runs relate to the frozen analysis.
     pub verdict: AnalysisVerdict,
-    /// Every property violation found (empty = all five properties hold).
+    /// Every property violation found (empty = every per-statement
+    /// property holds).
     pub diagnostics: Vec<Diagnostic>,
     /// What was examined.
     pub stats: VerifyStats,
@@ -935,15 +841,12 @@ impl fmt::Display for StatementReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{}  [{}; {} procs, {} store runs, {} copy runs, {} pairs, {} \
-             segments, {} wire elements]",
+            "{}  [{}; {} procs, {} store runs, {} copy runs, {} wire elements]",
             self.statement,
             self.verdict,
             self.stats.procs,
             self.stats.store_runs,
             self.stats.copy_runs,
-            self.stats.pairs,
-            self.stats.segments,
             self.stats.wire_elements,
         )?;
         for d in &self.diagnostics {
@@ -953,22 +856,27 @@ impl fmt::Display for StatementReport {
     }
 }
 
-/// A whole program's verification: one [`StatementReport`] per statement.
+/// A whole program's verification: one [`StatementReport`] per statement
+/// plus the [`FusionReport`] of the timestep plan that executes them.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
     /// Per-statement reports, in program order.
     pub statements: Vec<StatementReport>,
+    /// The fused timestep plan's report — the messages actually packed and
+    /// sent.
+    pub timestep: FusionReport,
 }
 
 impl VerifyReport {
-    /// True iff every statement verified clean.
+    /// True iff every statement and the timestep plan verified clean.
     pub fn is_clean(&self) -> bool {
-        self.statements.iter().all(StatementReport::is_clean)
+        self.statements.iter().all(StatementReport::is_clean) && self.timestep.is_clean()
     }
 
-    /// Total findings over all statements.
+    /// Total findings over all statements and the timestep plan.
     pub fn finding_count(&self) -> usize {
-        self.statements.iter().map(|s| s.diagnostics.len()).sum()
+        self.statements.iter().map(|s| s.diagnostics.len()).sum::<usize>()
+            + self.timestep.diagnostics.len()
     }
 
     /// Statements whose conservation comparison was inapplicable because
@@ -986,7 +894,7 @@ impl fmt::Display for VerifyReport {
         for (k, s) in self.statements.iter().enumerate() {
             write!(f, "#{k} {s}")?;
         }
-        Ok(())
+        write!(f, "{}", self.timestep)
     }
 }
 
@@ -1017,7 +925,7 @@ fn coalesce(mut xs: Vec<usize>) -> Vec<(usize, usize)> {
 
 /// Statically verify `plan` against the statement and mappings it claims
 /// to implement: prove (or refute, with precise coordinates) write
-/// coverage, bounds, race freedom, deadlock freedom, and conservation.
+/// coverage, bounds, race freedom, and conservation of its runs.
 ///
 /// The pass re-derives every schedule entry from `arrays`' mappings and
 /// `stmt`, so it costs about as much as one inspection — run it at plan
@@ -1086,14 +994,9 @@ pub fn verify_plan(
         }
     }
 
-    // Remote gathers, keyed for the send/receive matching below:
-    // (sender, receiver, term, (src_off, src_stride), (dst_off, dst_stride),
-    // len) → outstanding count.
-    type XchgKey = (u32, u32, usize, (usize, usize), (usize, usize), usize);
-    let mut remote_runs: HashMap<XchgKey, i64> = HashMap::new();
-    // Per-processor computed volume, for segment unpack extents.
-    let mut volumes: HashMap<u32, usize> = HashMap::new();
-    let mut planned_ghosts = 0u64;
+    // Elements the remote gather runs move per (sender, receiver) pair —
+    // the statement's wire traffic, held to the analysis below.
+    let mut wire: BTreeMap<(u32, u32), u64> = BTreeMap::new();
 
     // ---- per-processor schedules -------------------------------------------
     for pp in plan.per_proc() {
@@ -1105,7 +1008,6 @@ pub fn verify_plan(
         let positions = project_region(lhs_arr.region_of(p), &stmt.lhs_section);
         let rels: Vec<Idx> = positions.iter().collect();
         let volume = rels.len();
-        volumes.insert(me, volume);
         if pp.volume != volume {
             push(
                 Property::WriteCoverage,
@@ -1285,17 +1187,7 @@ pub fn verify_plan(
                 }
                 if r.src != me {
                     remote += r.len;
-                    planned_ghosts += r.len as u64;
-                    *remote_runs
-                        .entry((
-                            r.src,
-                            me,
-                            t,
-                            (r.src_off, r.src_stride),
-                            (r.dst_off, r.dst_stride),
-                            r.len,
-                        ))
-                        .or_insert(0) += 1;
+                    *wire.entry((r.src, me)).or_default() += r.len as u64;
                 }
                 let in_place = ts.in_place(r, me);
                 let mut wrong = false;
@@ -1487,162 +1379,9 @@ pub fn verify_plan(
         }
     }
 
-    // ---- deadlock freedom: the pair schedules ------------------------------
-    let msgs = plan.message_plan();
-    let mut prev: Option<(u32, u32)> = None;
-    let mut wire = 0u64;
-    for (pi, pair) in msgs.pairs().iter().enumerate() {
-        stats.pairs += 1;
-        let mut ok = true;
-        for proc in [pair.sender, pair.receiver] {
-            if proc as usize >= np {
-                push(
-                    Property::DeadlockFreedom,
-                    DiagnosticKind::InvalidPairProc { pair: pi, proc, np },
-                    &mut diags,
-                );
-                ok = false;
-            }
-        }
-        if pair.sender == pair.receiver {
-            push(
-                Property::DeadlockFreedom,
-                DiagnosticKind::SelfMessage { pair: pi, proc: pair.sender },
-                &mut diags,
-            );
-            ok = false;
-        }
-        let key = (pair.sender, pair.receiver);
-        if prev.is_some_and(|p| p >= key) {
-            push(
-                Property::DeadlockFreedom,
-                DiagnosticKind::UnorderedPairs { pair: pi },
-                &mut diags,
-            );
-        }
-        prev = Some(key);
-        let actual: usize = pair.segments.iter().map(|s| s.len).sum();
-        if actual != pair.elements {
-            push(
-                Property::DeadlockFreedom,
-                DiagnosticKind::PairByteMismatch {
-                    sender: pair.sender,
-                    receiver: pair.receiver,
-                    declared: pair.elements,
-                    actual,
-                },
-                &mut diags,
-            );
-        }
-        if pair.elements == 0 && pair.segments.is_empty() {
-            push(
-                Property::DeadlockFreedom,
-                DiagnosticKind::EmptyMessage { sender: pair.sender, receiver: pair.receiver },
-                &mut diags,
-            );
-        }
-        wire += actual as u64;
-        if !ok {
-            continue; // extent lookups below would index outside the machine
-        }
-        let recv_volume = volumes.get(&pair.receiver).copied().unwrap_or(0);
-        for (si, seg) in pair.segments.iter().enumerate() {
-            stats.segments += 1;
-            let named = stmt.terms.get(seg.term).map(|t| t.array);
-            if named != Some(seg.array) {
-                push(
-                    Property::Bounds,
-                    DiagnosticKind::SegmentTermMismatch {
-                        sender: pair.sender,
-                        receiver: pair.receiver,
-                        segment: si,
-                        term: seg.term,
-                        array: seg.array,
-                    },
-                    &mut diags,
-                );
-                continue;
-            }
-            let shard = arrays[seg.array].local_len(ProcId(pair.sender + 1));
-            let src_end = span_end(seg.src_off, seg.src_stride, seg.len);
-            if src_end > shard {
-                push(
-                    Property::Bounds,
-                    DiagnosticKind::SegmentOutOfBounds {
-                        sender: pair.sender,
-                        receiver: pair.receiver,
-                        segment: si,
-                        end: src_end,
-                        extent: shard,
-                    },
-                    &mut diags,
-                );
-            }
-            let dst_end = span_end(seg.dst_off, seg.dst_stride, seg.len);
-            if dst_end > recv_volume {
-                push(
-                    Property::Bounds,
-                    DiagnosticKind::SegmentPackOutOfBounds {
-                        sender: pair.sender,
-                        receiver: pair.receiver,
-                        segment: si,
-                        end: dst_end,
-                        extent: recv_volume,
-                    },
-                    &mut diags,
-                );
-            }
-            // send/receive matching: this segment must be a gather some
-            // receiver run expects, strides included
-            let key: XchgKey = (
-                pair.sender,
-                pair.receiver,
-                seg.term,
-                (seg.src_off, seg.src_stride),
-                (seg.dst_off, seg.dst_stride),
-                seg.len,
-            );
-            match remote_runs.get_mut(&key) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => push(
-                    Property::DeadlockFreedom,
-                    DiagnosticKind::OrphanMessage {
-                        sender: pair.sender,
-                        receiver: pair.receiver,
-                        segment: si,
-                    },
-                    &mut diags,
-                ),
-            }
-        }
-    }
-    // gathers still waiting for a message that never comes
-    let mut unmatched: Vec<XchgKey> = remote_runs
-        .into_iter()
-        .filter(|&(_, n)| n > 0)
-        .map(|(k, _)| k)
-        .collect();
-    unmatched.sort_unstable();
-    for (src, me, term, (src_off, _), _dst, len) in unmatched {
-        push(
-            Property::RaceFreedom,
-            DiagnosticKind::ReadBeforeExchange { proc: me, term, src, src_off, len },
-            &mut diags,
-        );
-    }
-
     // ---- conservation ------------------------------------------------------
-    stats.wire_elements = wire;
-    if msgs.wire_elements() != wire {
-        push(
-            Property::Conservation,
-            DiagnosticKind::WireTotalMismatch {
-                declared: msgs.wire_elements(),
-                actual: wire,
-            },
-            &mut diags,
-        );
-    }
+    let planned: u64 = wire.values().sum();
+    stats.wire_elements = planned;
     let analysis = plan.analysis();
     let verdict = if !analysis.region_exact {
         // Replication: the analysis models first-owner-computes plus a
@@ -1651,54 +1390,43 @@ pub fn verify_plan(
         AnalysisVerdict::ReplicatedDivergence
     } else {
         let before = diags.len();
-        for pair in msgs.pairs() {
-            let froze = analysis
-                .comm
-                .elements_between(ProcId(pair.sender + 1), ProcId(pair.receiver + 1));
-            if froze != pair.elements as u64 {
+        // both directions: a pair the runs move and the analysis prices
+        // differently, and a pair the analysis froze that no run serves
+        let unserved = analysis
+            .comm
+            .iter()
+            .map(|(src, dst, _)| (src.zero_based() as u32, dst.zero_based() as u32))
+            .filter(|pair| !wire.contains_key(pair));
+        for (sender, receiver) in wire.keys().copied().chain(unserved) {
+            let moved = wire.get(&(sender, receiver)).copied().unwrap_or(0);
+            let froze = analysis.comm.elements_between(ProcId(sender + 1), ProcId(receiver + 1));
+            if moved != froze {
                 push(
                     Property::Conservation,
                     DiagnosticKind::AnalysisPairMismatch {
-                        sender: pair.sender,
-                        receiver: pair.receiver,
-                        planned: pair.elements as u64,
+                        sender,
+                        receiver,
+                        planned: moved,
                         analysis: froze,
                     },
                     &mut diags,
                 );
             }
         }
-        for (src, dst, n) in analysis.comm.iter() {
-            if msgs.pair(src.zero_based() as u32, dst.zero_based() as u32).is_none() {
-                push(
-                    Property::Conservation,
-                    DiagnosticKind::AnalysisPairMismatch {
-                        sender: src.zero_based() as u32,
-                        receiver: dst.zero_based() as u32,
-                        planned: 0,
-                        analysis: n,
-                    },
-                    &mut diags,
-                );
-            }
-        }
-        if wire != analysis.comm.total_elements() {
+        if planned != analysis.comm.total_elements() {
             push(
                 Property::Conservation,
                 DiagnosticKind::AnalysisTotalMismatch {
-                    planned: wire,
+                    planned,
                     analysis: analysis.comm.total_elements(),
                 },
                 &mut diags,
             );
         }
-        if planned_ghosts != analysis.remote_reads {
+        if planned != analysis.remote_reads {
             push(
                 Property::Conservation,
-                DiagnosticKind::GhostTotalMismatch {
-                    planned: planned_ghosts,
-                    analysis: analysis.remote_reads,
-                },
+                DiagnosticKind::GhostTotalMismatch { planned, analysis: analysis.remote_reads },
                 &mut diags,
             );
         }
@@ -1749,7 +1477,7 @@ impl fmt::Display for FusionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fused program [{} statements, {} supersteps, {} pairs, {} segments]",
+            "timestep plan [{} statements, {} supersteps, {} pairs, {} segments]",
             self.statements, self.supersteps, self.pairs, self.segments,
         )?;
         for d in &self.diagnostics {
@@ -1759,10 +1487,10 @@ impl fmt::Display for FusionReport {
     }
 }
 
-/// Statically verify a fused [`ProgramPlan`](crate::ProgramPlan) against the statements and
-/// mappings it claims to implement — the fused layer *on top of*
-/// [`verify_plan`] (which [`crate::PlanCache`] has already run on every
-/// constituent plan at its own insertion):
+/// Statically verify a [`ProgramPlan`](crate::ProgramPlan) — the
+/// messages a timestep actually packs and sends — against the statements
+/// and mappings it claims to implement, *on top of* [`verify_plan`] (which
+/// proves each constituent plan's gather runs):
 ///
 /// * **race freedom** — no two statements fused into one superstep have a
 ///   RAW or WAW conflict; every pair's pack phase equals the earliest
@@ -1773,16 +1501,19 @@ impl fmt::Display for FusionReport {
 ///   statement rewrites). A plan compiled unfused is held to the
 ///   per-statement schedule instead: statement `s` alone in superstep
 ///   `s`, home-phase packing, every unit re-sent every timestep;
-/// * **deadlock freedom** — the coalesced segments are exactly (as a
-///   multiset) the constituent [`MessagePlan`](crate::MessagePlan)
-///   segments: no orphan fused send, no dropped constituent message;
+/// * **deadlock freedom** — the fused pairs form a schedulable exchange:
+///   no self-message, every processor inside the machine, a strict
+///   `(superstep, sender, receiver)` order, no empty message, and the
+///   coalesced segments are exactly (as a multiset of element flows) the
+///   remote gather runs of the constituent plans — every send is a receive
+///   some gather expects, every expected receive is sent;
 /// * **conservation** — each fused pair's declared element count equals
 ///   the sum of its coalesced segments, summed across the statements the
 ///   pair serves;
-/// * **bounds** — every coalesced segment reads inside the sending shard
-///   and agrees with its dirty-tracking unit about the source progression.
+/// * **bounds** — every coalesced segment reads inside the sending shard.
 ///
-/// Like [`verify_plan`], this is a re-derivation pass run at plan
+/// Like [`verify_plan`], this is a re-derivation pass run by
+/// [`Program::verify_all`](crate::Program::verify_all) and at plan
 /// insertion (see [`crate::PlanCache`]), never on the warm replay path.
 pub fn verify_program_plan(
     arrays: &[DistArray<f64>],
@@ -1906,13 +1637,13 @@ pub fn verify_program_plan(
         }
     }
 
-    // ---- deadlock freedom: fused segments ≡ constituent segments --------
-    // the fused plan may regroup and *split* constituent message segments
+    // ---- deadlock freedom: fused segments ≡ remote gather runs ----------
+    // the fused plan regroups and *splits* the receivers' remote runs
     // (dirty-tracking units are per homogeneous write stretch), but the
     // element flow must be identical — so both sides are normalized to
-    // maximal (src → dst) progressions per (stmt, sender, receiver, term)
-    // and compared as multisets
-    type RunKey = (usize, u32, u32, usize);
+    // maximal (src → dst) progressions per (stmt, sender, receiver, term,
+    // array) and compared as multisets
+    type RunKey = (usize, u32, u32, usize, usize);
     /// A strided (src → dst) run; `pair`/`segment` ride along for
     /// diagnostics and are ignored by merging.
     #[derive(Clone, Copy)]
@@ -1957,23 +1688,53 @@ pub fn verify_program_plan(
     }
     let mut expected_runs: HashMap<RunKey, Vec<Run>> = HashMap::new();
     for (s, p) in plan.plans().iter().enumerate() {
-        for pair in p.message_plan().pairs() {
-            for seg in &pair.segments {
-                expected_runs
-                    .entry((s, pair.sender, pair.receiver, seg.term))
-                    .or_default()
-                    .push(Run {
-                        src: (seg.src_off, seg.src_stride),
-                        dst: (seg.dst_off, seg.dst_stride),
-                        len: seg.len,
-                        pair: 0,
-                        segment: 0,
-                    });
+        for pp in p.per_proc() {
+            let me = pp.proc.zero_based() as u32;
+            for (t, ts, r) in pp.remote_runs() {
+                expected_runs.entry((s, r.src, me, t, ts.array)).or_default().push(Run {
+                    src: (r.src_off, r.src_stride),
+                    dst: (r.dst_off, r.dst_stride),
+                    len: r.len,
+                    pair: 0,
+                    segment: 0,
+                });
             }
         }
     }
     let mut fused_runs: HashMap<RunKey, Vec<Run>> = HashMap::new();
+    let mut prev: Option<(usize, u32, u32)> = None;
     for (k, pair) in plan.pairs().iter().enumerate() {
+        // pair shape: what every rank's send/receive posting order rests on
+        let key = (pair.superstep, pair.sender, pair.receiver);
+        if prev.is_some_and(|p| p >= key) {
+            push(Property::DeadlockFreedom, DiagnosticKind::UnorderedPairs { pair: k }, &mut diags);
+        }
+        prev = Some(key);
+        if pair.sender == pair.receiver {
+            push(
+                Property::DeadlockFreedom,
+                DiagnosticKind::SelfMessage { pair: k, proc: pair.sender },
+                &mut diags,
+            );
+        }
+        if pair.segments.is_empty() {
+            push(
+                Property::DeadlockFreedom,
+                DiagnosticKind::EmptyMessage { sender: pair.sender, receiver: pair.receiver },
+                &mut diags,
+            );
+        }
+        let mut in_machine = true;
+        for proc in [pair.sender, pair.receiver] {
+            if proc as usize >= np {
+                push(
+                    Property::DeadlockFreedom,
+                    DiagnosticKind::InvalidPairProc { pair: k, proc, np },
+                    &mut diags,
+                );
+                in_machine = false;
+            }
+        }
         let actual: usize = pair.segments.iter().map(|s| s.len).sum();
         if actual != pair.elements {
             push(
@@ -1984,12 +1745,20 @@ pub fn verify_program_plan(
         }
         let mut required_phase = 0usize;
         for (si, seg) in pair.segments.iter().enumerate() {
+            // the masks of the replay state are indexed by flat position
+            if seg.unit != report.segments {
+                push(
+                    Property::RaceFreedom,
+                    DiagnosticKind::FusedUnitMismatch { pair: k, segment: si, unit: seg.unit },
+                    &mut diags,
+                );
+            }
             report.segments += 1;
             if !fused {
                 required_phase = required_phase.max(level.get(seg.stmt).copied().unwrap_or(0));
             }
             fused_runs
-                .entry((seg.stmt, pair.sender, pair.receiver, seg.term))
+                .entry((seg.stmt, pair.sender, pair.receiver, seg.term, seg.array))
                 .or_default()
                 .push(Run {
                     src: (seg.src_off, seg.src_stride),
@@ -1998,100 +1767,69 @@ pub fn verify_program_plan(
                     pair: k,
                     segment: si,
                 });
+            let Some(arr) = arrays.get(seg.array).filter(|_| in_machine) else {
+                continue; // the shard lookups below would index outside the machine
+            };
             // bounds: the sender must be able to read every source element
             let src_end = span_end(seg.src_off, seg.src_stride, seg.len);
-            if let Some(arr) = arrays.get(seg.array) {
-                let extent = arr.local_len(ProcId(pair.sender + 1));
-                if src_end > extent {
-                    push(
-                        Property::Bounds,
-                        DiagnosticKind::SegmentOutOfBounds {
-                            sender: pair.sender,
-                            receiver: pair.receiver,
-                            segment: si,
-                            end: src_end,
-                            extent,
-                        },
-                        &mut diags,
-                    );
+            let extent = arr.local_len(ProcId(pair.sender + 1));
+            if src_end > extent {
+                push(
+                    Property::Bounds,
+                    DiagnosticKind::SegmentOutOfBounds {
+                        sender: pair.sender,
+                        receiver: pair.receiver,
+                        segment: si,
+                        end: src_end,
+                        extent,
+                    },
+                    &mut diags,
+                );
+            }
+            // re-derive the writer split from the store schedules: a
+            // writer counts iff one of its store intervals holds an
+            // element of the source progression — exactly, so a store
+            // between two strided elements is no writer
+            let Ok(source) =
+                Triplet::new(seg.src_off as i64, src_end as i64 - 1, seg.src_stride as i64)
+            else {
+                continue; // a zero stride: refuted as an orphan flow below
+            };
+            let (mut intra, mut post) = (!fused, false);
+            for (w, stmt) in stmts.iter().enumerate() {
+                let written = &writes[w][pair.sender as usize];
+                let near = written.partition_point(|&(_, e)| e <= seg.src_off);
+                if stmt.lhs != seg.array
+                    || written[near..].iter().take_while(|&&(s, _)| s < src_end).all(|&(s, e)| {
+                        source.is_disjoint(&Triplet::unit(s as i64, e as i64 - 1))
+                    })
+                {
+                    continue;
+                }
+                if level[w] < pair.superstep {
+                    intra = true;
+                    required_phase = required_phase.max(level[w] + 1);
+                } else {
+                    post = true;
                 }
             }
-            // the unit table must describe this segment's source data
-            let (expected_intra, expected_post, unit_ok) = match plan.units().get(seg.unit)
-            {
-                Some(u)
-                    if u.array == seg.array
-                        && u.shard == pair.sender as usize
-                        && u.src_off == seg.src_off
-                        && u.src_stride == seg.src_stride
-                        && u.len == seg.len
-                        && u.superstep == pair.superstep
-                        && seg.src_stride > 0 =>
-                {
-                    // re-derive the writer split from the store schedules:
-                    // a writer counts iff one of its store intervals holds
-                    // an element of the source progression — exactly, so a
-                    // store between two strided elements is no writer
-                    let source = Triplet::new(
-                        seg.src_off as i64,
-                        src_end as i64 - 1,
-                        seg.src_stride as i64,
-                    )
-                    .expect("stride checked positive");
-                    let (mut intra, mut post) = (!fused, false);
-                    for (w, stmt) in stmts.iter().enumerate() {
-                        let written = &writes[w][pair.sender as usize];
-                        let near = written.partition_point(|&(_, e)| e <= seg.src_off);
-                        if stmt.lhs != seg.array
-                            || written[near..]
-                                .iter()
-                                .take_while(|&&(s, _)| s < src_end)
-                                .all(|&(s, e)| {
-                                    source.is_disjoint(&Triplet::unit(s as i64, e as i64 - 1))
-                                })
-                        {
-                            continue;
-                        }
-                        if level[w] < pair.superstep {
-                            intra = true;
-                            required_phase = required_phase.max(level[w] + 1);
-                        } else {
-                            post = true;
-                        }
-                    }
-                    if u.intra_dirty != intra || u.post_dirty != post {
-                        push(
-                            Property::RaceFreedom,
-                            DiagnosticKind::FusedDirtyUnsound {
-                                unit: seg.unit,
-                                intra: u.intra_dirty,
-                                post: u.post_dirty,
-                                expected_intra: intra,
-                                expected_post: post,
-                            },
-                            &mut diags,
-                        );
-                    }
-                    (intra, post, true)
-                }
-                _ => {
-                    push(
-                        Property::Bounds,
-                        DiagnosticKind::FusedUnitMismatch {
-                            pair: k,
-                            segment: si,
-                            unit: seg.unit,
-                        },
-                        &mut diags,
-                    );
-                    (false, false, false)
-                }
-            };
-            let _ = (expected_intra, expected_post, unit_ok);
+            if seg.intra_dirty != intra || seg.post_dirty != post {
+                push(
+                    Property::RaceFreedom,
+                    DiagnosticKind::FusedDirtyUnsound {
+                        unit: seg.unit,
+                        intra: seg.intra_dirty,
+                        post: seg.post_dirty,
+                        expected_intra: intra,
+                        expected_post: post,
+                    },
+                    &mut diags,
+                );
+            }
         }
         // pack phase: exactly past every in-timestep writer, never past
         // the home superstep
-        if pair.pack_phase != required_phase || pair.pack_phase > pair.superstep {
+        if in_machine && (pair.pack_phase != required_phase || pair.pack_phase > pair.superstep) {
             push(
                 Property::RaceFreedom,
                 DiagnosticKind::FusedPhaseRace {
@@ -2104,8 +1842,8 @@ pub fn verify_program_plan(
             );
         }
     }
-    // normalized comparison: every fused run must be a constituent run,
-    // every constituent run must be shipped
+    // normalized comparison: every fused run must be a gather run, every
+    // gather run must be shipped
     let mut expected_norm: HashMap<(RunKey, Flow), usize> = HashMap::new();
     for (key, runs) in expected_runs {
         for r in normalize(runs) {
@@ -2126,14 +1864,14 @@ pub fn verify_program_plan(
             }
         }
     }
-    // constituent runs the fused plan never ships
+    // gather runs the fused plan never ships
     let mut missing: Vec<(RunKey, Flow)> = expected_norm
         .into_iter()
         .filter(|&(_, c)| c > 0)
         .map(|(k, _)| k)
         .collect();
     missing.sort_unstable();
-    for ((stmt, sender, receiver, _term), (_src, _dst, len)) in missing {
+    for ((stmt, sender, receiver, _term, _array), (_src, _dst, len)) in missing {
         push(
             Property::DeadlockFreedom,
             DiagnosticKind::FusedSegmentMissing { stmt, sender, receiver, len },
@@ -2149,9 +1887,10 @@ pub fn verify_program_plan(
 mod tests {
     use super::*;
     use crate::assign::{Combine, Term};
-    use crate::backend::{MsgSegment, PairSchedule};
+    use crate::fuse::{FusedPair, FusedSegment, ProgramPlan};
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, IndexDomain, Section};
+    use std::sync::Arc;
 
     /// BLOCK → CYCLIC(3) shift: plenty of remote traffic, several pairs.
     fn setup(n: usize, np: usize) -> (Vec<DistArray<f64>>, Assignment) {
@@ -2201,7 +1940,6 @@ mod tests {
         assert_eq!(report.stats.procs, 4);
         assert!(report.stats.store_runs > 0);
         assert!(report.stats.copy_runs > 0);
-        assert!(report.stats.pairs > 0);
         assert!(report.stats.wire_elements > 0);
         // Display renders the statement plus the stats line, no findings
         let shown = report.to_string();
@@ -2296,15 +2034,36 @@ mod tests {
         );
     }
 
+    /// The one-statement program plan of `stmt` — the messages that execute.
+    fn fused(arrays: &[DistArray<f64>], stmt: &Assignment) -> ProgramPlan {
+        let plan = Arc::new(ExecPlan::inspect(arrays, stmt).unwrap());
+        let fused = ProgramPlan::compile(std::slice::from_ref(stmt), vec![plan], true);
+        assert!(verify_program_plan(arrays, std::slice::from_ref(stmt), &fused).is_clean());
+        fused
+    }
+
+    fn fused_kinds(
+        arrays: &[DistArray<f64>],
+        stmt: &Assignment,
+        plan: &ProgramPlan,
+    ) -> Vec<DiagnosticKind> {
+        let report = verify_program_plan(arrays, std::slice::from_ref(stmt), plan);
+        report.diagnostics.into_iter().map(|d| d.kind).collect()
+    }
+
     #[test]
     fn orphaned_pair_schedule_is_caught() {
         let (arrays, stmt) = setup(40, 4);
-        let mut plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        plan.message_plan_mut().pairs_mut().push(PairSchedule {
+        let mut plan = fused(&arrays, &stmt);
+        let unit = plan.segments().count();
+        plan.pairs_mut().push(FusedPair {
             sender: 3,
             receiver: 0,
+            superstep: 0,
+            pack_phase: 0,
             elements: 2,
-            segments: vec![MsgSegment {
+            segments: vec![FusedSegment {
+                stmt: 0,
                 term: 0,
                 array: 1,
                 src_off: 0,
@@ -2312,16 +2071,16 @@ mod tests {
                 dst_off: 0,
                 dst_stride: 1,
                 len: 2,
+                unit,
+                intra_dirty: false,
+                post_dirty: false,
             }],
         });
-        let report = verify_plan(&arrays, &stmt, &plan);
+        let kinds = fused_kinds(&arrays, &stmt, &plan);
         assert!(
-            kinds(&report)
-                .iter()
-                .any(|k| matches!(k, DiagnosticKind::OrphanMessage { .. })),
-            "{report}"
+            kinds.iter().any(|k| matches!(k, DiagnosticKind::FusedSegmentOrphan { .. })),
+            "{kinds:?}"
         );
-        assert_eq!(report.verdict, AnalysisVerdict::Divergent);
     }
 
     #[test]
@@ -2334,41 +2093,50 @@ mod tests {
             (FormatSpec::Cyclic(1), FormatSpec::Block),
         ] {
             let (arrays, stmt) = setup_with(64, 4, lhs, rhs);
-            let pristine = ExecPlan::inspect(&arrays, &stmt).unwrap();
-            assert!(verify_plan(&arrays, &stmt, &pristine).is_clean());
-            type Mutation = (&'static str, fn(&mut MsgSegment));
-            let mutations: [Mutation; 5] = [
+            let pristine = fused(&arrays, &stmt);
+            type Mutation = (&'static str, fn(&mut FusedSegment));
+            let mutations: [Mutation; 6] = [
                 ("src_stride + 1", |seg| seg.src_stride += 1),
                 ("src_stride = 0", |seg| seg.src_stride = 0),
                 ("dst_stride + 1", |seg| seg.dst_stride += 1),
                 ("dst_stride = 0", |seg| seg.dst_stride = 0),
                 ("len - 1", |seg| seg.len -= 1),
+                ("array - 1", |seg| seg.array -= 1),
             ];
             for (what, mutate) in mutations {
                 let mut plan = pristine.clone();
-                let seg = &mut plan.message_plan_mut().pairs_mut()[0].segments[0];
+                let seg = &mut plan.pairs_mut()[0].segments[0];
                 assert!(seg.len >= 3 && (seg.src_stride, seg.dst_stride) != (1, 1), "{seg:?}");
                 mutate(seg);
-                let report = verify_plan(&arrays, &stmt, &plan);
-                let found = kinds(&report);
+                let found = fused_kinds(&arrays, &stmt, &plan);
                 assert!(
-                    found.iter().any(|k| matches!(k, DiagnosticKind::OrphanMessage { .. }))
+                    found.iter().any(|k| matches!(k, DiagnosticKind::FusedSegmentOrphan { .. }))
                         && found
                             .iter()
-                            .any(|k| matches!(k, DiagnosticKind::ReadBeforeExchange { .. })),
-                    "{what}: {report}"
+                            .any(|k| matches!(k, DiagnosticKind::FusedSegmentMissing { .. })),
+                    "{what}: {found:?}"
                 );
             }
             // a stride that walks out of the sender's shard is also a
             // bounds finding of its own
             let mut plan = pristine.clone();
-            plan.message_plan_mut().pairs_mut()[0].segments[0].src_stride += 40;
-            let report = verify_plan(&arrays, &stmt, &plan);
+            plan.pairs_mut()[0].segments[0].src_stride += 40;
+            let kinds = fused_kinds(&arrays, &stmt, &plan);
             assert!(
-                kinds(&report)
-                    .iter()
-                    .any(|k| matches!(k, DiagnosticKind::SegmentOutOfBounds { .. })),
-                "{report}"
+                kinds.iter().any(|k| matches!(k, DiagnosticKind::SegmentOutOfBounds { .. })),
+                "{kinds:?}"
+            );
+            // and a unit that is not the segment's flat position would
+            // alias another segment's slot of the dirty masks
+            let mut plan = pristine.clone();
+            plan.pairs_mut()[0].segments[0].unit += 1;
+            let kinds = fused_kinds(&arrays, &stmt, &plan);
+            assert!(
+                kinds.iter().any(|k| matches!(
+                    k,
+                    DiagnosticKind::FusedUnitMismatch { pair: 0, segment: 0, unit: 1 }
+                )),
+                "{kinds:?}"
             );
         }
     }
@@ -2376,48 +2144,68 @@ mod tests {
     #[test]
     fn dropped_pair_schedule_is_a_read_before_exchange() {
         let (arrays, stmt) = setup(40, 4);
-        let mut plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        assert!(!plan.message_plan().pairs().is_empty());
-        plan.message_plan_mut().pairs_mut().remove(0);
-        let report = verify_plan(&arrays, &stmt, &plan);
+        let mut plan = fused(&arrays, &stmt);
+        let dropped = plan.pairs_mut().remove(0);
+        let kinds = fused_kinds(&arrays, &stmt, &plan);
         assert!(
-            kinds(&report)
-                .iter()
-                .any(|k| matches!(k, DiagnosticKind::ReadBeforeExchange { .. })),
-            "{report}"
+            kinds.iter().any(|k| matches!(
+                k,
+                DiagnosticKind::FusedSegmentMissing { stmt: 0, sender, receiver, .. }
+                    if (*sender, *receiver) == (dropped.sender, dropped.receiver)
+            )),
+            "{kinds:?}"
         );
     }
 
     #[test]
     fn skewed_byte_count_is_caught() {
         let (arrays, stmt) = setup(40, 4);
-        let mut plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        plan.message_plan_mut().pairs_mut()[0].elements += 1;
-        let report = verify_plan(&arrays, &stmt, &plan);
+        let mut plan = fused(&arrays, &stmt);
+        plan.pairs_mut()[0].elements += 1;
+        let kinds = fused_kinds(&arrays, &stmt, &plan);
         assert!(
-            kinds(&report)
-                .iter()
-                .any(|k| matches!(k, DiagnosticKind::PairByteMismatch { .. })),
-            "{report}"
+            kinds.iter().any(|k| matches!(k, DiagnosticKind::FusedPairMismatch { pair: 0, .. })),
+            "{kinds:?}"
         );
     }
 
     #[test]
     fn skewed_wire_total_is_caught() {
+        // a skewed ghost tally (what `ExecPlan::wire_elements` reports)
         let (arrays, stmt) = setup(40, 4);
         let mut plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        let declared = plan.message_plan().wire_elements();
-        plan.message_plan_mut().set_wire_elements(declared + 7);
+        plan.per_proc_mut()[1].terms[0].ghost_elements += 7;
         let report = verify_plan(&arrays, &stmt, &plan);
         assert!(
             kinds(&report)
                 .iter()
-                .any(|k| matches!(
-                    k,
-                    DiagnosticKind::WireTotalMismatch { declared: _, actual: _ }
-                )),
+                .any(|k| matches!(k, DiagnosticKind::TermGhostMismatch { proc: 1, term: 0, .. })),
             "{report}"
         );
+        // a dropped remote run: its pair, the wire total and the ghost
+        // total all fall short of what the analysis froze
+        let mut plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
+        let runs = &mut plan.per_proc_mut()[1].terms[0].runs;
+        let remote = runs.iter().position(|r| r.src != 1).expect("p1 reads ghosts");
+        let dropped = runs.remove(remote);
+        let report = verify_plan(&arrays, &stmt, &plan);
+        assert_eq!(report.verdict, AnalysisVerdict::Divergent);
+        let found = kinds(&report);
+        assert!(
+            found.iter().any(|k| matches!(
+                k,
+                DiagnosticKind::AnalysisPairMismatch { sender, receiver: 1, .. }
+                    if *sender == dropped.src
+            )),
+            "{report}"
+        );
+        for want in [
+            (|k| matches!(k, DiagnosticKind::AnalysisTotalMismatch { .. }))
+                as fn(&DiagnosticKind) -> bool,
+            |k| matches!(k, DiagnosticKind::GhostTotalMismatch { .. }),
+        ] {
+            assert!(found.iter().any(|k| want(k)), "{report}");
+        }
     }
 
     #[test]

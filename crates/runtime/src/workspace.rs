@@ -3,28 +3,31 @@
 //! A [`PlanWorkspace`] owns the per-processor, per-term packed operand
 //! buffers of one statement. What lands in them is decided per term at
 //! inspect time (see [`crate::plan`]): the exchange delivers **ghost**
-//! data at the positions the message schedules name, and the stage phase
+//! data at the positions the remote gather runs name (each fused segment
+//! carries its run's `dst_off`/`dst_stride`), and the stage phase
 //! snapshots the **staged** local runs — every local run of a term naming
 //! the statement's LHS array, whose pre-assignment values the kernel must
 //! still see after it starts storing, strided local runs, and unit-stride
 //! ones too short to be worth a piece each. The unit-stride local
 //! positions of a *direct* term are never written: the kernel reads them
-//! in place from the processor's own shard. Every buffer keeps the full `dst_off` layout either way (so
-//! message schedules, fused segments and dirty tracking address it
-//! unchanged); the untouched stretches of a zero-initialised buffer are
-//! never paged in.
+//! in place from the processor's own shard. Every buffer keeps the full
+//! `dst_off` layout either way (so gather runs and the fused segments cut
+//! from them address it unchanged); the untouched stretches of a
+//! zero-initialised buffer are never paged in.
 //!
 //! A [`FusedWorkspace`] holds one `PlanWorkspace` per statement of a
-//! timestep plus the per-pair message staging buffers. Building it costs
-//! the allocations once; every later
-//! [`ExchangeBackend::step`](crate::ExchangeBackend::step) on the
-//! `SharedMem` backend reuses the buffers, so a **warm timestep performs
-//! zero heap allocations** (asserted by the `zero_alloc_replay`
-//! integration test with a counting global allocator).
+//! timestep plus one message staging buffer per fused pair. It starts
+//! empty; the first [`ExchangeBackend::step`](crate::ExchangeBackend::step)
+//! through it sizes it for its plan (the one place a replay allocates), and
+//! every later step on the `SharedMem` backend reuses the buffers, so a
+//! **warm timestep performs zero heap allocations** (asserted by the
+//! `zero_alloc_replay` integration test with a counting global allocator).
 //! [`crate::PlanCache`] keeps the workspace beside the cached
 //! [`ProgramPlan`], which is how a [`crate::Session`] gets
 //! allocation-free timesteps without callers managing workspaces
-//! themselves.
+//! themselves — and how a caller that only verifies the plan
+//! ([`Program::verify_all`](crate::Program::verify_all)) never pays for
+//! operand buffers.
 
 use crate::fuse::ProgramPlan;
 use crate::plan::ExecPlan;
@@ -110,13 +113,6 @@ impl FusedWorkspace {
         FusedWorkspace::default()
     }
 
-    /// A workspace preallocated for `plan`.
-    pub fn for_plan(plan: &ProgramPlan) -> Self {
-        let mut ws = FusedWorkspace::new();
-        ws.ensure(plan);
-        ws
-    }
-
     /// True iff the buffers already have exactly the shape `plan`'s fused
     /// replay needs.
     pub fn matches(&self, plan: &ProgramPlan) -> bool {
@@ -158,7 +154,7 @@ mod tests {
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, IndexDomain, Section};
 
-    fn plan_of(n: usize, np: usize) -> (Vec<DistArray<f64>>, ExecPlan) {
+    fn plan_of(n: usize, np: usize) -> (Vec<DistArray<f64>>, Assignment, ExecPlan) {
         let mut ds = DataSpace::new(np);
         let a = ds.declare("A", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
         let b = ds.declare("B", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
@@ -178,12 +174,12 @@ mod tests {
         )
         .unwrap();
         let plan = ExecPlan::inspect(&arrays, &stmt).unwrap();
-        (arrays, plan)
+        (arrays, stmt, plan)
     }
 
     #[test]
     fn sized_exactly_for_plan() {
-        let (_, plan) = plan_of(20, 4);
+        let (_, _, plan) = plan_of(20, 4);
         let ws = PlanWorkspace::for_plan(&plan);
         assert!(ws.matches(&plan));
         // one term, full domain computed → 20 buffered elements
@@ -192,7 +188,7 @@ mod tests {
 
     #[test]
     fn empty_workspace_resizes_once() {
-        let (_, plan) = plan_of(12, 3);
+        let (_, _, plan) = plan_of(12, 3);
         let mut ws = PlanWorkspace::new();
         assert!(!ws.matches(&plan));
         ws.ensure(&plan);
@@ -204,19 +200,24 @@ mod tests {
 
     #[test]
     fn mismatched_shape_detected() {
-        let (_, p1) = plan_of(20, 4);
-        let (_, p2) = plan_of(24, 4);
+        let (_, _, p1) = plan_of(20, 4);
+        let (_, _, p2) = plan_of(24, 4);
         let ws = PlanWorkspace::for_plan(&p1);
         assert!(!ws.matches(&p2));
     }
 
     #[test]
-    fn message_plan_pairs_present_for_mismatched_mappings() {
-        // BLOCK ← CYCLIC(1) copy communicates heavily: the plan the
-        // workspace serves carries one message schedule per pair
-        let (_, plan) = plan_of(20, 4);
-        let msgs = plan.message_plan();
-        assert!(!msgs.pairs().is_empty());
-        assert!(msgs.wire_elements() > 0);
+    fn fused_workspace_is_sized_by_the_first_ensure() {
+        // BLOCK ← CYCLIC(1) copy communicates heavily: one staging buffer
+        // per fused pair, together holding the plan's whole wire traffic
+        let (_, stmt, plan) = plan_of(20, 4);
+        let wire = plan.wire_elements() as usize;
+        assert!(wire > 0);
+        let fused = ProgramPlan::compile(&[stmt], vec![std::sync::Arc::new(plan)], true);
+        let mut ws = FusedWorkspace::new();
+        assert!(!ws.matches(&fused));
+        ws.ensure(&fused);
+        assert!(ws.matches(&fused));
+        assert_eq!((ws.stage_elements(), ws.buffer_elements()), (wire, 20));
     }
 }

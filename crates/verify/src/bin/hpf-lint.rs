@@ -13,14 +13,17 @@
 //! against the source), and only a clean program's compiled plans reach
 //! the verifier.
 //!
+//! Each unit prints one line per statement plan and one for the timestep
+//! plan that executes them (the fused messages actually packed and sent).
+//!
 //! Exit status: 0 when every verified plan is clean (an expected
 //! replicated-divergence verdict is reported as a note, not a failure),
-//! 1 when any statement carries a diagnostic or a source fails to lower,
-//! 2 on usage errors.
+//! 1 when any statement or timestep plan carries a diagnostic or a source
+//! fails to lower, 2 on usage errors.
 
 use hpf_frontend::{render_diagnostics, Elaborator, Lowerer};
 use hpf_verify::scenarios::{self, Scenario};
-use hpf_verify::AnalysisVerdict;
+use hpf_verify::{AnalysisVerdict, VerifyReport};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -77,33 +80,17 @@ fn main() -> ExitCode {
         picked
     };
 
-    let mut findings = 0usize;
-    let mut statements = 0usize;
-    let mut units = 0usize;
+    let mut tally = Tally::default();
 
     for scenario in &picked {
         println!("== {} — {}", scenario.name, scenario.summary);
-        let mut prog = (scenario.build)();
-        let report = match prog.verify_all() {
-            Ok(r) => r,
+        match (scenario.build)().verify_all() {
+            Ok(report) => tally.print(&report),
             Err(e) => {
                 eprintln!("hpf-lint: {}: planning failed: {e}", scenario.name);
                 return ExitCode::from(2);
             }
-        };
-        statements += report.statements.len();
-        units += 1;
-        for stmt in &report.statements {
-            print!("{stmt}");
-            if stmt.verdict == AnalysisVerdict::ReplicatedDivergence {
-                println!(
-                    "   note: replicated operand — analysis totals legitimately \
-                     diverge (every replica computes locally)"
-                );
-            }
         }
-        findings += report.finding_count();
-        println!();
     }
 
     for file in &files {
@@ -120,18 +107,43 @@ fn main() -> ExitCode {
         diags.extend(lower_diags);
         if !diags.is_empty() {
             eprint!("{}", render_diagnostics(&src, &diags));
-            findings += diags.len();
+            tally.findings += diags.len();
             continue;
         }
-        let report = match lowered.program.verify_all() {
-            Ok(r) => r,
+        match lowered.program.verify_all() {
+            Ok(report) => tally.print(&report),
             Err(e) => {
                 eprintln!("hpf-lint: {file}: planning failed: {e}");
                 return ExitCode::from(2);
             }
-        };
-        statements += report.statements.len();
-        units += 1;
+        }
+    }
+
+    let Tally { findings, statements, units } = tally;
+    if findings == 0 {
+        println!(
+            "hpf-lint: {statements} statement plan(s) and {units} timestep plan(s) \
+             across {units} unit(s): all five properties hold"
+        );
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("hpf-lint: {findings} finding(s) — plans are NOT proven safe");
+        ExitCode::FAILURE
+    }
+}
+
+/// What the verified units add up to, for the closing summary line.
+#[derive(Default)]
+struct Tally {
+    findings: usize,
+    statements: usize,
+    units: usize,
+}
+
+impl Tally {
+    /// Print one unit's report — every statement plan, then the timestep
+    /// plan that executes them — and count it.
+    fn print(&mut self, report: &VerifyReport) {
         for stmt in &report.statements {
             print!("{stmt}");
             if stmt.verdict == AnalysisVerdict::ReplicatedDivergence {
@@ -141,19 +153,10 @@ fn main() -> ExitCode {
                 );
             }
         }
-        findings += report.finding_count();
-        println!();
-    }
-
-    if findings == 0 {
-        println!(
-            "hpf-lint: {statements} statement plan(s) across {units} unit(s): \
-             all five properties hold"
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("hpf-lint: {findings} finding(s) — plans are NOT proven safe");
-        ExitCode::FAILURE
+        println!("{}", report.timestep);
+        self.statements += report.statements.len();
+        self.units += 1;
+        self.findings += report.finding_count();
     }
 }
 

@@ -12,23 +12,34 @@
 //! cargo run --release -p hpf-verify --bin hpf-lint -- quickstart
 //! ```
 //!
-//! Five properties are decided per statement, each refutation carrying
-//! exact processor/run/segment coordinates:
+//! Five properties are decided per program, each refutation carrying
+//! exact processor/run/segment coordinates. The gather runs of each
+//! statement's [`ExecPlan`](hpf_runtime::ExecPlan) are the one description
+//! of what is exchanged and the fused pairs of the timestep's
+//! [`ProgramPlan`](hpf_runtime::ProgramPlan) the one form it is sent in,
+//! so [`VerifyReport`] holds a [`StatementReport`] per statement and one
+//! [`FusionReport`] for the timestep:
 //!
-//! 1. **write coverage** — store runs tile every processor's owned LHS
-//!    section exactly (no gap, overlap, or stray write);
-//! 2. **bounds** — every [`CopyRun`](hpf_runtime::CopyRun) /
-//!    [`MsgSegment`](hpf_runtime::MsgSegment) source and destination stays
-//!    inside the owning shard and pack-buffer extents, and addresses the
-//!    statement-named element;
-//! 3. **race freedom** — disjoint worker store sets, and a sound
-//!    pack → exchange → compute happens-before order (RAW/WAR hazards);
-//! 4. **deadlock freedom** — the pair schedules form a schedulable BSP
-//!    superstep with matched sends/receives and equal byte counts;
-//! 5. **conservation** — wire bytes over pairs equal the frozen
-//!    [`CommAnalysis`](hpf_runtime::CommAnalysis) totals, with replicated
-//!    mappings reported as an explicit
-//!    [`AnalysisVerdict::ReplicatedDivergence`] instead of being skipped.
+//! 1. **write coverage** (statement) — store runs tile every processor's
+//!    owned LHS section exactly (no gap, overlap, or stray write);
+//! 2. **bounds** (both) — every [`CopyRun`](hpf_runtime::CopyRun) source
+//!    and destination stays inside the owning shard and pack-buffer
+//!    extents and addresses the statement-named element; every
+//!    [`FusedSegment`](hpf_runtime::FusedSegment) the sender packs stays
+//!    inside its shard;
+//! 3. **race freedom** (both) — disjoint worker store sets and a sound
+//!    stage → exchange → compute happens-before order per statement; no
+//!    same-superstep hazard, sound pack phases and sound dirty flags per
+//!    timestep;
+//! 4. **deadlock freedom** (timestep) — the fused pairs form a schedulable
+//!    exchange (no self-message, processors in range, strictly ordered,
+//!    non-empty) whose segments are exactly the remote gather runs: every
+//!    send is received, every expected receive is sent;
+//! 5. **conservation** (both) — the remote runs' elements equal the frozen
+//!    [`CommAnalysis`](hpf_runtime::CommAnalysis) totals pair for pair,
+//!    with replicated mappings reported as an explicit
+//!    [`AnalysisVerdict::ReplicatedDivergence`] instead of being skipped;
+//!    every fused pair declares exactly what its segments carry.
 //!
 //! [`PlanCache`]: hpf_runtime::PlanCache
 
@@ -38,6 +49,6 @@
 pub mod scenarios;
 
 pub use hpf_runtime::{
-    verify_plan, AnalysisVerdict, Diagnostic, DiagnosticKind, Property, StatementReport,
-    VerifyReport, VerifyStats,
+    verify_plan, verify_program_plan, AnalysisVerdict, Diagnostic, DiagnosticKind, FusionReport,
+    Property, StatementReport, VerifyReport, VerifyStats,
 };

@@ -75,12 +75,12 @@ fn solve(fmt: FormatSpec, label: &str) -> (usize, u64) {
     // deadlock freedom, and conservation on the cached plans
     let report = prog.verify_all().unwrap();
     assert!(report.is_clean(), "sweep plans failed static verification:\n{report}");
-    let (runs, pairs) = report.statements.iter().fold((0, 0), |(r, p), s| {
-        (r + s.stats.store_runs + s.stats.copy_runs, p + s.stats.pairs)
-    });
+    let runs: usize =
+        report.statements.iter().map(|s| s.stats.store_runs + s.stats.copy_runs).sum();
     println!(
         "  {label:<8} plans verified safe before running \
-         ({runs} schedule runs, {pairs} message pairs checked)"
+         ({runs} schedule runs, {} message pairs checked)",
+        report.timestep.pairs
     );
 
     let mut sess = Session::new(prog);

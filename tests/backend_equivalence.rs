@@ -150,8 +150,7 @@ fn assert_backends_agree(
     stmt: &Assignment,
     partitioned: bool,
 ) {
-    let plan = ExecPlan::inspect(&arrays, stmt).unwrap();
-    let msgs = plan.message_plan();
+    let plan = Arc::new(ExecPlan::inspect(&arrays, stmt).unwrap());
     let expect = dense_reference(&arrays, stmt);
     for config in common::MATRIX {
         // clones share the mapping allocations
@@ -162,9 +161,9 @@ fn assert_backends_agree(
         let prog = sess.program();
         assert_eq!(prog.arrays[0].to_dense(), expect, "{config:?} ≡ oracle");
         assert_eq!(prog.arrays[1].to_dense(), arrays[1].to_dense(), "{config:?}: RHS untouched");
-        // bytes on the wire: measured == frozen message schedule, always
+        // bytes on the wire: measured == the frozen plan's remote runs, always
         // (a cold timestep ships everything, fused or not)
-        assert_eq!(prog.stats().bytes_sent, msgs.wire_bytes(), "{config:?}");
+        assert_eq!(prog.stats().bytes_sent, plan.wire_bytes(), "{config:?}");
         let fs = prog.fusion_stats();
         if !config.fused {
             assert_eq!(fs.messages_after, fs.messages_before, "unfused coalesces nothing");
@@ -177,10 +176,12 @@ fn assert_backends_agree(
         // ... and exactly the frozen CommAnalysis for partitioning
         // mappings, down to each (sender, receiver) entry
         let analysis = plan.analysis();
-        assert!(msgs.matches_analysis());
-        assert_eq!(msgs.wire_bytes(), analysis.total_bytes());
-        assert_eq!(msgs.pairs().len(), analysis.comm.messages());
-        for pair in msgs.pairs() {
+        assert_eq!(plan.analysis_verdict(), AnalysisVerdict::Exact);
+        assert_eq!(plan.wire_bytes(), analysis.total_bytes());
+        assert_eq!(plan.messages(), analysis.comm.messages());
+        let fused = ProgramPlan::compile(std::slice::from_ref(stmt), vec![plan.clone()], true);
+        assert_eq!(fused.pairs().len(), plan.messages());
+        for pair in fused.pairs() {
             assert_eq!(
                 pair.elements as u64,
                 analysis

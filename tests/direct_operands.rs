@@ -196,14 +196,14 @@ fn replicated_operand_is_read_from_the_own_copy() {
     let stmt = stmt_1d(&arrays, 0, (1, n as i64), &[(1, 0), (0, 0)], Combine::Sum);
     let plans = check_all_paths(arrays, &[stmt], 3);
     assert!(direct(&plans[0], 0));
-    assert_eq!(plans[0].message_plan().wire_elements(), 0);
+    assert_eq!(plans[0].wire_elements(), 0);
     // R = B: every replica computes the whole section, reading its own
     // block of B in place and the rest as ghosts
     let arrays = arrays_1d(n, 4, &[Replicated, Fmt(FormatSpec::Block)]);
     let stmt = stmt_1d(&arrays, 0, (1, n as i64), &[(1, 0)], Combine::Copy);
     let plans = check_all_paths(arrays, &[stmt], 2);
     assert!(direct(&plans[0], 0));
-    assert!(plans[0].message_plan().wire_elements() > 0);
+    assert!(plans[0].wire_elements() > 0);
 }
 
 #[test]

@@ -59,6 +59,48 @@ fn every_program_runs_verified_on_both_backends() {
     }
 }
 
+/// `hpfrun --verify`'s code path (lower, then `verify_all`) proves the
+/// plan a timestep executes: a corrupted fused pair of the *cached*
+/// program plan is refuted, by name, in any build — and the cold step
+/// after a clean `verify_all` replays that very plan without compiling.
+#[test]
+fn verify_all_proves_the_fused_plan_that_runs() {
+    let (name, src) = program_sources()
+        .into_iter()
+        .find(|(n, _)| n.contains("relaxation"))
+        .expect("relaxation.hpf ships");
+    let elab = Elaborator::new(np_for(&name)).run(&src).expect("elaborates");
+    let (mut lowered, diags) = Lowerer::lower(&elab);
+    assert!(diags.is_empty(), "{diags:?}");
+
+    let report = lowered.program.verify_all().expect("plans compile");
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.timestep.statements, lowered.statements.len());
+    assert!(report.timestep.pairs > 0 && report.timestep.segments > 0, "{report}");
+    assert!(report.to_string().contains("timestep plan ["), "{report}");
+
+    // the cold step replays the proven plan: nothing is compiled
+    let misses = lowered.program.cache_misses();
+    let mut sess = Session::new(lowered.program);
+    sess.run(1).expect("runs");
+    assert_eq!(sess.program().cache_misses(), misses, "the cold step compiled a plan");
+    let mut program = sess.into_program();
+
+    let plan = program.timestep_plan_mut().expect("verify_all cached the timestep plan");
+    plan.pairs_mut()[0].segments[0].src_off += 1;
+    let report = program.verify_all().expect("plans compile");
+    assert!(!report.is_clean(), "a corrupted fused pair went unnoticed:\n{report}");
+    assert!(report.statements.iter().all(StatementReport::is_clean), "{report}");
+    assert!(report.finding_count() >= 2, "{report}");
+    assert!(
+        report
+            .timestep
+            .findings_for(Property::DeadlockFreedom)
+            .any(|d| matches!(d.kind, DiagnosticKind::FusedSegmentOrphan { pair: 0, segment: 0 })),
+        "{report}"
+    );
+}
+
 #[test]
 fn backends_agree_bit_for_bit() {
     for (name, src) in program_sources() {

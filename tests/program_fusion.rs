@@ -440,18 +440,12 @@ fn verifier_catches_corrupted_fused_plans() {
         has(|k| matches!(k, DiagnosticKind::FusedSegmentOrphan { .. }))
             && has(|k| matches!(k, DiagnosticKind::FusedSegmentMissing { .. }))
     };
-    // (d) a wider source stride reads other elements than the unit table
-    // and the constituent message name
+    // (d) a wider source stride reads other elements than the receiver's
+    // gather run names
     let mut mutant = pristine.clone();
     mutant.pairs_mut()[k].segments[si].src_stride += 1;
     let report = verify_program_plan(&arrays, &stmts, &mutant);
-    assert!(
-        report
-            .findings_for(Property::Bounds)
-            .any(|d| matches!(d.kind, DiagnosticKind::FusedUnitMismatch { .. })),
-        "a re-strided source no longer matches its dirty-tracking unit:\n{report}"
-    );
-    assert!(flow_diverges(&report), "{report}");
+    assert!(flow_diverges(&report), "a re-strided gather must diverge:\n{report}");
     // (e) a wider destination stride scatters into other positions
     let mut mutant = pristine.clone();
     mutant.pairs_mut()[k].segments[si].dst_stride += 1;
@@ -463,6 +457,40 @@ fn verifier_catches_corrupted_fused_plans() {
     let report = verify_program_plan(&arrays, &stmts, &mutant);
     assert!(report.findings_for(Property::Conservation).next().is_some(), "{report}");
     assert!(flow_diverges(&report), "{report}");
+
+    // (g)–(j) the shape of the pairs themselves: every rank posts its
+    // sends and receives by walking the pair list, so a self-message, a
+    // processor outside the machine, a pair out of (superstep, sender,
+    // receiver) order or an empty message is a rendezvous that cannot
+    // complete — each refutes deadlock freedom by name
+    assert!(pristine.pairs().len() >= 2);
+    type Shape = (&'static str, fn(&mut Vec<FusedPair>), fn(&DiagnosticKind) -> bool);
+    let shapes: [Shape; 5] = [
+        ("sender = receiver", |p| p[0].sender = p[0].receiver, |k| {
+            matches!(k, DiagnosticKind::SelfMessage { pair: 0, .. })
+        }),
+        ("processor >= np", |p| p[0].receiver = 3, |k| {
+            matches!(k, DiagnosticKind::InvalidPairProc { pair: 0, proc: 3, np: 3 })
+        }),
+        ("two pairs swapped", |p| p.swap(0, 1), |k| {
+            matches!(k, DiagnosticKind::UnorderedPairs { pair: 1 })
+        }),
+        ("a pair duplicated", |p| p.insert(0, p[0].clone()), |k| {
+            matches!(k, DiagnosticKind::UnorderedPairs { pair: 1 })
+        }),
+        ("a pair with no segments", |p| p[0].segments.clear(), |k| {
+            matches!(k, DiagnosticKind::EmptyMessage { .. })
+        }),
+    ];
+    for (what, mutate, names_it) in shapes {
+        let mut mutant = pristine.clone();
+        mutate(mutant.pairs_mut());
+        let report = verify_program_plan(&arrays, &stmts, &mutant);
+        assert!(
+            report.findings_for(Property::DeadlockFreedom).any(|d| names_it(&d.kind)),
+            "{what}:\n{report}"
+        );
+    }
 }
 
 /// Dirty tracking is exact on strided units. `A` is `CYCLIC`, `B` and `C`
@@ -507,10 +535,11 @@ fn strided_units_ship_exactly_when_a_store_hits_one_of_their_elements() {
         let plans = stmts.iter().map(|s| Arc::new(ExecPlan::inspect(&arrays, s).unwrap()));
         let plan = ProgramPlan::compile(&stmts, plans.collect(), true);
         assert!(verify_program_plan(&arrays, &stmts, &plan).is_clean());
-        let dirty: usize = plan.units().iter().filter(|u| u.post_dirty).map(|u| u.len).sum();
+        let segs = || plan.segments().map(|(_, seg)| seg);
+        let dirty: usize = segs().filter(|s| s.post_dirty).map(|s| s.len).sum();
         assert_eq!(dirty, resent, "{stored}: statically dirty elements");
-        assert!(plan.units().iter().all(|u| !u.intra_dirty), "the writer follows the reader");
-        assert_eq!(plan.units().iter().map(|u| u.len).sum::<usize>(), 16, "half of A is remote");
+        assert!(segs().all(|s| !s.intra_dirty), "the writer follows the reader");
+        assert_eq!(segs().map(|s| s.len).sum::<usize>(), 16, "half of A is remote");
 
         let timesteps = 4u64;
         for backend in [Backend::SharedMem, Backend::Channels] {

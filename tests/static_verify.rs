@@ -427,10 +427,36 @@ fn corrupted_strides_and_strided_lengths_of_a_copy_run_are_caught() {
                 let kinds: Vec<&K> = report.diagnostics.iter().map(|d| &d.kind).collect();
                 assert!(kinds.iter().any(|k| names_it(k)), "{what} (remote: {remote}):\n{report}");
                 if remote {
-                    // and run and message schedule no longer pair up
+                    // the same corruption on the send side: the fused
+                    // segment serving that run no longer pairs up with it
+                    let stmts = std::slice::from_ref(&stmt);
+                    let mut fused =
+                        ProgramPlan::compile(stmts, vec![Arc::new(pristine.clone())], true);
+                    let seg = fused
+                        .pairs_mut()
+                        .iter_mut()
+                        .filter(|p| p.receiver == 1)
+                        .flat_map(|p| &mut p.segments)
+                        .find(|s| s.len >= 3 && (s.src_stride, s.dst_stride) != (1, 1))
+                        .expect("the strided remote run is shipped as one segment");
+                    let mut run = CopyRun {
+                        src: 0,
+                        src_off: seg.src_off,
+                        src_stride: seg.src_stride,
+                        dst_off: seg.dst_off,
+                        dst_stride: seg.dst_stride,
+                        len: seg.len,
+                    };
+                    mutate(&mut run);
+                    (seg.src_stride, seg.dst_stride, seg.len) =
+                        (run.src_stride, run.dst_stride, run.len);
+                    let report = verify_program_plan(&arrays, stmts, &fused);
                     assert!(
-                        kinds.iter().any(|k| {
-                            matches!(k, K::ReadBeforeExchange { .. } | K::OrphanMessage { .. })
+                        report.findings_for(Property::DeadlockFreedom).any(|d| {
+                            matches!(
+                                d.kind,
+                                K::FusedSegmentOrphan { .. } | K::FusedSegmentMissing { .. }
+                            )
                         }),
                         "{what}:\n{report}"
                     );
