@@ -1,13 +1,13 @@
 use crate::ast::*;
 use crate::error::FrontendError;
-use crate::eval::Env;
+use crate::eval::{BoundExpr, Env};
 use crate::parser::parse_recover;
 use crate::report::{AssignEvent, ElaborationReport, Event, FillEvent, SourceDiagnostic};
 use hpf_core::{
     Actual, AligneeAxis, AlignSpec, ArrayId, BaseSubscript, CallFrame,
     DataSpace, DistributeSpec, Dummy, DummySpec, FormatSpec, ProcedureDef, TargetSpec,
 };
-use hpf_index::{Idx, IndexDomain, Section, SectionDim, Triplet};
+use hpf_index::{IndexDomain, Section, SectionDim, Triplet};
 use std::collections::HashMap;
 
 /// The result of elaborating a source file: the final data space, the
@@ -263,6 +263,8 @@ impl Ctx {
                         .map(|&c| self.space.name(c).to_string())
                         .collect();
                     self.space.deallocate(id)?;
+                    // values die with the allocation: its fills reach no storage
+                    self.report.events.retain(|e| !matches!(e, Event::Fill(f) if f.array == id));
                     self.report
                         .events
                         .push(Event::Deallocated { name: name.clone(), promoted });
@@ -282,10 +284,10 @@ impl Ctx {
             }
             Stmt::Call { name, args } => self.call(name, args, line),
             Stmt::ArrayAssign { lhs, terms } => {
-                let (lhs_id, lhs_sec) = self.resolve_ref(lhs, line)?;
+                let (lhs_id, _, lhs_sec) = self.resolve_ref(lhs, line)?;
                 let mut rterms = Vec::with_capacity(terms.len());
                 for t in terms {
-                    let (id, sec) = self.resolve_ref(t, line)?;
+                    let (id, _, sec) = self.resolve_ref(t, line)?;
                     rterms.push((t.name.clone(), id, sec));
                 }
                 self.report.events.push(Event::Assignment(AssignEvent {
@@ -299,16 +301,22 @@ impl Ctx {
             }
             Stmt::ScalarAssign { lhs, value } => {
                 self.check_scalar_expr(value, line)?;
-                let v = self.env.eval(value)? as f64;
-                let (id, sec) = self.resolve_ref(lhs, line)?;
-                let elements: Vec<(Idx, f64)> = sec.iter_parent().map(|i| (i, v)).collect();
-                self.report.events.push(Event::Fill(FillEvent {
+                let v = self.env.eval(value)?;
+                let (id, dom, sec) = self.resolve_ref(lhs, line)?;
+                sec.validate(&dom)
+                    .map_err(|e| FrontendError::Eval(format!("`{}`: {e}", lhs.name)))?;
+                // the FORALL it abbreviates: an index per dimension of the
+                // section, identity subscripts, a constant
+                let subscripts = (0..sec.dims().len()).map(BoundExpr::Slot).collect();
+                self.fill(FillEvent {
                     name: lhs.name.clone(),
                     array: id,
-                    elements,
+                    domain: dom,
+                    indices: sec.domain_full_rank().map_err(|e| FrontendError::Eval(e.to_string()))?,
+                    subscripts,
+                    value: BoundExpr::Const(v),
                     span: s.span,
-                }));
-                Ok(())
+                })
             }
             Stmt::Forall { indices, lhs, rhs } => self.forall(indices, lhs, rhs, line, s.span),
         }
@@ -452,38 +460,28 @@ impl Ctx {
                         }
                     }
                 }
-                let bound_value = self.env.bind(value, &dummies)?;
-                let lens: Vec<usize> = ranges.iter().map(Triplet::len).collect();
-                let total: usize = lens.iter().product();
-                let mut elements = Vec::with_capacity(total);
-                let mut point = vec![0i64; indices.len()];
-                for flat in 0..total {
-                    let mut rem = flat;
-                    for (k, t) in ranges.iter().enumerate() {
-                        point[k] = t.nth(rem % lens[k]).expect("within the range");
-                        rem /= lens[k];
-                    }
-                    let mut idx = Idx::SCALAR;
-                    for sub in &bound_subs {
-                        idx.push(sub.eval(&point)?);
-                    }
-                    if !dom.contains(&idx) {
-                        return Err(FrontendError::Eval(format!(
-                            "FORALL writes `{}{}` outside its domain {}",
-                            lhs.name, idx, dom
-                        )));
-                    }
-                    elements.push((idx, bound_value.eval(&point)? as f64));
-                }
-                self.report.events.push(Event::Fill(FillEvent {
+                let value = self.env.bind(value, &dummies)?;
+                self.fill(FillEvent {
                     name: lhs.name.clone(),
                     array: id,
-                    elements,
+                    domain: dom,
+                    indices: IndexDomain::new(ranges).map_err(|e| FrontendError::Eval(e.to_string()))?,
+                    subscripts: bound_subs,
+                    value,
                     span,
-                }));
-                Ok(())
+                })
             }
         }
+    }
+
+    /// Record a fill — after evaluating it once, so that every error it
+    /// can raise (a zero divisor, a store outside the domain) is reported
+    /// here, at the statement, and lowering replays a statement known to
+    /// evaluate.
+    fn fill(&mut self, fill: FillEvent) -> Result<(), FrontendError> {
+        fill.for_each(|_, _| {})?;
+        self.report.events.push(Event::Fill(fill));
+        Ok(())
     }
 
     /// Resolve one FORALL array reference into a concrete section by
@@ -752,7 +750,7 @@ impl Ctx {
         &self,
         r: &ArrayRef,
         line: usize,
-    ) -> Result<(ArrayId, Section), FrontendError> {
+    ) -> Result<(ArrayId, IndexDomain, Section), FrontendError> {
         let id = self.array(&r.name, line)?;
         let dom = self
             .space
@@ -763,7 +761,7 @@ impl Ctx {
             None => Section::full(&dom),
             Some(dims) => self.env.eval_section(dims, &dom)?,
         };
-        Ok((id, sec))
+        Ok((id, dom, sec))
     }
 
     /// Elaborate a `CALL`: build the §7 procedure definition from the

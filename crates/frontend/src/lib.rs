@@ -48,7 +48,7 @@ mod token;
 
 pub use elaborate::{Elaboration, Elaborator};
 pub use error::FrontendError;
-pub use eval::Env;
+pub use eval::{BoundExpr, Env};
 pub use lexer::{lex, lex_recover};
 pub use lower::{LoweredProgram, Lowerer};
 pub use parser::{parse, parse_recover};

@@ -3,7 +3,9 @@
 //! This is the layer that closes the pipeline the paper describes: the
 //! directives have been elaborated into [`hpf_core::EffectiveDist`]
 //! mappings, the statement surface into resolved section assignments and
-//! evaluated fills — lowering turns both into distributed storage and a
+//! fills — lowering evaluates the fills into one dense image per array,
+//! deals each image out to distributed storage
+//! ([`DistArray::from_dense`]), and turns the assignments into a
 //! multi-statement [`Program`] that executes through the inspector–executor
 //! machinery (plan cache, program-level fusion, static verification)
 //! unchanged.
@@ -37,8 +39,9 @@ pub struct LoweredProgram {
     pub statements: Vec<Assignment>,
     /// Source span of each statement, parallel to `statements`.
     pub spans: Vec<Span>,
-    /// Dense snapshot of every array *after fills, before any timestep* —
-    /// the starting state of [`LoweredProgram::dense_oracle`].
+    /// Dense image of every array *after fills, before any timestep* — the
+    /// very images the distributed storage was built from, and the
+    /// starting state of [`LoweredProgram::dense_oracle`].
     pub initial_dense: Vec<Vec<f64>>,
 }
 
@@ -118,24 +121,26 @@ impl Lowerer {
         ids.sort_by_key(|&(_, id)| id.0);
         let mut index: HashMap<ArrayId, usize> = HashMap::new();
         let mut names = Vec::new();
-        let mut arrays: Vec<DistArray<f64>> = Vec::new();
+        let mut mappings = Vec::new();
+        let mut images: Vec<Vec<f64>> = Vec::new();
         for (name, id) in ids {
             let Some(dom) = elab.space.domain(id) else { continue };
             if dom.rank() == 0 {
                 continue;
             }
             let Ok(mapping) = elab.space.effective(id) else { continue };
-            index.insert(id, arrays.len());
+            index.insert(id, names.len());
             names.push(name.clone());
-            arrays.push(DistArray::new(name, mapping, np, 0.0));
+            mappings.push(mapping);
+            images.push(vec![0.0; dom.size()]);
         }
 
         // Walk the elaboration narrative in program order. Fills run once,
-        // now, on the initial storage; assignments become the program's
-        // timestep statements. A fill written after the first assignment
-        // would run out of order, so it is rejected.
+        // now, on the arrays' dense images (zero until filled); assignments
+        // become the program's timestep statements. A fill written after
+        // the first assignment would run out of order, so it is rejected.
         let domains_owned: Vec<IndexDomain> =
-            arrays.iter().map(|a| a.domain().clone()).collect();
+            mappings.iter().map(|m| m.domain().clone()).collect();
         let mut statements: Vec<Assignment> = Vec::new();
         let mut spans: Vec<Span> = Vec::new();
         for ev in &elab.report.events {
@@ -163,8 +168,9 @@ impl Lowerer {
                         ));
                         continue;
                     }
-                    for (i, v) in &f.elements {
-                        arrays[k].set(i, *v);
+                    let image = &mut images[k];
+                    if let Err(e) = f.for_each(|position, v| image[position] = v) {
+                        diags.push(SourceDiagnostic::new(e, f.span));
                     }
                 }
                 Event::Assignment(a) => {
@@ -214,13 +220,15 @@ impl Lowerer {
             }
         }
 
-        let initial_dense: Vec<Vec<f64>> = arrays.iter().map(DistArray::to_dense).collect();
+        let arrays = (0..names.len())
+            .map(|k| DistArray::from_dense(&names[k], mappings[k].clone(), np, &images[k]))
+            .collect();
         let mut program = Program::new(arrays);
         for stmt in &statements {
             program.push(stmt.clone()).expect("validated above against the same domains");
         }
         (
-            LoweredProgram { program, names, statements, spans, initial_dense },
+            LoweredProgram { program, names, statements, spans, initial_dense: images },
             diags,
         )
     }
@@ -264,6 +272,30 @@ mod tests {
         assert_eq!(low.names, vec!["A", "B"]);
         assert_eq!(low.statements.len(), 1);
         low.run_verified(3, Backend::SharedMem).unwrap();
+    }
+
+    #[test]
+    fn fills_evaluate_into_the_dense_image_in_statement_order() {
+        let src = "\
+      PROGRAM DEMO
+      REAL A(4), M(3,2)
+!HPF$ PROCESSORS G(2,2)
+!HPF$ DISTRIBUTE A(CYCLIC)
+!HPF$ DISTRIBUTE M(BLOCK,CYCLIC) TO G
+      A = 1
+      FORALL (I = 1:4) A((I + 1) / 2) = 2 * I
+      M(2,:) = 5
+      M(3:1:-2,2) = 9
+      END
+";
+        let (low, diags) = lower_src(src);
+        assert!(diags.is_empty(), "{diags:?}");
+        // two FORALL points per element of A(1:2): the later one stays
+        assert_eq!(low.initial_dense[0], vec![4.0, 8.0, 1.0, 1.0]);
+        assert_eq!(low.initial_dense[1], vec![0.0, 5.0, 0.0, 9.0, 5.0, 9.0]);
+        for (array, image) in low.program.arrays.iter().zip(&low.initial_dense) {
+            assert_eq!(&array.to_dense(), image, "{}", array.name());
+        }
     }
 
     #[test]

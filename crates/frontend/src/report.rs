@@ -1,7 +1,8 @@
 use crate::error::FrontendError;
+use crate::eval::BoundExpr;
 use crate::token::Span;
 use hpf_core::{ArrayId, CallReport};
-use hpf_index::{Idx, Section};
+use hpf_index::{Idx, IndexDomain, Section};
 use std::fmt;
 
 /// One elaboration event — the narrative of what the directives did.
@@ -81,7 +82,7 @@ pub enum Event {
     Call(CallReport),
     /// An array assignment was recognized (to be executed by the runtime).
     Assignment(AssignEvent),
-    /// A scalar-valued fill was evaluated (to initialize runtime storage).
+    /// A scalar-valued fill was resolved (to initialize runtime storage).
     Fill(FillEvent),
 }
 
@@ -101,19 +102,57 @@ pub struct AssignEvent {
     pub span: Span,
 }
 
-/// A fill statement (`A = expr` or `FORALL (...) A(...) = expr`) in
-/// evaluated form: the exact element values, ready to initialize a
-/// `DistArray`. Fills run once, before the timestep loop.
+/// A fill statement (`A(sec) = expr` or `FORALL (...) A(...) = expr`) in
+/// resolved form: the statement itself, names bound, ready to be evaluated
+/// over its index ranges — never a list of its elements. Fills run once,
+/// before the timestep loop: the elaborator drives [`FillEvent::for_each`]
+/// once to report every evaluation error at the statement, lowering
+/// drives it again straight into the array's dense image.
+///
+/// `A(sec) = c` has the shape of the `FORALL` it abbreviates: an index per
+/// dimension of `sec`, identity subscripts, a constant value.
 #[derive(Debug, Clone)]
 pub struct FillEvent {
     /// Target array name.
     pub name: String,
     /// Target array id in the elaborated space.
     pub array: ArrayId,
-    /// `(index, value)` pairs, in evaluation order.
-    pub elements: Vec<(Idx, f64)>,
+    /// Index domain of the target when the statement executed.
+    pub domain: IndexDomain,
+    /// The `FORALL` index space: dimension `k` is the range of the index
+    /// in slot `k` of the expressions below.
+    pub indices: IndexDomain,
+    /// Subscript of the target in each of its dimensions.
+    pub subscripts: Vec<BoundExpr>,
+    /// The value stored.
+    pub value: BoundExpr,
     /// Source span of the statement.
     pub span: Span,
+}
+
+impl FillEvent {
+    /// Evaluate the statement: `sink(position, value)` for every point of
+    /// the index space, first index fastest, with `position` the
+    /// column-major position of the stored element in [`FillEvent::domain`]
+    /// (a later point overwrites an earlier one at the same position).
+    /// Stops at the first point whose subscripts or value fail to
+    /// evaluate, or that lies outside the domain.
+    pub fn for_each(&self, mut sink: impl FnMut(usize, f64)) -> Result<(), FrontendError> {
+        for point in self.indices.iter() {
+            let mut idx = Idx::SCALAR;
+            for sub in &self.subscripts {
+                idx.push(sub.eval(&point)?);
+            }
+            let position = self.domain.linearize(&idx).map_err(|_| {
+                FrontendError::Eval(format!(
+                    "FORALL writes `{}{}` outside its domain {}",
+                    self.name, idx, self.domain
+                ))
+            })?;
+            sink(position, self.value.eval(&point)? as f64);
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Event {
@@ -159,7 +198,7 @@ impl fmt::Display for Event {
                 Ok(())
             }
             Event::Fill(fl) => {
-                write!(f, "fill {} ({} elements)", fl.name, fl.elements.len())
+                write!(f, "fill {} ({} elements)", fl.name, fl.indices.size())
             }
         }
     }
@@ -184,7 +223,7 @@ impl ElaborationReport {
             .collect()
     }
 
-    /// All evaluated fills, in order.
+    /// All resolved fills, in order.
     pub fn fills(&self) -> Vec<&FillEvent> {
         self.events
             .iter()

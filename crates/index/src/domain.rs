@@ -129,11 +129,13 @@ impl IndexDomain {
     ///
     /// Inverse of [`IndexDomain::delinearize`].
     pub fn linearize(&self, i: &Idx) -> Result<usize, IndexError> {
-        self.check(i)?;
+        if i.rank() != self.rank() {
+            return Err(IndexError::RankMismatch { expected: self.rank(), found: i.rank() });
+        }
         let mut pos = 0usize;
         let mut weight = 1usize;
-        for (t, &v) in self.dims.iter().zip(i.as_slice()) {
-            let p = t.position(v).expect("checked membership");
+        for (d, (t, &v)) in self.dims.iter().zip(i.as_slice()).enumerate() {
+            let p = t.position(v).ok_or(IndexError::OutOfBounds { dim: d, value: v })?;
             pos += p * weight;
             weight *= t.len();
         }
@@ -185,12 +187,18 @@ impl fmt::Display for IndexDomain {
 pub struct ColumnMajorIter<'a> {
     domain: &'a IndexDomain,
     cursor: [usize; MAX_RANK],
+    /// The index at `cursor` (meaningless once `remaining` is 0).
+    at: Idx,
     remaining: usize,
 }
 
 impl<'a> ColumnMajorIter<'a> {
     fn new(domain: &'a IndexDomain) -> Self {
-        ColumnMajorIter { domain, cursor: [0; MAX_RANK], remaining: domain.size() }
+        let mut at = Idx::SCALAR;
+        for t in &domain.dims {
+            at.push(t.lower());
+        }
+        ColumnMajorIter { domain, cursor: [0; MAX_RANK], at, remaining: domain.size() }
     }
 }
 
@@ -201,18 +209,18 @@ impl Iterator for ColumnMajorIter<'_> {
         if self.remaining == 0 {
             return None;
         }
-        let mut out = Idx::SCALAR;
-        for (d, t) in self.domain.dims.iter().enumerate() {
-            out.push(t.nth(self.cursor[d]).expect("cursor in range"));
-        }
+        let out = self.at;
         self.remaining -= 1;
-        // advance column-major: dimension 0 fastest
+        // advance column-major: dimension 0 fastest; only the dimensions
+        // that turn over are touched
         for (d, t) in self.domain.dims.iter().enumerate() {
             self.cursor[d] += 1;
-            if self.cursor[d] < t.len() {
+            if let Some(v) = t.nth(self.cursor[d]) {
+                self.at = self.at.with(d, v);
                 break;
             }
             self.cursor[d] = 0;
+            self.at = self.at.with(d, t.lower());
         }
         Some(out)
     }

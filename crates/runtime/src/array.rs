@@ -137,13 +137,40 @@ impl<T: Clone> DistArray<T> {
         np: usize,
         mut f: impl FnMut(&Idx) -> T,
     ) -> Self {
+        Self::seat(name, mapping, np, |lane, len, region| {
+            Shard::seated(lane, len, region.iter().map(|i| f(&i)))
+        })
+    }
+
+    /// Create from `image`, the array's values in column-major global
+    /// order — the inverse of [`DistArray::to_dense`], and like it a row
+    /// copy per rect row of every shard, no per-element ownership lookup.
+    ///
+    /// # Panics
+    /// Panics if `image` does not hold exactly one value per element of
+    /// the mapping's domain.
+    pub fn from_dense(name: &str, mapping: Arc<EffectiveDist>, np: usize, image: &[T]) -> Self {
+        // `assign_dense` seats every shard that has not its region's volume
+        let mut array = Self::seat(name, mapping, np, |_, _, _| Shard::default());
+        array.assign_dense(image);
+        array
+    }
+
+    /// Lay the storage out: per processor, `shard(lane, volume, region)` of
+    /// its owned region.
+    fn seat(
+        name: &str,
+        mapping: Arc<EffectiveDist>,
+        np: usize,
+        mut shard: impl FnMut(usize, usize, &Region) -> Shard<T>,
+    ) -> Self {
         let mut regions = Vec::with_capacity(np);
         let mut rect_bases = Vec::with_capacity(np);
         let mut locals = Vec::with_capacity(np);
         let lane = lane_of(name);
         for p in 1..=np as u32 {
             let region = mapping.owned_region(ProcId(p));
-            let buf = Shard::seated(lane, region.volume_disjoint(), region.iter().map(|i| f(&i)));
+            let buf = shard(lane, region.volume_disjoint(), &region);
             let mut bases = Vec::with_capacity(region.rects().len());
             let mut base = 0usize;
             for rect in region.rects() {
@@ -238,35 +265,69 @@ impl<T: Clone> DistArray<T> {
 
     /// Snapshot the whole array in column-major global order.
     ///
-    /// Walks each processor's region rects in local-buffer fill order and
-    /// scatters the values to their linearized global positions — one pass
-    /// over the distributed storage, a strided walk per rect (two position
-    /// lookups per dimension, then additions), no per-element owner
-    /// lookups, rect scans or index arithmetic (this is the oracle of
-    /// every equivalence test, so its cost dominates test time on large
-    /// domains). Replicated mappings write each element once per copy; the
-    /// copies are coherent, so the snapshot is the same whichever owner
-    /// lands last.
+    /// Every shard is copied into the image a rect row at a time: one
+    /// `clone_from_slice` per row that is contiguous in the image, a
+    /// strided store otherwise — one pass over the distributed storage, no
+    /// per-element owner lookups, rect scans or index arithmetic (this is
+    /// the gather of every trip and the oracle of every equivalence test).
+    /// Replicated mappings write each element once per copy; the copies
+    /// are coherent, so the snapshot is the same whichever owner lands
+    /// last.
     ///
     /// # Panics
     /// Panics if the mapping leaves some element of the domain unowned.
     pub fn to_dense(&self) -> Vec<T> {
         let dom = self.domain();
-        let mut dense: Vec<Option<T>> = vec![None; dom.size()];
-        for (region, buf) in self.regions.iter().zip(&self.locals) {
-            let buf: &[T] = buf;
-            let mut k = 0usize;
-            for rect in region.rects() {
-                for_each_linear(dom, rect, |lin| {
-                    dense[lin] = Some(buf[k].clone());
-                    k += 1;
-                });
-            }
+        // any value seeds the image; with none there is nothing to copy
+        let seed = self.locals.iter().find_map(|shard| shard.first());
+        let mut image = seed.map_or(Vec::new(), |v| vec![v.clone(); dom.size()]);
+        let mut covered = vec![false; dom.size()];
+        for (region, shard) in self.regions.iter().zip(&self.locals) {
+            scatter_shard(dom, region.rects(), shard, &mut image, &mut covered)
+                .expect("an owned region lies in the domain");
         }
-        dense
-            .into_iter()
-            .map(|v| v.expect("every element of the domain has an owner"))
-            .collect()
+        assert!(
+            covered.iter().all(|&c| c),
+            "{}: every element of the domain has an owner",
+            self.name
+        );
+        image
+    }
+
+    /// Overwrite the whole array from `image`, its values in column-major
+    /// global order: every owner's copy of every element, a rect row at a
+    /// time. A shard a dead worker took with it is seated anew, and every
+    /// shard epoch is bumped.
+    ///
+    /// # Panics
+    /// Panics if `image` does not hold exactly one value per element of
+    /// the domain.
+    pub fn assign_dense(&mut self, image: &[T]) {
+        let dom = self.mapping.domain();
+        assert_eq!(image.len(), dom.size(), "{}: dense image of the wrong size", self.name);
+        let lane = lane_of(&self.name);
+        for (p0, region) in self.regions.iter().enumerate() {
+            let want = region.volume_disjoint();
+            if self.locals[p0].len() != want {
+                // any value will do, the rows below overwrite all of them
+                // (only an empty domain has none, and its shards are empty)
+                let any = image.first().into_iter().cycle().take(want).cloned();
+                self.locals[p0] = Shard::seated(lane, want, any);
+            }
+            let shard: &mut [T] = &mut self.locals[p0];
+            for_each_row(dom, region.rects(), |row| {
+                let dst = &mut shard[row.shard..row.shard + row.len];
+                if row.step == 1 {
+                    dst.clone_from_slice(&image[row.dense..row.dense + row.len]);
+                } else {
+                    for (d, pos) in dst.iter_mut().zip(row.positions()) {
+                        *d = image[pos].clone();
+                    }
+                }
+            })
+            .expect("an owned region lies in the domain");
+            self.versions[p0] += 1;
+        }
     }
 
     /// Per-processor `(region, mutable local buffer)` views, for the
@@ -325,85 +386,124 @@ impl<T: Clone> DistArray<T> {
             self.put_local(p0, shard);
         }
     }
+}
 
-    /// Re-establish the storage invariant after a fault: any local buffer
-    /// whose length disagrees with its owned-region volume (a dead worker
-    /// took its shard with it, leaving the empty [`DistArray::take_local`]
-    /// placeholder) is rebuilt zero-filled, with its write epoch bumped so
-    /// dirty tracking sees the loss. The *values* are garbage by
-    /// construction — callers must overwrite them from a checkpoint
-    /// before anything reads the array (see [`crate::ckpt`]).
-    pub(crate) fn heal_locals(&mut self)
-    where
-        T: Default,
-    {
-        let lane = lane_of(&self.name);
-        for (p0, buf) in self.locals.iter_mut().enumerate() {
-            let want = self.regions[p0].volume_disjoint();
-            if buf.len() != want {
-                *buf = Shard::seated(lane, want, std::iter::repeat_n(T::default(), want));
-                self.versions[p0] += 1;
-            }
-        }
+/// One row of a rect — its extent along dimension 0 — laid against the
+/// column-major dense image of a domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Row {
+    /// Dense position of the row's first element.
+    pub dense: usize,
+    /// Distance in the image from one element of the row to the next
+    /// (negative for a descending rect dimension, 0 for a one-element row).
+    pub step: isize,
+    /// Position of the row's first element in shard fill order (rects in
+    /// order, column-major within each).
+    pub shard: usize,
+    /// Elements in the row.
+    pub len: usize,
+}
+
+impl Row {
+    /// Dense positions of the row's elements, in shard order.
+    pub fn positions(self) -> impl Iterator<Item = usize> {
+        (0..self.len as isize).map(move |k| (self.dense as isize + k * self.step) as usize)
     }
 }
 
-/// Call `f` with the column-major position in `dom` of every index of
-/// `rect`, in the rect's own column-major order. A rect dimension is an
-/// arithmetic progression of the domain's, so the position is affine in
-/// each rect coordinate: two [`Triplet::position`](hpf_index::Triplet)
-/// calls per dimension fix first position and step, and the walk itself
-/// is additions only.
+/// Call `f` with every row of `rects`, in shard fill order — the one place
+/// that knows how a shard's rects sit inside the dense column-major image
+/// of `dom`. A rect dimension is an arithmetic progression of the
+/// domain's, so a dense position is affine in each rect coordinate: two
+/// [`Triplet::position`](hpf_index::Triplet) calls per dimension fix
+/// start and step (and prove the whole dimension inside the domain), and
+/// the walk itself is additions only.
+///
+/// Returns the first rect that does not lie in `dom`, by rank or by
+/// bounds (rects may come from a checkpoint manifest); rows of earlier
+/// rects have been delivered by then.
+pub(crate) fn for_each_row(
+    dom: &IndexDomain,
+    rects: &[Rect],
+    mut f: impl FnMut(Row),
+) -> Result<(), String> {
+    let rank = dom.rank();
+    let mut shard = 0usize;
+    for rect in rects.iter().filter(|r| !r.is_empty()) {
+        let outside = || format!("rect {rect} does not lie in the domain {dom}");
+        if rect.rank() != rank {
+            return Err(outside());
+        }
+        let mut step = [0isize; MAX_RANK];
+        let mut len = [1usize; MAX_RANK];
+        let mut outer = 0isize;
+        let mut w = 1isize;
+        for (d, (t, dt)) in rect.dims().iter().zip(dom.dims()).enumerate() {
+            len[d] = t.len();
+            let pos = |k: usize| t.nth(k).and_then(|v| dt.position(v)).map(|p| p as i128);
+            // positions are affine along the dimension: with the first two
+            // elements in the domain, the last one is iff its position is
+            let last = |(p0, p1): &(i128, i128)| p0 + (len[d] as i128 - 1) * (p1 - p0);
+            let (p0, p1) = pos(0)
+                .zip(pos(1.min(len[d] - 1)))
+                .filter(|ends| (0..dt.len() as i128).contains(&last(ends)))
+                .ok_or_else(outside)?;
+            step[d] = (p1 - p0) as isize * w;
+            outer += p0 as isize * w;
+            w *= dt.len() as isize;
+        }
+        // `outer` is the position of `(first of dimension 0, cursor[1..])`;
+        // a rank-0 rect is one row of one element
+        let mut cursor = [0usize; MAX_RANK];
+        'rows: loop {
+            f(Row { dense: outer as usize, step: step[0], shard, len: len[0] });
+            shard += len[0];
+            let mut d = 1;
+            loop {
+                if d >= rank {
+                    break 'rows;
+                }
+                cursor[d] += 1;
+                outer += step[d];
+                if cursor[d] < len[d] {
+                    break;
+                }
+                outer -= step[d] * len[d] as isize;
+                cursor[d] = 0;
+                d += 1;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Copy one shard — `data`, in the fill order of `rects` — to its
+/// positions in the dense `image` of `dom`, marking them in `covered`.
+/// The shards come from a live array ([`DistArray::to_dense`]) or from a
+/// checkpoint written under another layout ([`crate::ckpt`]); `Err` says
+/// which rect does not lie in the domain.
 ///
 /// # Panics
-/// Panics if the rect reaches outside the domain.
-fn for_each_linear(dom: &IndexDomain, rect: &Rect, mut f: impl FnMut(usize)) {
-    let rank = rect.rank();
-    assert_eq!(rank, dom.rank(), "rect and domain ranks differ");
-    if rect.is_empty() {
-        return;
-    }
-    let mut step = [0isize; MAX_RANK];
-    let mut len = [0usize; MAX_RANK];
-    let mut outer = 0isize;
-    let mut w = 1isize;
-    for (d, (t, dt)) in rect.dims().iter().zip(dom.dims()).enumerate() {
-        let at = |k: usize| {
-            let v = t.nth(k).expect("within the triplet");
-            dt.position(v).expect("owned region is in the domain") as isize
-        };
-        let p0 = at(0);
-        len[d] = t.len();
-        step[d] = if len[d] > 1 { (at(1) - p0) * w } else { 0 };
-        outer += p0 * w;
-        w *= dt.len() as isize;
-    }
-    if rank == 0 {
-        return f(0);
-    }
-    // `outer` is the position of `(first of dimension 0, cursor[1..])`
-    let mut cursor = [0usize; MAX_RANK];
-    loop {
-        let mut lin = outer;
-        for _ in 0..len[0] {
-            f(lin as usize);
-            lin += step[0];
-        }
-        let mut d = 1;
-        loop {
-            if d == rank {
-                return;
+/// Panics if `data` is shorter than the rects' volume.
+pub(crate) fn scatter_shard<T: Clone>(
+    dom: &IndexDomain,
+    rects: &[Rect],
+    data: &[T],
+    image: &mut [T],
+    covered: &mut [bool],
+) -> Result<(), String> {
+    for_each_row(dom, rects, |row| {
+        let src = &data[row.shard..row.shard + row.len];
+        if row.step == 1 {
+            image[row.dense..row.dense + row.len].clone_from_slice(src);
+            covered[row.dense..row.dense + row.len].fill(true);
+        } else {
+            for (v, pos) in src.iter().zip(row.positions()) {
+                image[pos] = v.clone();
+                covered[pos] = true;
             }
-            cursor[d] += 1;
-            outer += step[d];
-            if cursor[d] < len[d] {
-                break;
-            }
-            outer -= step[d] * len[d] as isize;
-            cursor[d] = 0;
-            d += 1;
         }
-    }
+    })
 }
 
 /// Column-major position of `i` within a rect, `None` if the rect does
@@ -449,8 +549,14 @@ mod tests {
         }
         // the shards of one array share a lane whatever the allocator does
         let a = block_array(4 * n, 4);
-        let lanes: Vec<usize> = (0..4).map(|p| a.local(p).as_ptr() as usize % PAGE).collect();
-        assert_eq!(lanes, vec![lane_of("A"); 4]);
+        let lanes = |a: &DistArray<f64>| -> Vec<usize> {
+            (0..4).map(|p| a.local(p).as_ptr() as usize % PAGE).collect()
+        };
+        assert_eq!(lanes(&a), vec![lane_of("A"); 4]);
+        // ... also when dealt out of a dense image
+        let dealt = DistArray::from_dense("A", a.mapping().clone(), 4, &a.to_dense());
+        assert_eq!(lanes(&dealt), vec![lane_of("A"); 4]);
+        assert!((0..4).all(|p| dealt.local(p) == a.local(p)));
     }
 
     #[test]
@@ -461,6 +567,18 @@ mod tests {
         let empty: Shard<f64> = Shard::seated(512, 0, std::iter::empty());
         assert!(empty.is_empty());
         assert!(Shard::<f64>::default().is_empty());
+    }
+
+    /// Dense positions of `rects` in shard order, checking on the way that
+    /// the rows tile the shard.
+    fn walk(dom: &IndexDomain, rects: &[Rect]) -> Vec<usize> {
+        let mut got = Vec::new();
+        for_each_row(dom, rects, |row| {
+            assert_eq!(row.shard, got.len());
+            got.extend(row.positions());
+        })
+        .unwrap();
+        got
     }
 
     #[test]
@@ -476,14 +594,25 @@ mod tests {
         ];
         for rect in &rects {
             let want: Vec<usize> = rect.iter().map(|i| dom.linearize(&i).unwrap()).collect();
-            let mut got = Vec::new();
-            for_each_linear(&dom, rect, |lin| got.push(lin));
-            assert_eq!(got, want, "{rect}");
+            assert_eq!(walk(&dom, std::slice::from_ref(rect)), want, "{rect}");
         }
+        // several rects: shard offsets run on from one rect to the next
+        let want: Vec<usize> =
+            rects.iter().flat_map(Rect::iter).map(|i| dom.linearize(&i).unwrap()).collect();
+        assert_eq!(walk(&dom, &rects), want);
         let scalar = IndexDomain::new(vec![]).unwrap();
-        let mut got = Vec::new();
-        for_each_linear(&scalar, &Rect::new(vec![]), |lin| got.push(lin));
-        assert_eq!(got, vec![0]);
+        assert_eq!(walk(&scalar, &[Rect::new(vec![])]), vec![0]);
+        // a rect that leaves the domain is named, never walked
+        for bad in [
+            Rect::new(vec![t(1, 12, 1), t(0, 21, 3), t(5, 5, 1)]),
+            Rect::new(vec![t(0, 11, 1), t(-2, 21, 3), t(5, 5, 1)]),
+            Rect::new(vec![t(0, 11, 1), t(0, 4, 2), t(5, 5, 1)]),
+            Rect::new(vec![t(0, i64::MAX, i64::MAX / 2), t(0, 21, 3), t(5, 5, 1)]),
+            Rect::new(vec![t(0, 11, 1), t(0, 21, 3)]),
+        ] {
+            let err = for_each_row(&dom, std::slice::from_ref(&bad), |_| {}).unwrap_err();
+            assert!(err.contains("domain"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -503,6 +632,24 @@ mod tests {
         let dense = a.to_dense();
         assert_eq!(dense[6], 99.0);
         assert_eq!(dense[0], 1.0);
+    }
+
+    #[test]
+    fn assign_dense_overwrites_every_copy_and_reseats_a_lost_shard() {
+        let image: Vec<f64> = (0..10).map(|k| k as f64 * 0.5 - 1.0).collect();
+        let mut a = block_array(10, 4);
+        // a dead worker took shard 3 with it
+        drop(a.take_local(2));
+        let epochs: Vec<u64> = (0..4).map(|p| a.shard_version(p)).collect();
+        a.assign_dense(&image);
+        assert_eq!(a.to_dense(), image);
+        assert_eq!(a.local(2), &image[6..9]);
+        assert!((0..4).all(|p| a.shard_version(p) > epochs[p]), "every shard was written");
+
+        let dom = IndexDomain::of_shape(&[10]).unwrap();
+        let copies = Arc::new(hpf_core::EffectiveDist::Replicated { domain: dom, procs: ProcSet::all(3) });
+        let r = DistArray::from_dense("R", copies, 3, &image);
+        assert!((0..3).all(|p| r.local(p) == &image[..]));
     }
 
     #[test]

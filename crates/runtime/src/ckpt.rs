@@ -10,8 +10,11 @@
 //! written under one distribution restores into any other: same
 //! mapping and processor count take the fast path (whole-shard
 //! installs that preserve mapping identity, so cached plans stay
-//! valid), while a different layout or `np` scatters element-wise
-//! through the rect descriptions into the current distribution.
+//! valid), while a different layout or `np` goes through the dense
+//! image: the shards are copied into it by their rect descriptions, the
+//! image is checked for holes, and the current distribution is dealt out
+//! of it. Either way a restore is all-or-nothing — every shard of every
+//! array is read and verified before the first element is written.
 //!
 //! On-disk layout of one checkpoint:
 //!
@@ -37,9 +40,10 @@
 //! and graceful degradation from `Channels` to `SharedMem` when the
 //! worker fleet keeps dying ([`RecoveryPolicy`]).
 
+use crate::array::scatter_shard;
 use crate::DistArray;
 use hpf_core::HpfError;
-use hpf_index::{Idx, Triplet};
+use hpf_index::{Rect, Triplet};
 use hpf_procs::ProcId;
 use std::fmt;
 use std::fs;
@@ -148,7 +152,7 @@ pub struct RestoreReport {
     /// Arrays restored by the fast path (identical layout and `np`:
     /// whole-shard installs, mapping identity preserved).
     pub fast: usize,
-    /// Arrays restored by element-wise scatter into a *different*
+    /// Arrays scattered, through their dense image, into a *different*
     /// distribution than the checkpoint was written under.
     pub remapped: usize,
     /// Elements written into distributed storage.
@@ -186,10 +190,8 @@ fn fmt_region(region: &hpf_index::Region) -> String {
         .join(";")
 }
 
-/// One parsed rect: per-dimension `(lower, upper, stride)`.
-type RectSpec = Vec<(i64, i64, i64)>;
-
-fn parse_rects(spec: &str) -> Result<Vec<RectSpec>, String> {
+/// Parse the text [`fmt_region`] writes back into rects.
+fn parse_rects(spec: &str) -> Result<Vec<Rect>, String> {
     if spec == "-" {
         return Ok(Vec::new());
     }
@@ -207,61 +209,14 @@ fn parse_rects(spec: &str) -> Result<Vec<RectSpec>, String> {
                     .parse::<i64>()
                     .map_err(|_| format!("rect bound `{p}` is not an integer"))?;
             }
-            if vals[2] == 0 {
-                return Err(format!("rect dim `{dim}` has zero stride"));
-            }
-            dims.push((vals[0], vals[1], vals[2]));
+            dims.push(
+                Triplet::new(vals[0], vals[1], vals[2])
+                    .map_err(|_| format!("rect dim `{dim}` has zero stride"))?,
+            );
         }
-        out.push(dims);
+        out.push(Rect::new(dims));
     }
     Ok(out)
-}
-
-/// Elements of one triplet spec, by the Fortran rule.
-fn spec_len((lo, hi, stride): (i64, i64, i64)) -> usize {
-    let n = (hi as i128 - lo as i128 + stride as i128) / stride as i128;
-    if n <= 0 {
-        0
-    } else {
-        n as usize
-    }
-}
-
-fn spec_volume(rect: &RectSpec) -> usize {
-    rect.iter().map(|&d| spec_len(d)).product()
-}
-
-/// Iterate a rect spec in shard fill order (column-major, dimension 0
-/// fastest — matching [`hpf_index::Rect::iter`] and hence the order
-/// shard payloads were written in), calling `f` with each global index.
-fn for_each_index(
-    rect: &RectSpec,
-    f: &mut impl FnMut(&Idx) -> Result<(), CkptError>,
-) -> Result<(), CkptError> {
-    let lens: Vec<usize> = rect.iter().map(|&d| spec_len(d)).collect();
-    if lens.contains(&0) {
-        return Ok(());
-    }
-    let mut counters = vec![0usize; rect.len()];
-    let mut idx =
-        Idx::new(&rect.iter().map(|&(lo, _, _)| lo).collect::<Vec<_>>()).expect("rank checked");
-    loop {
-        f(&idx)?;
-        let mut d = 0;
-        loop {
-            if d == rect.len() {
-                return Ok(());
-            }
-            counters[d] += 1;
-            if counters[d] < lens[d] {
-                idx = idx.with(d, rect[d].0 + counters[d] as i64 * rect[d].2);
-                break;
-            }
-            counters[d] = 0;
-            idx = idx.with(d, rect[d].0);
-            d += 1;
-        }
-    }
 }
 
 /// Fingerprint of an array's physical layout: `np` plus the rect
@@ -470,13 +425,13 @@ struct ShardEntry {
     elements: usize,
     checksum: u64,
     file: String,
-    rects: Vec<RectSpec>,
+    rects: Vec<Rect>,
 }
 
 struct ArrayEntry {
     name: String,
     np: usize,
-    shape: Vec<(i64, i64, i64)>,
+    shape: Rect,
     layout: u64,
     shards: Vec<ShardEntry>,
 }
@@ -599,8 +554,13 @@ fn parse_manifest(step_dir: &Path) -> Result<Manifest, CkptError> {
                     .get(10)
                     .ok_or_else(|| err(lineno, "shard line without rects".to_string()))?;
                 let rects = parse_rects(rects_tok).map_err(|e| err(lineno, e))?;
-                let volume: usize = rects.iter().map(spec_volume).sum();
-                if volume != elements {
+                // checked: the bounds are the manifest's word, not ours
+                let volume = rects.iter().try_fold(0usize, |sum, r| {
+                    let mut dims = r.dims().iter().map(Triplet::len);
+                    sum.checked_add(dims.try_fold(1usize, |v, n| v.checked_mul(n))?)
+                });
+                if volume != Some(elements) {
+                    let volume = volume.map_or("more than usize::MAX".to_string(), |v| v.to_string());
                     return Err(err(
                         lineno,
                         format!("rects cover {volume} element(s) but shard declares {elements}"),
@@ -631,6 +591,15 @@ fn parse_manifest(step_dir: &Path) -> Result<Manifest, CkptError> {
     Ok(Manifest { timestep, arrays })
 }
 
+/// One array's values, read from a checkpoint and verified, waiting to be
+/// installed.
+enum Staged {
+    /// Same layout and `np`: each shard file is a local buffer.
+    Shards(Vec<Vec<f64>>),
+    /// Another layout or `np`: the dense image the shards were copied into.
+    Image(Vec<f64>),
+}
+
 /// Restore array values from the checkpoint in `step_dir`.
 ///
 /// Arrays are matched to checkpoint entries **by name**; the index
@@ -638,9 +607,15 @@ fn parse_manifest(step_dir: &Path) -> Result<Manifest, CkptError> {
 /// not: an array whose current layout fingerprint and `np` match the
 /// checkpoint's is restored by whole-shard installs (fast — and the
 /// mapping `Arc` is untouched, so every cached plan keyed on it stays
-/// valid), while anything else is scattered element-wise through the
-/// manifest's rect descriptions into the current distribution. Every
-/// shard checksum is verified before a single element is written.
+/// valid), while anything else goes through the dense image: the
+/// checkpoint's shards are copied into one column-major image of the
+/// array by the rects the manifest gives them, the image must come out
+/// covered, and [`DistArray::assign_dense`] deals it out to the current
+/// distribution.
+///
+/// The restore is all-or-nothing: every shard of every array is read,
+/// checked against its checksum and the manifest, and staged before a
+/// single element is written, so an `Err` leaves every array as it was.
 pub fn restore_checkpoint(
     arrays: &mut [DistArray<f64>],
     step_dir: &Path,
@@ -654,7 +629,8 @@ pub fn restore_checkpoint(
         remapped: 0,
         elements: 0,
     };
-    for arr in arrays.iter_mut() {
+    let mut staged = Vec::with_capacity(arrays.len());
+    for arr in arrays.iter() {
         let (slot, entry) = manifest
             .arrays
             .iter()
@@ -669,32 +645,22 @@ pub fn restore_checkpoint(
             })?;
         used[slot] = true;
         let dom = arr.domain();
-        if dom.rank() != entry.shape.len()
-            || dom.dims().iter().zip(&entry.shape).any(|(t, &(lo, hi, st))| {
-                t.lower() != lo || t.upper() != hi || t.stride() != st
-            })
-        {
-            let shape =
-                dom.dims().iter().map(fmt_triplet).collect::<Vec<_>>().join(",");
-            let want = entry
-                .shape
-                .iter()
-                .map(|&(lo, hi, st)| format!("{lo}:{hi}:{st}"))
-                .collect::<Vec<_>>()
-                .join(",");
+        if dom.dims() != entry.shape.dims() {
+            let shape = |dims: &[Triplet]| dims.iter().map(fmt_triplet).collect::<Vec<_>>().join(",");
             return Err(CkptError::Mismatch {
                 detail: format!(
-                    "array `{}` has domain {shape} but the checkpoint was written for {want}",
-                    arr.name()
+                    "array `{}` has domain {} but the checkpoint was written for {}",
+                    arr.name(),
+                    shape(dom.dims()),
+                    shape(entry.shape.dims())
                 ),
             });
         }
-        let fast = entry.np == arr.np() && entry.layout == layout_fingerprint(arr);
-        if fast {
-            restore_fast(arr, entry, step_dir)?;
+        if entry.np == arr.np() && entry.layout == layout_fingerprint(arr) {
+            staged.push(Staged::Shards(read_same_layout(arr, entry, step_dir)?));
             report.fast += 1;
         } else {
-            restore_scatter(arr, entry, step_dir)?;
+            staged.push(Staged::Image(read_image(arr, entry, step_dir)?));
             report.remapped += 1;
         }
         report.arrays += 1;
@@ -708,6 +674,17 @@ pub fn restore_checkpoint(
             ),
         });
     }
+    // nothing above wrote to an array, nothing below can fail
+    for (arr, values) in arrays.iter_mut().zip(staged) {
+        match values {
+            Staged::Shards(shards) => {
+                for (p0, data) in shards.iter().enumerate() {
+                    arr.restore_local(p0, data);
+                }
+            }
+            Staged::Image(image) => arr.assign_dense(&image),
+        }
+    }
     Ok(report)
 }
 
@@ -715,10 +692,7 @@ pub fn restore_checkpoint(
 /// the manifest's own element count and checksum — catching a shard
 /// file swapped in from a different snapshot even when the file itself
 /// is internally consistent.
-fn read_manifest_shard(
-    step_dir: &Path,
-    se: &ShardEntry,
-) -> Result<(Vec<f64>, u64), CkptError> {
+fn read_manifest_shard(step_dir: &Path, se: &ShardEntry) -> Result<Vec<f64>, CkptError> {
     let path = step_dir.join(&se.file);
     let (data, checksum) = read_shard(&path)?;
     if data.len() != se.elements {
@@ -741,116 +715,66 @@ fn read_manifest_shard(
             ),
         });
     }
-    Ok((data, checksum))
+    Ok(data)
 }
 
-/// Fast path: the current layout is bit-identical to the checkpoint's,
-/// so each shard file *is* the local buffer. All shards are read and
-/// verified before any is installed — a corrupt file leaves the array
-/// untouched.
-fn restore_fast(
-    arr: &mut DistArray<f64>,
+/// The current layout is bit-identical to the checkpoint's, so each shard
+/// file *is* a local buffer — provided the manifest lists what that layout
+/// has: one shard per processor, in order, of the owned volume.
+fn read_same_layout(
+    arr: &DistArray<f64>,
     entry: &ArrayEntry,
     step_dir: &Path,
-) -> Result<(), CkptError> {
-    let mut shards: Vec<Option<Vec<f64>>> = (0..arr.np()).map(|_| None).collect();
-    for se in &entry.shards {
-        if se.proc >= arr.np() {
-            return Err(CkptError::Mismatch {
-                detail: format!(
-                    "array `{}` shard names processor {} but np is {}",
-                    entry.name,
-                    se.proc + 1,
-                    arr.np()
-                ),
-            });
-        }
-        let (data, _) = read_manifest_shard(step_dir, se)?;
-        let want = arr.region_of(ProcId(se.proc as u32 + 1)).volume_disjoint();
-        if data.len() != want {
-            return Err(CkptError::Mismatch {
-                detail: format!(
-                    "array `{}` shard {} holds {} element(s) but the region owns {want}",
-                    entry.name,
-                    se.proc + 1,
-                    data.len()
-                ),
-            });
-        }
-        shards[se.proc] = Some(data);
-    }
-    for (p0, slot) in shards.into_iter().enumerate() {
-        let data = slot.ok_or_else(|| CkptError::Mismatch {
+) -> Result<Vec<Vec<f64>>, CkptError> {
+    let owned = (0..arr.np()).map(|p0| (p0, arr.region_of(ProcId(p0 as u32 + 1)).volume_disjoint()));
+    let listed = entry.shards.iter().map(|se| (se.proc, se.elements));
+    if !owned.clone().eq(listed.clone()) {
+        return Err(CkptError::Mismatch {
             detail: format!(
-                "array `{}` has no shard for processor {} in the checkpoint",
+                "array `{}` is checkpointed in the current layout, whose (processor, elements) \
+                 per shard are {:?}, but the manifest lists {:?}",
                 entry.name,
-                p0 + 1
+                owned.collect::<Vec<_>>(),
+                listed.collect::<Vec<_>>()
             ),
-        })?;
-        arr.restore_local(p0, &data);
+        });
     }
-    Ok(())
+    entry.shards.iter().map(|se| read_manifest_shard(step_dir, se)).collect()
 }
 
-/// Scatter path: the checkpoint was written under a different layout
-/// or processor count. Re-establish the storage invariant (a dead
-/// worker may have taken shards with it), then walk each checkpoint
-/// shard's rects in fill order and write every element into the
-/// current distribution through the global index space.
-fn restore_scatter(
-    arr: &mut DistArray<f64>,
+/// The checkpoint was written under a different layout or processor
+/// count: read and verify every shard and copy it into the array's dense
+/// image by the rects the manifest gives it. The rects are the manifest's
+/// word, so each must lie in the domain and together they must cover it
+/// (replicated checkpoints cover elements more than once; their copies
+/// agree).
+fn read_image(
+    arr: &DistArray<f64>,
     entry: &ArrayEntry,
     step_dir: &Path,
-) -> Result<(), CkptError> {
-    let dom = arr.domain().clone();
+) -> Result<Vec<f64>, CkptError> {
+    let dom = arr.domain();
+    let mut image = vec![0.0; dom.size()];
+    let mut covered = vec![false; dom.size()];
     for se in &entry.shards {
-        for rect in &se.rects {
-            if rect.len() != dom.rank() {
-                return Err(CkptError::Mismatch {
-                    detail: format!(
-                        "array `{}` shard {} has a rank-{} rect but the domain is rank {}",
-                        entry.name,
-                        se.proc + 1,
-                        rect.len(),
-                        dom.rank()
-                    ),
-                });
+        let data = read_manifest_shard(step_dir, se)?;
+        scatter_shard(dom, &se.rects, &data, &mut image, &mut covered).map_err(|why| {
+            CkptError::Mismatch {
+                detail: format!("array `{}` shard {}: {why}", entry.name, se.proc + 1),
             }
-            for (d, &spec) in rect.iter().enumerate() {
-                let (lo, hi, stride) = spec;
-                let n = spec_len(spec);
-                if n == 0 {
-                    continue;
-                }
-                let last = lo + (n as i64 - 1) * stride;
-                let (min, max) = (lo.min(last), lo.max(last));
-                let t = dom.dim(d);
-                if min < t.min().unwrap_or(i64::MAX) || max > t.max().unwrap_or(i64::MIN) {
-                    return Err(CkptError::Mismatch {
-                        detail: format!(
-                            "array `{}` shard {} rect dim {d} spans {lo}:{hi}:{stride}, \
-                             outside the domain",
-                            entry.name,
-                            se.proc + 1
-                        ),
-                    });
-                }
-            }
-        }
+        })?;
     }
-    arr.heal_locals();
-    for se in &entry.shards {
-        let (data, _) = read_manifest_shard(step_dir, se)?;
-        let mut k = 0usize;
-        for rect in &se.rects {
-            for_each_index(rect, &mut |idx| {
-                arr.set(idx, data[k]);
-                k += 1;
-                Ok(())
-            })?;
-        }
+    if let Some(hole) = covered.iter().position(|&c| !c) {
+        let at = dom.delinearize(hole).expect("a position of the image");
+        return Err(CkptError::Mismatch {
+            detail: format!(
+                "array `{}`: no shard of the checkpoint holds element {at} — its rects do \
+                 not cover the domain",
+                entry.name
+            ),
+        });
     }
-    Ok(())
+    Ok(image)
 }
 
 /// The newest complete checkpoint under `dir` (its `step-<T>`
@@ -998,16 +922,63 @@ mod tests {
         let dir = tmpdir("corrupt");
         let mut arrays = vec![mk("A", 16, 2, FormatSpec::Block)];
         let rep = save_checkpoint(&arrays, 1, &dir).unwrap();
-        let shard = rep.dir.join("A.p0.shard");
-        let mut bytes = fs::read(&shard).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40; // flip a payload bit
-        fs::write(&shard, &bytes).unwrap();
+        corrupt(&rep.dir, "A.p0.shard");
         let err = restore_checkpoint(&mut arrays, &rep.dir).unwrap_err();
         assert!(
             matches!(&err, CkptError::Shard { detail, .. } if detail.contains("checksum mismatch")),
             "got {err}"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Flip a payload bit of `file` under `step_dir`.
+    fn corrupt(step_dir: &Path, file: &str) {
+        let shard = step_dir.join(file);
+        let mut bytes = fs::read(&shard).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x40;
+        fs::write(&shard, &bytes).unwrap();
+    }
+
+    /// Shard buffers of every array, bit for bit.
+    fn shards(arrays: &[DistArray<f64>]) -> Vec<Vec<u64>> {
+        arrays
+            .iter()
+            .flat_map(|a| (0..a.np()).map(|p0| a.local(p0).iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn failed_cross_layout_restore_leaves_every_array_untouched() {
+        let dir = tmpdir("all-or-nothing");
+        let saved = vec![mk("A", 40, 4, FormatSpec::Block), mk("B", 40, 4, FormatSpec::Block)];
+        let rep = save_checkpoint(&saved, 2, &dir).unwrap();
+        let live = || {
+            vec![
+                DistArray::new("A", mk("A", 40, 2, FormatSpec::Cyclic(3)).mapping().clone(), 2, -9.0),
+                DistArray::new("B", mk("B", 40, 2, FormatSpec::Cyclic(1)).mapping().clone(), 2, -7.0),
+            ]
+        };
+        // the *last* shard of the first array: everything before it reads clean
+        for file in ["A.p3.shard", "B.p3.shard"] {
+            let pristine = fs::read(rep.dir.join(file)).unwrap();
+            corrupt(&rep.dir, file);
+            let mut target = live();
+            let before = shards(&target);
+            let err = restore_checkpoint(&mut target, &rep.dir).unwrap_err();
+            assert!(
+                matches!(&err, CkptError::Shard { detail, .. } if detail.contains("checksum mismatch")),
+                "got {err}"
+            );
+            assert_eq!(shards(&target), before, "{file} corrupt: no element may change");
+            fs::write(rep.dir.join(file), pristine).unwrap();
+        }
+        // and with every shard intact the same restore goes through
+        let mut target = live();
+        let r = restore_checkpoint(&mut target, &rep.dir).unwrap();
+        assert_eq!((r.fast, r.remapped, r.elements), (0, 2, 80));
+        assert_eq!(target[0].to_dense(), saved[0].to_dense());
+        assert_eq!(target[1].to_dense(), saved[1].to_dense());
         let _ = fs::remove_dir_all(&dir);
     }
 

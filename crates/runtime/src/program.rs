@@ -349,10 +349,12 @@ impl Program {
         self.cache.program_plan_mut()
     }
 
-    /// Remap array `k` onto a new mapping: move every element value into
-    /// storage laid out by `new`, return the exact traffic of the move,
-    /// and (by replacing the mapping allocation) invalidate every cached
-    /// plan that involves the array.
+    /// Remap array `k` onto a new mapping: move its values into storage
+    /// laid out by `new` through the dense image ([`DistArray::to_dense`]
+    /// then [`DistArray::from_dense`] — a row copy per rect row of the old
+    /// and of the new shards, one transient image), return the exact
+    /// traffic of the move, and (by replacing the mapping allocation)
+    /// invalidate every cached plan that involves the array.
     pub fn remap(
         &mut self,
         k: usize,
@@ -370,8 +372,7 @@ impl Program {
         }
         let np = old.np();
         let analysis = remap_analysis(old.mapping(), &new, np);
-        let moved = DistArray::from_fn(old.name(), new, np, |i| old.get(i));
-        self.arrays[k] = moved;
+        self.arrays[k] = DistArray::from_dense(old.name(), new, np, &old.to_dense());
         Ok(analysis)
     }
 
@@ -415,8 +416,10 @@ impl Program {
     /// Restore array values from the checkpoint at `step_dir` (a
     /// `step-<T>` directory), verifying every shard checksum. Mappings
     /// need not match the checkpoint's: shards from a different layout or
-    /// processor count are scattered element-wise through the manifest's
-    /// rect descriptions into the current distribution.
+    /// processor count are scattered into the current distribution through
+    /// the array's dense image, which the manifest's rects must cover.
+    /// All-or-nothing — on `Err` no array has changed (see
+    /// [`ckpt::restore_checkpoint`]).
     pub fn restore_checkpoint(&mut self, step_dir: &Path) -> Result<RestoreReport, CkptError> {
         ckpt::restore_checkpoint(&mut self.arrays, step_dir)
     }

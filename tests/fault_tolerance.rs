@@ -10,7 +10,9 @@
 //!   preserves mapping identity, so the plan cache stays warm across a
 //!   crash;
 //! * corrupted shards and mangled manifests are rejected with precise
-//!   diagnostics before a single element is written;
+//!   diagnostics before a single element is written — and so is a
+//!   manifest whose shard rects lie about where the values go (a hole
+//!   in the domain, a rect outside it, the wrong rank, absurd bounds);
 //! * an injected worker death on the `Channels` SPMD backend surfaces
 //!   as a typed [`HpfError::Exchange`] (no panic, no hang), and
 //!   a checkpointed [`Session`]'s restore-and-replay recovery converges
@@ -478,6 +480,60 @@ fn corrupted_checkpoints_are_rejected_with_diagnostics() {
 
 /// `restore_latest` on an empty directory is the precise
 /// "nothing to restore" diagnostic, not a panic or a silent no-op.
+/// The manifest's rects are its word for where a shard's values go when
+/// the layout changed; a manifest that lies is rejected with an error
+/// that says where, nothing panics, and no array changes.
+#[test]
+fn hostile_manifests_are_rejected_with_located_errors() {
+    let dir = tmpdir("hostile");
+    let saved = vec![DistArray::from_fn("A", mapping_of(0, 16, 2), 2, |i| i[0] as f64)];
+    let rep = save_checkpoint(&saved, 1, &dir).unwrap();
+    let manifest = rep.dir.join("manifest.txt");
+    let pristine = std::fs::read_to_string(&manifest).unwrap();
+    let shard1 = pristine.lines().position(|l| l.starts_with("shard A 1 ")).unwrap();
+    assert!(pristine.lines().nth(shard1).unwrap().ends_with(" rects 9:16:1"), "{pristine}");
+    // shard 1's line with other rects (`None`: the line dropped)
+    let with_rects = |rects: Option<&str>| -> String {
+        let lines = pristine.lines().enumerate().filter_map(|(k, l)| match rects {
+            Some(r) if k == shard1 => Some(l.replace("rects 9:16:1", &format!("rects {r}"))),
+            None if k == shard1 => None,
+            _ => Some(l.to_string()),
+        });
+        lines.map(|l| l + "\n").collect()
+    };
+    let huge = "1:4294967296:1x1:4294967296:1";
+    let whole_i64 = "-9223372036854775808:9223372036854775807:1";
+    let manifest_line = format!("manifest.txt:{}:", shard1 + 1);
+    let cases: [(&str, Option<&str>, &[&str]); 7] = [
+        ("dropped shard line", None, &["array `A`", "element (9)", "do not cover"]),
+        ("overlapping rects", Some("1:8:1"), &["array `A`", "element (9)", "do not cover"]),
+        ("rect outside the domain", Some("10:17:1"), &["array `A` shard 2", "{10:17} does not lie in the domain"]),
+        ("strided off the end", Some("2:16:2"), &["array `A`", "element (9)"]),
+        ("rank mismatch", Some("9:16:1x1:1:1"), &["array `A` shard 2", "1:1} does not lie in the domain"]),
+        ("volume overflows usize", Some(huge), &[&manifest_line, "more than usize::MAX"]),
+        ("bounds span all of i64", Some(whole_i64), &[&manifest_line, "shard declares 8"]),
+    ];
+    for (what, rects, needles) in cases {
+        std::fs::write(&manifest, with_rects(rects)).unwrap();
+        let mut target = vec![DistArray::new("A", mapping_of(2, 16, 4), 4, -3.0)];
+        let err = restore_checkpoint(&mut target, &rep.dir).unwrap_err();
+        assert!(
+            matches!(err, CkptError::Mismatch { .. } | CkptError::Manifest { .. }),
+            "{what}: got {err:?}"
+        );
+        for needle in needles {
+            assert!(err.to_string().contains(needle), "{what}: `{needle}` not in `{err}`");
+        }
+        assert_eq!(target[0].to_dense(), vec![-3.0; 16], "{what}: the array must be untouched");
+    }
+    // the untampered manifest restores into the same target
+    std::fs::write(&manifest, &pristine).unwrap();
+    let mut target = vec![DistArray::new("A", mapping_of(2, 16, 4), 4, -3.0)];
+    restore_checkpoint(&mut target, &rep.dir).unwrap();
+    assert_eq!(target[0].to_dense(), saved[0].to_dense());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn restore_latest_reports_missing_checkpoints() {
     let dir = tmpdir("none");

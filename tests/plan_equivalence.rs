@@ -7,7 +7,10 @@
 //! reversed sections of `BLOCK` / `CYCLIC(k)` / `GENERAL_BLOCK` /
 //! `INDIRECT` arrays too — a BLOCK↔CYCLIC exchange compiles to a schedule
 //! per processor pair, not per element, and a cached plan replay equals a
-//! freshly inspected one — including across a remap invalidation.
+//! freshly inspected one — including across a remap invalidation. Moving
+//! values between layouts through the dense image (`from_dense`, `remap`,
+//! cross-layout restore) is held, shard for shard, to the per-element
+//! oracle.
 
 mod common;
 
@@ -270,6 +273,58 @@ fn build_stmt(n: i64, combine_k: u8, arrays: &[DistArray<f64>]) -> Assignment {
         .unwrap()
 }
 
+/// One of the 1-D layout families `mapping_of` draws from, plus the ones it
+/// leaves out: `INDIRECT` (6), a reversed alignment onto a `CYCLIC(2)` base
+/// (7) and a strided alignment onto a `BLOCK` base twice as long (8).
+fn layout_1d(kind: u8, n: usize, np: usize, seed: u64) -> Arc<EffectiveDist> {
+    use rand::{RngExt, SeedableRng};
+    let n_i = n as i64;
+    let (base_n, base_fmt, align) = match kind % 9 {
+        6 => {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let owners = (0..n).map(|_| rng.random_range(1..=np as u64) as u32).collect();
+            (n_i, FormatSpec::Indirect(owners), AlignExpr::dummy(0))
+        }
+        7 => (n_i, FormatSpec::Cyclic(2), AlignExpr::dummy(0) * -1 + (n_i + 1)),
+        8 => (2 * n_i, FormatSpec::Block, AlignExpr::dummy(0) * 2 - 1),
+        k => return mapping_of(k, n, np, seed),
+    };
+    let mut ds = DataSpace::new(np);
+    let b = ds.declare("B", IndexDomain::standard(&[(1, base_n)]).unwrap()).unwrap();
+    let a = ds.declare("M", IndexDomain::of_shape(&[n]).unwrap()).unwrap();
+    ds.distribute(b, &DistributeSpec::new(vec![base_fmt])).unwrap();
+    ds.align(a, b, &AlignSpec::with_exprs(1, vec![align])).unwrap();
+    ds.effective(a).unwrap()
+}
+
+/// The shard files `save_checkpoint` writes for `arr` — each one is a
+/// local buffer in fill order behind a header, so two arrays of the same
+/// layout have bit-identical shards iff these bytes agree.
+fn shard_files(arr: &DistArray<f64>, tag: &str) -> (std::path::PathBuf, Vec<Vec<u8>>) {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "hpf-layouts-{}-{tag}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let rep = save_checkpoint(std::slice::from_ref(arr), 0, &dir).unwrap();
+    let files = (0..arr.np())
+        .map(|p0| std::fs::read(rep.dir.join(format!("{}.p{p0}.shard", arr.name()))).unwrap())
+        .collect();
+    (dir, files)
+}
+
+/// `got` stores exactly what `want` stores, shard for shard.
+fn assert_same_shards(got: &DistArray<f64>, want: &DistArray<f64>, what: &str) {
+    assert_eq!(got.np(), want.np(), "{what}");
+    let (gd, g) = shard_files(got, "got");
+    let (wd, w) = shard_files(want, "want");
+    assert_eq!(g, w, "{what}: shards differ ({} on {} processors)", got.mapping(), got.np());
+    let _ = std::fs::remove_dir_all(gd);
+    let _ = std::fs::remove_dir_all(wd);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -440,6 +495,59 @@ proptest! {
                 got[0].to_dense().iter().zip(&expect).all(|(x, y)| x.to_bits() == y.to_bits());
             prop_assert!(same, "{:?} is not bit-identical to the dense reference", config);
         }
+    }
+
+    /// Every way of moving an array between layouts goes through its dense
+    /// image, and each is exact: dealing an array's own image back out
+    /// reproduces its shards; `remap` equals the per-element oracle
+    /// (`from_fn` reading `get`); a checkpoint written under one layout and
+    /// processor count restores into any other as the dense image dealt
+    /// out there — over every 1-D family (replicated, `INDIRECT`, reversed
+    /// and strided alignments included, `np = 1` and `np > extent`) and
+    /// the 2-D grid mappings.
+    #[test]
+    fn layouts_exchange_values_exactly_through_the_dense_image(
+        rank2 in 0u8..2,
+        n in 1usize..40,
+        (np1, np2) in (1usize..7, 1usize..7),
+        (k1, k2, k3) in (0u8..17, 0u8..17, 0u8..17),
+        seed in 0u64..100_000,
+    ) {
+        // 2-D: an `n × n` domain (n ≥ 2) on `side × side` grids
+        let rank2 = rank2 == 1;
+        let n = if rank2 { 2 + n % 8 } else { n };
+        let (np1, np2) = if rank2 { ([1, 4][np1 % 2], [1, 4, 9][np2 % 3]) } else { (np1, np2) };
+        let layout = |kind: u8, np: usize, seed: u64| {
+            if rank2 {
+                mapping_2d(kind, n, (np as f64).sqrt() as usize, seed)
+            } else {
+                layout_1d(kind, n, np, seed)
+            }
+        };
+        let value = |i: &Idx| (i.iter().fold(17, |h, &v| h * 31 + v) % 1009) as f64 * 0.37 - 5.0;
+        let a = DistArray::from_fn("A", layout(k1, np1, seed), np1, value);
+        let dense = a.to_dense();
+        let want: Vec<f64> = a.domain().iter().map(|i| value(&i)).collect();
+        prop_assert_eq!(&dense, &want);
+
+        let dealt = DistArray::from_dense("A", a.mapping().clone(), np1, &dense);
+        assert_same_shards(&dealt, &a, "from_dense(to_dense)");
+
+        let m2 = layout(k2, np1, seed ^ 0x5bd1);
+        let mut prog = Program::new(vec![a.clone()]);
+        prog.remap(0, m2.clone()).unwrap();
+        let oracle = DistArray::from_fn("A", m2, np1, |i| a.get(i));
+        assert_same_shards(&prog.arrays[0], &oracle, "remap");
+
+        let m3 = layout(k3, np2, seed ^ 0xc2b2);
+        let (dir, _) = shard_files(&a, "saved");
+        let mut target = vec![DistArray::new("A", m3.clone(), np2, -1.0)];
+        let step = latest_checkpoint(&dir).unwrap().unwrap();
+        let report = restore_checkpoint(&mut target, &step).unwrap();
+        prop_assert_eq!(report.arrays, 1);
+        prop_assert_eq!(&target[0].to_dense(), &dense);
+        assert_same_shards(&target[0], &DistArray::from_dense("A", m3, np2, &dense), "restore");
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// A cached plan replay equals a freshly inspected plan on every
