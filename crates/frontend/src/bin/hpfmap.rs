@@ -45,7 +45,11 @@ fn parse_args() -> Args {
                 args.np = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|| usage());
+                if args.np == 0 {
+                    eprintln!("hpfmap: --np must be at least 1");
+                    usage();
+                }
             }
             "--set" => {
                 let kv = it.next().unwrap_or_else(|| usage());

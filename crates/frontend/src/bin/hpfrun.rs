@@ -16,6 +16,16 @@
 //! All frontend and lowering problems are reported together, rendered
 //! against the source with spans — one run shows every defect.
 //!
+//! `--verify` prints the static verifier's verdict on every compiled plan
+//! — one line per statement plan, one `timestep plan [...]` line for the
+//! fused plan that executes them — before any timestep runs; with
+//! `--steps 0` it checks the plans and executes nothing.
+//!
+//! Exit status: 0 on success, 1 when the source has diagnostics, a plan
+//! carries a verifier finding, or execution fails, 2 on usage errors
+//! (unknown flags, `--np 0`, an `--inject` fault that does not parse or
+//! names a rank outside `0..np`).
+//!
 //! Execution is driven through a [`hpf_runtime::Session`]: with
 //! `--checkpoint-dir` the session writes distributed snapshots on a
 //! cadence, and on an exchange fault (injected via `--inject` or real)
@@ -34,7 +44,7 @@
 //! ```
 
 use hpf_frontend::{render_diagnostics, Elaborator, Lowerer};
-use hpf_runtime::{AdaptPolicy, Backend, CheckpointSpec, FaultPlan, Session};
+use hpf_runtime::{AdaptPolicy, Backend, CheckpointSpec, Fault, FaultPlan, Session};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -52,7 +62,7 @@ struct Args {
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: u64,
     resume: bool,
-    inject: Vec<String>,
+    faults: Option<FaultPlan>,
     step_timeout_ms: Option<u64>,
 }
 
@@ -70,9 +80,10 @@ fn usage() -> ! {
          \x20            stage and compute spread over (N >= --np runs the\n\
          \x20            channels fleet instead: one worker per processor)\n\
          --set        provide PARAMETER/READ inputs\n\
-         --verify     statically verify every compiled plan, then check the\n\
-         \x20            distributed result element-for-element against the\n\
-         \x20            dense oracle\n\
+         --verify     statically verify every compiled plan (one line per\n\
+         \x20            plan), then check the distributed result element for\n\
+         \x20            element against the dense oracle; with --steps 0\n\
+         \x20            only the plans are checked\n\
          --stats      print plan-cache, fusion, schedule-size, and wire-traffic statistics\n\
          --adapt      adaptive redistribution: watch measured per-rank load\n\
          \x20            and remap live when a rebalance pays for itself\n\
@@ -104,14 +115,19 @@ fn parse_args() -> Args {
         checkpoint_dir: None,
         checkpoint_every: 1,
         resume: false,
-        inject: Vec::new(),
+        faults: None,
         step_timeout_ms: None,
     };
+    let mut inject = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--np" => {
-                args.np = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+                args.np = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
+                if args.np == 0 {
+                    eprintln!("hpfrun: --np must be at least 1");
+                    usage();
+                }
             }
             "--steps" => {
                 args.steps =
@@ -143,7 +159,7 @@ fn parse_args() -> Args {
                     it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--resume" => args.resume = true,
-            "--inject" => args.inject.push(it.next().unwrap_or_else(|| usage())),
+            "--inject" => inject.push(it.next().unwrap_or_else(|| usage())),
             "--step-timeout-ms" => {
                 args.step_timeout_ms =
                     Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
@@ -168,11 +184,30 @@ fn parse_args() -> Args {
         eprintln!("hpfrun: --verify compares against the dense oracle of the *initial* values; it cannot be combined with --checkpoint-dir/--resume");
         usage();
     }
+    if !inject.is_empty() {
+        let plan = FaultPlan::parse(&inject.join("; ")).unwrap_or_else(|e| {
+            eprintln!("hpfrun: bad --inject spec: {e}");
+            usage()
+        });
+        for fault in plan.faults() {
+            let ranks = match *fault {
+                Fault::KillWorker { rank, .. } | Fault::PoisonPool { rank, .. } => [rank, rank],
+                Fault::DropMessage { sender, receiver, .. }
+                | Fault::CorruptMessage { sender, receiver, .. }
+                | Fault::DelayMessage { sender, receiver, .. } => [sender, receiver],
+            };
+            if ranks.iter().any(|&r| r as usize >= args.np) {
+                eprintln!("hpfrun: --inject fault `{fault}` names a rank outside 0..{}", args.np);
+                usage();
+            }
+        }
+        args.faults = Some(plan);
+    }
     args
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let mut args = parse_args();
     let src = match std::fs::read_to_string(&args.file) {
         Ok(s) => s,
         Err(e) => {
@@ -204,14 +239,8 @@ fn main() -> ExitCode {
     );
 
     // Fault tolerance knobs: armed before anything executes.
-    if !args.inject.is_empty() {
-        match FaultPlan::parse(&args.inject.join("; ")) {
-            Ok(plan) => lowered.program.inject_faults(plan),
-            Err(e) => {
-                eprintln!("hpfrun: bad --inject spec: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(plan) = args.faults.take() {
+        lowered.program.inject_faults(plan);
     }
     if let Some(ms) = args.step_timeout_ms {
         lowered.program.set_exchange_timeout(Duration::from_millis(ms));
@@ -219,25 +248,25 @@ fn main() -> ExitCode {
 
     // Back half: verify (static plans + dense oracle) or just run.
     if args.verify {
-        match lowered.program.verify_all() {
-            Ok(report) => {
-                if !report.is_clean() {
-                    eprint!("{report}");
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "verified: {} statement plan(s) and the timestep plan ({} superstep(s), \
-                     {} message(s)) proven safe before execution",
-                    report.statements.len(),
-                    report.timestep.supersteps,
-                    report.timestep.pairs
-                );
-            }
+        let report = match lowered.program.verify_all() {
+            Ok(report) => report,
             Err(e) => {
                 eprintln!("hpfrun: verification failed to compile plans: {e}");
                 return ExitCode::FAILURE;
             }
+        };
+        print!("{report}");
+        if !report.is_clean() {
+            eprintln!("hpfrun: {} finding(s) — plans are NOT proven safe", report.finding_count());
+            return ExitCode::FAILURE;
         }
+        println!(
+            "verified: {} statement plan(s) and the timestep plan ({} superstep(s), \
+             {} message(s)) proven safe before execution",
+            report.statements.len(),
+            report.timestep.supersteps,
+            report.timestep.pairs
+        );
         if let Err(msg) = lowered.run_verified(args.steps, args.backend) {
             eprintln!("hpfrun: {msg}");
             return ExitCode::FAILURE;

@@ -12,8 +12,8 @@
 //!   forest, procedure boundaries, inquiry
 //! * [`template`] — the HPF template-model baseline (for §8 comparisons)
 //! * [`machine`] — the distributed-memory machine simulator
-//! * [`runtime`] — distributed arrays and owner-computes execution
-//! * [`verify`] — static schedule verification (`hpf-lint`)
+//! * [`runtime`] — distributed arrays, owner-computes execution, and the
+//!   static schedule verifier
 //! * [`frontend`] — the `!HPF$` directive sub-language
 //!
 //! ```
@@ -37,6 +37,5 @@ pub use hpf_machine as machine;
 pub use hpf_procs as procs;
 pub use hpf_runtime as runtime;
 pub use hpf_template as template;
-pub use hpf_verify as verify;
 
 pub mod prelude;

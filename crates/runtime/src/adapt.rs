@@ -4,8 +4,9 @@
 //! The paper gives the compiler a vocabulary of distributions
 //! (`BLOCK`, `CYCLIC(k)`, `GENERAL_BLOCK`) and a redistribution
 //! primitive whose exact traffic [`crate::remap_analysis`] prices — but
-//! leaves *when to pull the trigger* to the programmer. The
-//! [`AdaptController`] automates that decision for iterated programs:
+//! leaves *when to pull the trigger* to the programmer. The controller
+//! behind [`crate::Session::adapt`] automates that decision for iterated
+//! programs:
 //!
 //! 1. **Observe** — during warm replay it keeps a sliding window over
 //!    the per-rank samples the backends measure (wall-time each
@@ -51,7 +52,7 @@ use hpf_machine::Machine;
 use hpf_procs::ProcId;
 use std::sync::Arc;
 
-/// When and how aggressively the [`AdaptController`] may redistribute.
+/// When and how aggressively the adaptive controller may redistribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptPolicy {
     /// Samples required in the window before any decision (and before a
@@ -160,7 +161,7 @@ struct Candidate {
 /// [`AdaptController::observe`] after every executed timestep and
 /// [`AdaptController::decide`] before the next one.
 #[derive(Debug)]
-pub struct AdaptController {
+pub(crate) struct AdaptController {
     policy: AdaptPolicy,
     machine: Machine,
     /// Ring buffer of windowed imbalance samples.

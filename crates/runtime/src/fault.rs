@@ -214,6 +214,10 @@ fn parse_fault(part: &str) -> Result<Fault, String> {
             .map(|&(_, v)| v)
             .ok_or_else(|| format!("fault `{part}`: missing `{key}=`"))
     };
+    let rank = |key: &str| -> Result<u32, String> {
+        let v = get(key)?;
+        u32::try_from(v).map_err(|_| format!("fault `{part}`: rank `{key}={v}` is out of range"))
+    };
     let known = |allowed: &[&str]| -> Result<(), String> {
         for (k, _) in &fields {
             if !allowed.contains(k) {
@@ -225,36 +229,36 @@ fn parse_fault(part: &str) -> Result<Fault, String> {
     match kind.trim() {
         "kill" => {
             known(&["rank", "step"])?;
-            Ok(Fault::KillWorker { rank: get("rank")? as u32, step: get("step")? })
+            Ok(Fault::KillWorker { rank: rank("rank")?, step: get("step")? })
         }
         "drop" => {
             known(&["from", "to", "step"])?;
             Ok(Fault::DropMessage {
-                sender: get("from")? as u32,
-                receiver: get("to")? as u32,
+                sender: rank("from")?,
+                receiver: rank("to")?,
                 step: get("step")?,
             })
         }
         "corrupt" => {
             known(&["from", "to", "step"])?;
             Ok(Fault::CorruptMessage {
-                sender: get("from")? as u32,
-                receiver: get("to")? as u32,
+                sender: rank("from")?,
+                receiver: rank("to")?,
                 step: get("step")?,
             })
         }
         "delay" => {
             known(&["from", "to", "step", "ms"])?;
             Ok(Fault::DelayMessage {
-                sender: get("from")? as u32,
-                receiver: get("to")? as u32,
+                sender: rank("from")?,
+                receiver: rank("to")?,
                 step: get("step")?,
                 millis: get("ms")?,
             })
         }
         "poison" => {
             known(&["rank", "step"])?;
-            Ok(Fault::PoisonPool { rank: get("rank")? as u32, step: get("step")? })
+            Ok(Fault::PoisonPool { rank: rank("rank")?, step: get("step")? })
         }
         other => Err(format!(
             "fault `{part}`: unknown kind `{other}` \
@@ -383,9 +387,19 @@ mod tests {
             "kill:rank=1,step=0,extra=2",
             "drop:from=0,step=1",
             "kill",
+            "drop:from=0,to=4294967296,step=1",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must be rejected");
         }
+    }
+
+    #[test]
+    fn ranks_past_u32_are_rejected_not_wrapped() {
+        // 2^32 + 2 used to wrap to rank 2 and kill the wrong worker
+        let err = FaultPlan::parse("kill:rank=4294967298,step=1").unwrap_err();
+        assert!(err.contains("kill:rank=4294967298,step=1"), "{err}");
+        let plan = FaultPlan::parse("poison:rank=4294967295,step=0").unwrap();
+        assert_eq!(plan.faults()[0], Fault::PoisonPool { rank: u32::MAX, step: 0 });
     }
 
     #[test]

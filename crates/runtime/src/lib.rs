@@ -40,7 +40,7 @@
 //!   thing that varies: [`SharedMemBackend`] (direct copies staged through
 //!   the persistent buffers of a [`FusedWorkspace`], zero-allocation warm;
 //!   a thread bound spreads stage and compute over scoped threads) or
-//!   [`ChannelsBackend`] (a true message-passing SPMD executor: one
+//!   `ChannelsBackend` (a true message-passing SPMD executor: one
 //!   long-lived worker per simulated processor owning only its local
 //!   shards, packed messages over channels, measured wire bytes
 //!   cross-checked against the dirty-tracking mask);
@@ -107,7 +107,7 @@ mod workspace;
 pub use array::DistArray;
 pub use assign::{Assignment, Combine, Term};
 pub use backend::{Backend, ExchangeBackend, ExchangeError, SharedMemBackend};
-pub use adapt::{AdaptController, AdaptEvent, AdaptPolicy, AdaptReport};
+pub use adapt::{AdaptEvent, AdaptPolicy, AdaptReport};
 pub use cache::PlanCache;
 pub use ckpt::{
     latest_checkpoint, restore_checkpoint, save_checkpoint, CheckpointSpec, CkptError,
@@ -127,10 +127,9 @@ pub use plan::{
 pub use program::{Program, ProgramStats};
 pub use remap::{remap_analysis, RemapAnalysis};
 pub use session::{Session, SessionReport};
-pub use spmd::ChannelsBackend;
 pub use trace::StatementTrace;
 pub use verify::{
     verify_plan, verify_program_plan, Diagnostic, DiagnosticKind, FusionReport, Property,
     StatementReport, VerifyReport, VerifyStats,
 };
-pub use workspace::{FusedWorkspace, PlanWorkspace};
+pub use workspace::FusedWorkspace;

@@ -146,7 +146,7 @@ impl Session {
     }
 
     /// Enable adaptive redistribution: between timesteps the
-    /// [`AdaptController`] watches measured load, prices candidate
+    /// controller watches measured load, prices candidate
     /// remappings on the machine model, and remaps live when one pays
     /// for itself within the policy's horizon.
     pub fn adapt(mut self, policy: AdaptPolicy) -> Self {

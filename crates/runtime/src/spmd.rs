@@ -394,7 +394,7 @@ fn worker_loop(ctx: WorkerCtx, cmds: Receiver<Cmd>, done: Sender<Done>) {
 /// spawned lazily on the first superstep and persist until the backend is
 /// dropped; a plan over a different processor count replaces the fleet,
 /// as does the first superstep after a failed one.
-pub struct ChannelsBackend {
+pub(crate) struct ChannelsBackend {
     np: usize,
     cmd_txs: Vec<Sender<Cmd>>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -460,12 +460,14 @@ impl ChannelsBackend {
     /// it never happened as far as the trajectory is concerned, and a
     /// replay of the same timestep reuses its step number with the
     /// one-shot fault already spent).
+    #[cfg(test)]
     pub fn steps(&self) -> u64 {
         self.steps
     }
 
     /// Live worker count (0 before the first superstep, and 0 again
     /// after a failure tears the fleet down).
+    #[cfg(test)]
     pub fn workers(&self) -> usize {
         self.cmd_txs.len()
     }

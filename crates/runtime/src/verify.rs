@@ -54,8 +54,8 @@
 //! divergence with exact processor/run/segment coordinates. Entry points:
 //! [`verify_plan`] for one statement's runs, [`verify_program_plan`] for
 //! the timestep's messages, [`Program::verify_all`](crate::Program::verify_all)
-//! for both in one [`VerifyReport`] (what `hpfrun --verify` and the
-//! `hpf-lint` binary of the `hpf-verify` crate print), and
+//! for both in one [`VerifyReport`] (what `hpfrun --verify` prints: one
+//! line per statement plan and one for the timestep plan), and
 //! [`crate::PlanCache`], which asserts both on every plan insertion in
 //! debug builds and, behind the `verify` feature, in release builds too.
 
@@ -900,7 +900,7 @@ impl fmt::Display for VerifyReport {
 
 /// True iff every per-processor schedule drives a distinct processor — the
 /// precondition for the parallel executor's store sets being disjoint.
-pub fn workers_disjoint(per_proc: &[ProcPlan]) -> bool {
+pub(crate) fn workers_disjoint(per_proc: &[ProcPlan]) -> bool {
     let mut seen = vec![false; per_proc.len()];
     per_proc.iter().all(|pp| {
         let z = pp.proc.zero_based();

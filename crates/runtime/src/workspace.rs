@@ -37,7 +37,7 @@ use crate::plan::ExecPlan;
 /// sized to exactly the processor's computed volume (ghost positions
 /// always; local positions only for staged terms — see the module docs).
 #[derive(Debug, Clone, Default)]
-pub struct PlanWorkspace {
+pub(crate) struct PlanWorkspace {
     pub(crate) bufs: Vec<Vec<Vec<f64>>>,
 }
 
@@ -88,7 +88,7 @@ impl PlanWorkspace {
 }
 
 /// Preallocated scratch for a fused timestep (see [`crate::ProgramPlan`]):
-/// one [`PlanWorkspace`] per constituent statement — the persistent
+/// one `PlanWorkspace` per constituent statement — the persistent
 /// receiver-side packed operand buffers that ghost-region reuse relies on
 /// — plus one message staging buffer per *fused* pair, sized for the
 /// pair's full coalesced message (a warm timestep may stage any subset of

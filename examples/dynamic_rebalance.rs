@@ -22,8 +22,6 @@
 //! Run with: `cargo run --release --example dynamic_rebalance`
 
 use hpf::prelude::*;
-use hpf::runtime::remap_analysis;
-use hpf_core::GeneralBlock;
 
 const N: usize = 100_000;
 const NP: usize = 8;

@@ -2,12 +2,11 @@
 //! the inspector compiles for random block / cyclic / general-block /
 //! replicated mappings (1-D and 2-D) must *prove* the five safety
 //! properties — write coverage, bounds, race freedom, deadlock freedom,
-//! conservation — and every packaged example scenario must lint clean,
-//! with replication reported as the explicit divergence verdict rather
-//! than silently skipped.
+//! conservation — with replication reported as the explicit divergence
+//! verdict rather than silently skipped. (The shipped `.hpf` programs are
+//! verified end to end by `hpf_pipeline`.)
 
 use hpf::prelude::*;
-use hpf::verify::scenarios;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -189,39 +188,48 @@ proptest! {
     }
 }
 
-/// Every packaged example scenario lints clean end to end through
-/// `Program::verify_all` — zero findings over all existing mappings.
-#[test]
-fn all_example_scenarios_verify_clean() {
-    for scenario in scenarios::all() {
-        let mut prog = (scenario.build)();
-        let report = prog.verify_all().unwrap();
-        assert!(!report.statements.is_empty(), "{}: empty program", scenario.name);
-        assert!(report.is_clean(), "{}:\n{report}", scenario.name);
-        for stmt in &report.statements {
-            assert_ne!(
-                stmt.verdict,
-                AnalysisVerdict::Divergent,
-                "{}: {stmt}",
-                scenario.name
-            );
-        }
-    }
+/// Lower one of the shipped `examples/programs/*.hpf` over 4 processors.
+fn lowered(name: &str) -> Program {
+    let path = format!("{}/../../examples/programs/{name}.hpf", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).unwrap();
+    let elab = Elaborator::new(4).run(&src).expect("elaborates");
+    let (lowered, diags) = Lowerer::lower(&elab);
+    assert!(diags.is_empty(), "{name}: {diags:?}");
+    lowered.program
 }
 
-/// The replicated-operand scenario carries the explicit
-/// `ReplicatedDivergence` verdict — the once-silent analysis divergence is
-/// now a documented, queryable outcome.
+/// A replicated operand carries the explicit `ReplicatedDivergence`
+/// verdict — the once-silent analysis divergence is now a documented,
+/// queryable outcome.
 #[test]
 fn replicated_scenario_reports_divergence_verdict() {
-    let mut prog = (scenarios::by_name("directive_tour").unwrap().build)();
+    // A(1:16) = B(1:16) + C(1:16): A block-balanced, B CYCLIC(3), C
+    // replicated on every processor
+    let arrays: Vec<DistArray<f64>> = [("A", 1), ("B", 3), ("C", 5)]
+        .into_iter()
+        .map(|(name, kind)| {
+            DistArray::from_fn(name, mapping_of(kind, 16, 4, 0), 4, |i| i[0] as f64)
+        })
+        .collect();
+    let doms: Vec<&IndexDomain> = arrays.iter().map(|a| a.domain()).collect();
+    let full = Section::from_triplets(vec![span(1, 16)]);
+    let stmt = Assignment::new(
+        0,
+        full.clone(),
+        vec![Term::new(1, full.clone()), Term::new(2, full)],
+        Combine::Sum,
+        &doms,
+    )
+    .unwrap();
+    let mut prog = Program::new(arrays);
+    prog.push(stmt).unwrap();
     let report = prog.verify_all().unwrap();
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.statements[0].verdict, AnalysisVerdict::ReplicatedDivergence);
     assert_eq!(report.replicated_statements(), 1);
 
-    // and a fully-partitioned scenario is Exact
-    let mut prog = (scenarios::by_name("quickstart").unwrap().build)();
+    // and a fully-partitioned program is Exact
+    let mut prog = lowered("quickstart");
     let report = prog.verify_all().unwrap();
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.statements[0].verdict, AnalysisVerdict::Exact);
@@ -229,11 +237,18 @@ fn replicated_scenario_reports_divergence_verdict() {
 }
 
 /// Verification runs on the *re-inspected* plan after a mid-program
-/// REDISTRIBUTE: the rebalance scenario has already executed and remapped
-/// by the time `verify_all` sees it.
+/// REDISTRIBUTE: the sweep has already executed under BLOCK and been
+/// remapped live onto `dynamic_rebalance.hpf`'s GENERAL_BLOCK by the time
+/// `verify_all` sees it.
 #[test]
 fn rebalanced_program_verifies_clean_after_remap() {
-    let mut prog = (scenarios::by_name("dynamic_rebalance").unwrap().build)();
+    let mut prog = lowered("dynamic_rebalance");
+    let general_block = prog.arrays[0].mapping().clone();
+    prog.remap(0, mapping_of(0, 32, 4, 0)).expect("start from BLOCK");
+    let mut sess = Session::new(prog);
+    sess.run(1).expect("pre-rebalance sweep");
+    let mut prog = sess.into_program();
+    prog.remap(0, general_block).expect("redistribute");
     let report = prog.verify_all().unwrap();
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.statements[0].verdict, AnalysisVerdict::Exact);
