@@ -17,7 +17,6 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(GeneralBlock::balanced(&rnd, 64).unwrap()))
         });
     }
-    // owner lookup for the bound format is benchmarked in b01
     g.finish();
 }
 

@@ -1,7 +1,10 @@
-//! Shared experiment scenarios for the benchmark harness and the `repro_*`
-//! binaries. Each function builds one of the DESIGN.md §E workloads.
+//! Shared experiment scenarios for the benchmark harness, and the paper's
+//! tables E1–E10 with their claims checked ([`paper`], printed by the
+//! `repro` binary). Each function builds one of the DESIGN.md §E workloads.
 
 #![forbid(unsafe_code)]
+
+pub mod paper;
 
 use hpf_core::{
     AlignExpr, AlignSpec, DataSpace, DistributeSpec, EffectiveDist, FormatSpec,
@@ -32,30 +35,22 @@ pub fn staggered_mappings(
     let d = AlignExpr::dummy;
     match scheme {
         StaggeredScheme::Template(formats) | StaggeredScheme::SmallTemplate(formats) => {
-            let double = matches!(scheme, StaggeredScheme::Template(_));
+            // T(0:2N,0:2N) puts P, U and V on odd and even positions (s = 2);
+            // the (N+1,N+1) template collocates them (s = 1)
+            let s = if matches!(scheme, StaggeredScheme::Template(_)) { 2 } else { 1 };
             let mut m = TemplateModel::new(np);
             m.declare_processors("G", IndexDomain::of_shape(&[np_side, np_side]).unwrap())
                 .unwrap();
-            let tdom = if double {
-                IndexDomain::standard(&[(0, 2 * n), (0, 2 * n)]).unwrap()
-            } else {
-                IndexDomain::standard(&[(0, n), (0, n)]).unwrap()
-            };
-            let t = m.template("T", tdom).unwrap();
+            let t = m.template("T", IndexDomain::standard(&[(0, s * n); 2]).unwrap()).unwrap();
             let p = m.array("P", IndexDomain::standard(&[(1, n), (1, n)]).unwrap()).unwrap();
             let u = m.array("U", IndexDomain::standard(&[(0, n), (1, n)]).unwrap()).unwrap();
             let v = m.array("V", IndexDomain::standard(&[(1, n), (0, n)]).unwrap()).unwrap();
-            if double {
-                m.align(p, t, &AlignSpec::with_exprs(2, vec![d(0) * 2 - 1, d(1) * 2 - 1]))
-                    .unwrap();
-                m.align(u, t, &AlignSpec::with_exprs(2, vec![d(0) * 2, d(1) * 2 - 1])).unwrap();
-                m.align(v, t, &AlignSpec::with_exprs(2, vec![d(0) * 2 - 1, d(1) * 2])).unwrap();
-            } else {
-                // the (N+1,N+1) collocating template: identity-ish alignment
-                m.align(p, t, &AlignSpec::with_exprs(2, vec![d(0), d(1)])).unwrap();
-                m.align(u, t, &AlignSpec::with_exprs(2, vec![d(0), d(1)])).unwrap();
-                m.align(v, t, &AlignSpec::with_exprs(2, vec![d(0), d(1)])).unwrap();
-            }
+            // (I, J) → (s·I − di, s·J − dj)
+            let at = |di, dj| AlignSpec::with_exprs(2, vec![d(0) * s - di, d(1) * s - dj]);
+            let o = s - 1;
+            m.align(p, t, &at(o, o)).unwrap();
+            m.align(u, t, &at(0, o)).unwrap();
+            m.align(v, t, &at(o, 0)).unwrap();
             m.distribute(t, &DistributeSpec::to(formats.clone(), "G")).unwrap();
             vec![m.resolve(p).unwrap(), m.resolve(u).unwrap(), m.resolve(v).unwrap()]
         }
@@ -125,7 +120,7 @@ pub mod replay {
     };
 
     /// A session over the one-statement program `stmt` on `backend` — how
-    /// the per-statement entries (b09, b12–b14) drive a statement. Compiled
+    /// the per-statement entries (b13, b14) drive a statement. Compiled
     /// unfused: no workload here ever writes its operands, so the fused
     /// plan's dirty tracking would ship the ghosts once and then skip the
     /// exchange these entries exist to time; unfused ships it every step.

@@ -416,8 +416,8 @@ mod tests {
     }
 
     #[test]
-    fn balanced_is_within_greedy_bound_on_b01_weights() {
-        // the b01_owner_lookup workload: weights (i % 97) + 1
+    fn balanced_is_within_greedy_bound_on_modular_weights() {
+        // weights (i % 97) + 1
         let n = 10_000usize;
         let np = 32usize;
         let weights: Vec<u64> = (0..n).map(|i| (i % 97 + 1) as u64).collect();

@@ -14,7 +14,7 @@
 //! ```
 
 use hpf_core::inquiry;
-use hpf_frontend::Elaborator;
+use hpf_frontend::{Elaborator, ToolOutput};
 use std::process::ExitCode;
 
 struct Args {
@@ -77,6 +77,7 @@ fn parse_args() -> Args {
 }
 
 fn main() -> ExitCode {
+    let out = ToolOutput("hpfmap");
     let args = parse_args();
     let src = match std::fs::read_to_string(&args.file) {
         Ok(s) => s,
@@ -97,17 +98,17 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("— elaboration ({} abstract processors) —", args.np);
-    print!("{}", result.report);
+    writeln!(out, "— elaboration ({} abstract processors) —", args.np);
+    write!(out, "{}", result.report);
 
-    println!("\n— final mapping descriptors —");
+    writeln!(out, "\n— final mapping descriptors —");
     for id in result.space.all_arrays() {
-        print!("  {}", inquiry::describe(&result.space, id));
+        write!(out, "  {}", inquiry::describe(&result.space, id));
         if let Some(axes) = inquiry::align_descriptor(&result.space, id) {
             let rendered: Vec<String> = axes.iter().map(|a| a.to_string()).collect();
-            print!("  α=({})", rendered.join(", "));
+            write!(out, "  α=({})", rendered.join(", "));
         }
-        println!();
+        writeln!(out);
     }
 
     for (name, count) in &args.owners {
@@ -119,13 +120,13 @@ fn main() -> ExitCode {
             eprintln!("hpfmap: `{name}` is not allocated");
             return ExitCode::FAILURE;
         };
-        println!("\n— owners of {name}{dom} (first {count}) —");
+        writeln!(out, "\n— owners of {name}{dom} (first {count}) —");
         for (k, i) in dom.iter().enumerate() {
             if k >= *count {
                 break;
             }
             match result.space.owners(id, &i) {
-                Ok(o) => println!("  {name}{i} → {o}"),
+                Ok(o) => writeln!(out, "  {name}{i} → {o}"),
                 Err(e) => {
                     eprintln!("hpfmap: {e}");
                     return ExitCode::FAILURE;
@@ -135,7 +136,7 @@ fn main() -> ExitCode {
         if let Ok(hist) = inquiry::ownership_histogram(&result.space, id) {
             let counts: Vec<String> =
                 hist.iter().map(|(p, n)| format!("{p}:{n}")).collect();
-            println!("  histogram: {}", counts.join(" "));
+            writeln!(out, "  histogram: {}", counts.join(" "));
         }
     }
     ExitCode::SUCCESS

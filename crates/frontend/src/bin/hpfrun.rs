@@ -43,7 +43,7 @@
 //!     --backend channels --steps 10 --verify --stats
 //! ```
 
-use hpf_frontend::{render_diagnostics, Elaborator, Lowerer};
+use hpf_frontend::{render_diagnostics, Elaborator, Lowerer, ToolOutput};
 use hpf_runtime::{AdaptPolicy, Backend, CheckpointSpec, Fault, FaultPlan, Session};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -207,6 +207,7 @@ fn parse_args() -> Args {
 }
 
 fn main() -> ExitCode {
+    let out = ToolOutput("hpfrun");
     let mut args = parse_args();
     let src = match std::fs::read_to_string(&args.file) {
         Ok(s) => s,
@@ -230,7 +231,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    println!(
+    writeln!(out,
         "— lowered {}: {} array(s), {} statement(s), {} abstract processors —",
         args.file,
         lowered.names.len(),
@@ -255,12 +256,12 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        print!("{report}");
+        write!(out, "{report}");
         if !report.is_clean() {
             eprintln!("hpfrun: {} finding(s) — plans are NOT proven safe", report.finding_count());
             return ExitCode::FAILURE;
         }
-        println!(
+        writeln!(out,
             "verified: {} statement plan(s) and the timestep plan ({} superstep(s), \
              {} message(s)) proven safe before execution",
             report.statements.len(),
@@ -271,10 +272,10 @@ fn main() -> ExitCode {
             eprintln!("hpfrun: {msg}");
             return ExitCode::FAILURE;
         }
-        println!(
+        writeln!(out,
             "verified: {} timestep(s) on {} match the dense oracle",
             args.steps,
-            backend_name(args.backend)
+            args.backend
         );
     } else {
         // Everything else is one Session: backend, thread bound,
@@ -291,7 +292,7 @@ fn main() -> ExitCode {
             if args.resume {
                 match session.program_mut().restore_latest(Path::new(dir)) {
                     Ok(r) => {
-                        println!(
+                        writeln!(out,
                             "resumed from checkpoint at timestep {} ({} array(s), {})",
                             r.timestep,
                             r.arrays,
@@ -314,24 +315,24 @@ fn main() -> ExitCode {
         let remaining = (args.steps as u64).saturating_sub(start);
         match session.run(remaining) {
             Ok(rep) => {
-                print!(
+                write!(out,
                     "ran {} timestep(s) on {}",
                     rep.timesteps,
-                    backend_name(rep.final_backend)
+                    rep.final_backend
                 );
                 if args.checkpoint_dir.is_some() {
-                    print!(" — {} checkpoint(s) written", rep.checkpoints);
+                    write!(out, " — {} checkpoint(s) written", rep.checkpoints);
                 }
                 if rep.failures > 0 {
-                    print!(
+                    write!(out,
                         ", {} fault(s) survived, {} timestep(s) replayed",
                         rep.failures, rep.replayed
                     );
                 }
                 if rep.degraded {
-                    print!(", degraded to shared-mem");
+                    write!(out, ", degraded to shared-mem");
                 }
-                println!();
+                writeln!(out);
             }
             Err(e) => {
                 eprintln!("hpfrun: execution failed: {e}");
@@ -340,12 +341,12 @@ fn main() -> ExitCode {
         }
         if args.adapt {
             if let Some(rep) = session.adapt_report() {
-                println!(
+                writeln!(out,
                     "adaptive: {} remap(s), {} element(s) moved, last imbalance {:.2}",
                     rep.remaps, rep.remap_elements, rep.last_imbalance
                 );
                 for e in &rep.events {
-                    println!(
+                    writeln!(out,
                         "  t={}: {} -> {} (imbalance {:.2}, stay {:.1}us vs move {:.1}us+{:.1}us, predicted gain {:.1}us)",
                         e.timestep,
                         e.arrays.join(","),
@@ -366,18 +367,18 @@ fn main() -> ExitCode {
     for (k, name) in lowered.names.iter().enumerate() {
         let dense = lowered.program.arrays[k].to_dense();
         let sum: f64 = dense.iter().sum();
-        println!("  {name}: {} element(s), sum {sum}", dense.len());
+        writeln!(out, "  {name}: {} element(s), sum {sum}", dense.len());
     }
 
     if args.stats {
         let fs = lowered.program.fusion_stats();
-        println!("— statistics —");
-        println!(
+        writeln!(out, "— statistics —");
+        writeln!(out,
             "  plan cache: {} hit(s), {} miss(es)",
             lowered.program.cache_hits(),
             lowered.program.cache_misses()
         );
-        println!(
+        writeln!(out,
             "  fusion: {} superstep(s), {} message(s) coalesced to {}, \
              {} ghost byte(s) avoided",
             fs.supersteps,
@@ -386,24 +387,17 @@ fn main() -> ExitCode {
             fs.ghost_bytes_avoided()
         );
         let runs = lowered.program.plan_schedule_runs();
-        println!(
+        writeln!(out,
             "  schedule: {} run(s), {} byte(s), ×{:.1} compression",
             runs,
             lowered.program.plan_schedule_bytes(),
             lowered.program.plan_schedule_elements() as f64 / runs.max(1) as f64
         );
-        println!(
+        writeln!(out,
             "  wire: {} byte(s) sent, {} SPMD worker(s) spawned",
             lowered.program.backend_bytes_sent(),
             lowered.program.spmd_workers_spawned()
         );
     }
     ExitCode::SUCCESS
-}
-
-fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::SharedMem => "shared-mem",
-        Backend::Channels => "channels",
-    }
 }

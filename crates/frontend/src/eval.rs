@@ -48,21 +48,31 @@ impl BoundExpr {
         Ok(match self {
             BoundExpr::Const(v) => *v,
             BoundExpr::Slot(k) => indices[*k],
-            BoundExpr::Add(a, b) => a.eval(indices)? + b.eval(indices)?,
-            BoundExpr::Sub(a, b) => a.eval(indices)? - b.eval(indices)?,
-            BoundExpr::Mul(a, b) => a.eval(indices)? * b.eval(indices)?,
+            BoundExpr::Add(a, b) => checked(a.eval(indices)?.checked_add(b.eval(indices)?))?,
+            BoundExpr::Sub(a, b) => checked(a.eval(indices)?.checked_sub(b.eval(indices)?))?,
+            BoundExpr::Mul(a, b) => checked(a.eval(indices)?.checked_mul(b.eval(indices)?))?,
             BoundExpr::Div(a, b) => {
-                let d = b.eval(indices)?;
-                if d == 0 {
-                    return Err(FrontendError::Eval("division by zero".into()));
-                }
-                a.eval(indices)? / d
+                let d = nonzero(b.eval(indices)?)?;
+                checked(a.eval(indices)?.checked_div(d))?
             }
-            BoundExpr::Neg(a) => -a.eval(indices)?,
+            BoundExpr::Neg(a) => checked(a.eval(indices)?.checked_neg())?,
             BoundExpr::Max(a, b) => a.eval(indices)?.max(b.eval(indices)?),
             BoundExpr::Min(a, b) => a.eval(indices)?.min(b.eval(indices)?),
         })
     }
+}
+
+/// Source integers are `i64`; a result outside it is an error, never a
+/// wrapped value.
+fn checked(v: Option<i64>) -> Result<i64, FrontendError> {
+    v.ok_or_else(|| FrontendError::Eval("integer overflow".into()))
+}
+
+fn nonzero(d: i64) -> Result<i64, FrontendError> {
+    if d == 0 {
+        return Err(FrontendError::Eval("division by zero".into()));
+    }
+    Ok(d)
 }
 
 impl Env {
@@ -75,32 +85,32 @@ impl Env {
                 .get(n)
                 .copied()
                 .ok_or_else(|| FrontendError::UnknownParameter(n.clone())),
-            Expr::Add(a, b) => Ok(self.eval(a)? + self.eval(b)?),
-            Expr::Sub(a, b) => Ok(self.eval(a)? - self.eval(b)?),
-            Expr::Mul(a, b) => Ok(self.eval(a)? * self.eval(b)?),
+            Expr::Add(a, b) => checked(self.eval(a)?.checked_add(self.eval(b)?)),
+            Expr::Sub(a, b) => checked(self.eval(a)?.checked_sub(self.eval(b)?)),
+            Expr::Mul(a, b) => checked(self.eval(a)?.checked_mul(self.eval(b)?)),
             Expr::Div(a, b) => {
-                let d = self.eval(b)?;
-                if d == 0 {
-                    return Err(FrontendError::Eval("division by zero".into()));
-                }
-                Ok(self.eval(a)? / d)
+                let d = nonzero(self.eval(b)?)?;
+                checked(self.eval(a)?.checked_div(d))
             }
-            Expr::Neg(a) => Ok(-self.eval(a)?),
+            Expr::Neg(a) => checked(self.eval(a)?.checked_neg()),
             Expr::Max(a, b) => Ok(self.eval(a)?.max(self.eval(b)?)),
             Expr::Min(a, b) => Ok(self.eval(a)?.min(self.eval(b)?)),
             Expr::LBound(arr, d) | Expr::UBound(arr, d) | Expr::Size(arr, d) => {
-                let dim = self.eval(d)? - 1;
+                let dim = self.eval(d)?;
                 let bounds = self
                     .array_bounds
                     .get(arr)
                     .ok_or_else(|| FrontendError::UnknownParameter(arr.clone()))?;
-                let (lo, up) = *bounds.get(dim as usize).ok_or_else(|| {
-                    FrontendError::Eval(format!("dimension {} out of range for `{arr}`", dim + 1))
-                })?;
+                let (lo, up) = *usize::try_from(dim)
+                    .ok()
+                    .and_then(|k| bounds.get(k.checked_sub(1)?))
+                    .ok_or_else(|| {
+                        FrontendError::Eval(format!("dimension {dim} out of range for `{arr}`"))
+                    })?;
                 Ok(match e {
                     Expr::LBound(..) => lo,
                     Expr::UBound(..) => up,
-                    _ => (up - lo + 1).max(0),
+                    _ => checked(up.checked_sub(lo).and_then(|n| n.checked_add(1)))?.max(0),
                 })
             }
         }
@@ -147,8 +157,8 @@ impl Env {
         dummies: &HashMap<String, usize>,
     ) -> Result<AlignExpr, FrontendError> {
         // fully constant subtrees fold immediately
-        if let Ok(v) = self.try_fold(e, dummies) {
-            return Ok(AlignExpr::Const(v));
+        if !self.uses_dummy(e, dummies) {
+            return Ok(AlignExpr::Const(self.eval(e)?));
         }
         Ok(match e {
             Expr::Int(v) => AlignExpr::Const(*v),
@@ -181,14 +191,6 @@ impl Env {
                 AlignExpr::Const(self.eval(e)?)
             }
         })
-    }
-
-    /// Fold a subtree to a constant if it references no align-dummy.
-    fn try_fold(&self, e: &Expr, dummies: &HashMap<String, usize>) -> Result<i64, FrontendError> {
-        if self.uses_dummy(e, dummies) {
-            return Err(FrontendError::Eval("uses dummy".into()));
-        }
-        self.eval(e)
     }
 
     fn uses_dummy(&self, e: &Expr, dummies: &HashMap<String, usize>) -> bool {
@@ -343,6 +345,25 @@ mod tests {
     #[test]
     fn division_by_zero() {
         assert!(env().eval(&expr_of("N/0")).is_err());
+    }
+
+    #[test]
+    fn overflow_is_an_error_not_a_wrapped_value() {
+        let e = env();
+        let slots: HashMap<String, usize> = [("I".to_string(), 0)].into();
+        // at I = 1 the last two reach i64::MIN / -1 and -i64::MIN
+        for (src, i) in [
+            ("I * 9223372036854775807", 2),
+            ("I + 9223372036854775807", 1),
+            ("-I - 9223372036854775807", 2),
+            ("(-I - 9223372036854775807) / (-1)", 1),
+            ("-(-I - 9223372036854775807)", 1),
+        ] {
+            let err = e.bind(&expr_of(src), &slots).unwrap().eval(&[i]).unwrap_err();
+            assert_eq!(err, FrontendError::Eval("integer overflow".into()), "{src}");
+            let folded = src.replace('I', &i.to_string());
+            assert_eq!(e.eval(&expr_of(&folded)), Err(err), "{folded}");
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ mod error;
 mod eval;
 mod lexer;
 pub mod lower;
+mod output;
 mod parser;
 mod report;
 mod token;
@@ -51,6 +52,7 @@ pub use error::FrontendError;
 pub use eval::{BoundExpr, Env};
 pub use lexer::{lex, lex_recover};
 pub use lower::{LoweredProgram, Lowerer};
+pub use output::ToolOutput;
 pub use parser::{parse, parse_recover};
 pub use report::{
     render_diagnostics, AssignEvent, ElaborationReport, Event, FillEvent, SourceDiagnostic,

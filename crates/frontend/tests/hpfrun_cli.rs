@@ -1,8 +1,9 @@
 //! The `hpfrun` command line: what `--verify` prints and the exit status
 //! contract — 0 clean, 1 on source diagnostics or plan findings, 2 on
-//! usage errors (refused before anything runs).
+//! usage errors (refused before anything runs) — and, for `hpfrun` and
+//! `hpfmap` alike, that a reader closing the pipe early is no error.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn program(name: &str) -> String {
     format!("{}/../../examples/programs/{name}.hpf", env!("CARGO_MANIFEST_DIR"))
@@ -60,5 +61,50 @@ fn usage_errors_exit_two_before_anything_runs() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
         assert!(stderr(&out).contains(says), "{args:?}: {}", stderr(&out));
         assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+    }
+}
+
+#[test]
+fn integer_overflow_is_a_located_diagnostic() {
+    let path = format!("{}/hpfrun_cli_overflow.hpf", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(
+        &path,
+        "      PROGRAM OVF\n      REAL A(4)\n!HPF$ DISTRIBUTE A(BLOCK)\n      \
+         FORALL (I = 1:4) A(I) = I * 9223372036854775807\n      END\n",
+    )
+    .unwrap();
+    let out = hpfrun(&[&path]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{}{err}", stdout(&out));
+    assert!(err.contains("integer overflow"), "{err}");
+    assert!(err.contains("--> 4:"), "names the FORALL's line: {err}");
+    assert!(!stdout(&out).contains("sum"), "nothing ran: {}", stdout(&out));
+}
+
+/// Spawn `exe`, close the read end of its stdout before it writes, and
+/// return its exit code and stderr.
+fn run_with_closed_stdout(exe: &str, args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(exe)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("tool runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("tool exits");
+    (out.status.code(), stderr(&out))
+}
+
+#[test]
+fn a_closed_pipe_is_not_an_error() {
+    let tour = program("directive_tour");
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_hpfrun"), vec![tour.as_str(), "--np", "8", "--verify", "--steps", "0"]),
+        (env!("CARGO_BIN_EXE_hpfrun"), vec![tour.as_str(), "--np", "8", "--steps", "2", "--stats"]),
+        (env!("CARGO_BIN_EXE_hpfmap"), vec![tour.as_str(), "--np", "8", "--owners", "A"]),
+    ] {
+        let (code, err) = run_with_closed_stdout(exe, &args);
+        assert_eq!(code, Some(0), "{exe} {args:?}: the unpiped status; stderr: {err}");
+        assert!(err.is_empty(), "{exe} {args:?} said: {err}");
     }
 }

@@ -33,6 +33,6 @@ pub use hpf_runtime::{
     AdaptReport, AnalysisVerdict, Assignment, Backend, CheckpointSpec, CkptError, Combine,
     CommAnalysis, CopyRun, DiagnosticKind, DistArray, ExecPlan, Fault, FaultPlan, FusedPair,
     FusionReport, PieceSrc, PlanCache, ProcPlan, Program, ProgramPlan, Property, Session,
-    SharedMemBackend, StatementReport, StatementTrace, Term, DIRECT_MIN_RUN,
+    SharedMemBackend, StatementReport, Term, DIRECT_MIN_RUN,
 };
 pub use hpf_template::{TemplateError, TemplateModel};

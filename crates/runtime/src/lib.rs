@@ -100,7 +100,6 @@ mod session;
 mod spmd;
 #[cfg(test)]
 mod testing;
-mod trace;
 pub mod verify;
 mod workspace;
 
@@ -127,7 +126,6 @@ pub use plan::{
 pub use program::{Program, ProgramStats};
 pub use remap::{remap_analysis, RemapAnalysis};
 pub use session::{Session, SessionReport};
-pub use trace::StatementTrace;
 pub use verify::{
     verify_plan, verify_program_plan, Diagnostic, DiagnosticKind, FusionReport, Property,
     StatementReport, VerifyReport, VerifyStats,

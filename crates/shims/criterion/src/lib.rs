@@ -1,9 +1,9 @@
 //! Offline shim for the `criterion` benchmark harness.
 //!
 //! The build environment has no crates.io access, so this crate implements
-//! the slice of criterion's API that the `b01`–`b11` bench targets use:
-//! `Criterion`, `benchmark_group`/`bench_function`/`bench_with_input`,
-//! `Bencher::{iter, iter_batched}`, `BenchmarkId`, `BatchSize`,
+//! the slice of criterion's API that the `hpf-bench` bench targets use:
+//! `Criterion::benchmark_group`, the group's `sample_size`/`bench_function`/
+//! `bench_with_input`/`finish`, `Bencher::iter`, `BenchmarkId::new`,
 //! `black_box`, and the `criterion_group!`/`criterion_main!` macros.
 //!
 //! Measurement is deliberately lightweight: each benchmark is warmed up
@@ -26,18 +26,6 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// How `iter_batched` amortizes setup cost. The shim times routine calls
-/// individually regardless, so the variants only document intent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One batch per iteration.
-    PerIteration,
-}
-
 /// A benchmark identifier composed of a function name and a parameter.
 #[derive(Debug, Clone)]
 pub struct BenchmarkId {
@@ -48,11 +36,6 @@ impl BenchmarkId {
     /// `BenchmarkId::new("sort", 1024)` → `sort/1024`.
     pub fn new<S: fmt::Display, P: fmt::Display>(function_name: S, parameter: P) -> Self {
         BenchmarkId { id: format!("{function_name}/{parameter}") }
-    }
-
-    /// An id with no function name, only a parameter.
-    pub fn from_parameter<P: fmt::Display>(parameter: P) -> Self {
-        BenchmarkId { id: parameter.to_string() }
     }
 }
 
@@ -118,30 +101,6 @@ impl Bencher {
         }
         self.result = Some((iters, total));
     }
-
-    /// Time a routine whose per-call input comes from an untimed setup.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        if self.smoke {
-            let input = setup();
-            black_box(routine(input));
-            self.result = Some((1, Duration::ZERO));
-            return;
-        }
-        let mut iters: u64 = 0;
-        let mut total = Duration::ZERO;
-        while (total < self.budget && iters < 1_000_000) || iters == 0 {
-            let input = setup();
-            let t = Instant::now();
-            black_box(routine(input));
-            total += t.elapsed();
-            iters += 1;
-        }
-        self.result = Some((iters, total));
-    }
 }
 
 fn run_one(label: &str, smoke: bool, budget: Duration, f: &mut dyn FnMut(&mut Bencher)) {
@@ -175,27 +134,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Override the wall-clock measurement budget per benchmark.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.budget = d;
-        self
-    }
-
-    /// Accepted for API compatibility; the shim is budget-based.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Run a single benchmark.
-    pub fn bench_function<N, F>(&mut self, id: N, mut f: F) -> &mut Self
-    where
-        N: IntoBenchmarkId,
-        F: FnMut(&mut Bencher),
-    {
-        run_one(&id.into_id(), self.smoke, self.budget, &mut f);
-        self
-    }
-
     /// Open a named group of related benchmarks.
     pub fn benchmark_group<N: IntoBenchmarkId>(&mut self, name: N) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -219,12 +157,6 @@ pub struct BenchmarkGroup<'a> {
 impl<'a> BenchmarkGroup<'a> {
     /// Accepted for API compatibility; the shim is budget-based.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Override the wall-clock measurement budget per benchmark.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.budget = d;
         self
     }
 
@@ -283,9 +215,9 @@ mod tests {
     fn bencher_counts_iterations() {
         let mut c = Criterion { smoke: false, budget: Duration::from_millis(2) };
         let mut calls = 0u64;
-        c.bench_function("calls", |b| b.iter(|| calls += 1));
-        assert!(calls > 0);
         let mut g = c.benchmark_group("g");
+        g.bench_function("calls", |b| b.iter(|| calls += 1));
+        assert!(calls > 0);
         g.sample_size(10)
             .bench_with_input(BenchmarkId::new("sum", 4), &4u64, |b, &n| {
                 b.iter(|| (0..n).sum::<u64>())
@@ -297,10 +229,9 @@ mod tests {
     fn smoke_mode_runs_once() {
         let mut c = Criterion { smoke: true, budget: Duration::from_millis(100) };
         let mut calls = 0u64;
-        c.bench_function("once", |b| b.iter(|| calls += 1));
+        let mut g = c.benchmark_group("g");
+        g.bench_function("once", |b| b.iter(|| calls += 1));
         assert_eq!(calls, 1);
-        c.bench_function("batched", |b| {
-            b.iter_batched(|| 3u64, |x| x * 2, BatchSize::LargeInput)
-        });
+        g.finish();
     }
 }

@@ -14,6 +14,7 @@
 //!
 //! Run with: `cargo run --release --example staggered_grid`
 
+use hpf::machine::SuperstepReport;
 use hpf::prelude::*;
 use std::sync::Arc;
 
@@ -79,7 +80,14 @@ fn statement(maps: &[Arc<EffectiveDist>]) -> Assignment {
     .expect("conforming sections")
 }
 
-fn run_scheme(label: &str, maps: Vec<Arc<EffectiveDist>>, machine: &Machine) -> StatementTrace {
+/// One row of the table: a scheme, its remote-read fraction and its price.
+struct Row {
+    label: &'static str,
+    remote_fraction: f64,
+    report: SuperstepReport,
+}
+
+fn run_scheme(label: &'static str, maps: Vec<Arc<EffectiveDist>>, machine: &Machine) -> Row {
     let np = machine.np();
     let stmt = statement(&maps);
 
@@ -96,7 +104,12 @@ fn run_scheme(label: &str, maps: Vec<Arc<EffectiveDist>>, machine: &Machine) -> 
     session.run(1).expect("execution");
     assert_eq!(session.program().arrays[0].to_dense(), expect, "{label}: numerics must match");
 
-    StatementTrace::new(label, (*session.last_analyses()[0]).clone(), machine)
+    let analysis = &session.last_analyses()[0];
+    Row {
+        label,
+        remote_fraction: analysis.remote_fraction(),
+        report: machine.superstep_time(&analysis.loads, &analysis.comm),
+    }
 }
 
 fn main() {
@@ -110,7 +123,10 @@ fn main() {
         "staggered grid, N = {N}, {np} processors ({NP_SIDE}x{NP_SIDE} mesh)\n\
          statement: P = U(0:N-1,:) + U(1:N,:) + V(:,0:N-1) + V(:,1:N)\n"
     );
-    println!("{}", StatementTrace::header());
+    println!(
+        "{:<28} {:>8} {:>12} {:>10} {:>14}",
+        "scheme", "msgs", "elements", "remote%", "est.time"
+    );
 
     let rows = vec![
         run_scheme(
@@ -131,7 +147,14 @@ fn main() {
         ),
     ];
     for r in &rows {
-        println!("{}", r.row());
+        println!(
+            "{:<28} {:>8} {:>12} {:>9.1}% {:>12.1}µs",
+            r.label,
+            r.report.messages,
+            r.report.elements,
+            r.remote_fraction * 100.0,
+            r.report.total_time(),
+        );
     }
 
     let worst = &rows[0];

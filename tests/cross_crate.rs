@@ -64,10 +64,10 @@ fn staggered_program_through_all_crates() {
 
     // machine pricing: boundary exchange only
     let machine = Machine::new(4, Topology::Mesh2D { rows: 2, cols: 2 }, CostModel::default());
-    let trace = StatementTrace::new("direct blocks", (*analysis).clone(), &machine);
-    assert!(trace.analysis.remote_fraction() < 0.1);
-    assert!(trace.report.comm_time > 0.0);
-    assert!(trace.report.compute_time > 0.0);
+    let report = machine.superstep_time(&analysis.loads, &analysis.comm);
+    assert!(analysis.remote_fraction() < 0.1);
+    assert!(report.comm_time > 0.0);
+    assert!(report.compute_time > 0.0);
 }
 
 /// The same pipeline under a thread bound, checking bit-equality.

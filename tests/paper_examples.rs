@@ -193,109 +193,6 @@ fn s811_staggered_grid_direct_blocks() {
     assert!(analysis.remote_fraction() < 0.05, "{}", analysis.remote_fraction());
 }
 
-/// §8.1.1 contrast: the same code with a (CYCLIC,CYCLIC) template is 100%
-/// remote — "different processor allocations for any two neighbors".
-#[test]
-fn s811_cyclic_template_worst_case() {
-    let n = 16i64;
-    let np = 4usize;
-    let mut tm = TemplateModel::new(np);
-    tm.declare_processors("G", IndexDomain::of_shape(&[2, 2]).unwrap()).unwrap();
-    let t = tm
-        .template("T", IndexDomain::standard(&[(0, 2 * n), (0, 2 * n)]).unwrap())
-        .unwrap();
-    let p = tm.array("P", IndexDomain::standard(&[(1, n), (1, n)]).unwrap()).unwrap();
-    let u = tm.array("U", IndexDomain::standard(&[(0, n), (1, n)]).unwrap()).unwrap();
-    let v = tm.array("V", IndexDomain::standard(&[(1, n), (0, n)]).unwrap()).unwrap();
-    let d = AlignExpr::dummy;
-    tm.align(p, t, &AlignSpec::with_exprs(2, vec![d(0) * 2 - 1, d(1) * 2 - 1])).unwrap();
-    tm.align(u, t, &AlignSpec::with_exprs(2, vec![d(0) * 2, d(1) * 2 - 1])).unwrap();
-    tm.align(v, t, &AlignSpec::with_exprs(2, vec![d(0) * 2 - 1, d(1) * 2])).unwrap();
-    tm.distribute(
-        t,
-        &DistributeSpec::to(vec![FormatSpec::Cyclic(1), FormatSpec::Cyclic(1)], "G"),
-    )
-    .unwrap();
-
-    let maps = vec![
-        tm.resolve(p).unwrap(),
-        tm.resolve(u).unwrap(),
-        tm.resolve(v).unwrap(),
-    ];
-    let doms: Vec<&IndexDomain> = maps.iter().map(|m| m.domain()).collect();
-    let stmt = Assignment::new(
-        0,
-        Section::from_triplets(vec![span(1, n), span(1, n)]),
-        vec![
-            Term::new(1, Section::from_triplets(vec![span(0, n - 1), span(1, n)])),
-            Term::new(1, Section::from_triplets(vec![span(1, n), span(1, n)])),
-            Term::new(2, Section::from_triplets(vec![span(1, n), span(0, n - 1)])),
-            Term::new(2, Section::from_triplets(vec![span(1, n), span(1, n)])),
-        ],
-        Combine::Sum,
-        &doms,
-    )
-    .unwrap();
-    let analysis = comm_analysis(&maps, np, &stmt);
-    assert_eq!(
-        analysis.remote_fraction(),
-        1.0,
-        "every operand read must be remote under the cyclic template"
-    );
-}
-
-/// §8.1.1 footnote: Vienna vs HPF BLOCK differ — "with the HPF definition,
-/// this will cause a problem if and only if the number of processors
-/// divides N exactly". When NP | N, U(0:N) has N+1 elements and HPF's
-/// q = ⌈(N+1)/NP⌉ = N/NP + 1 makes U's block boundaries drift away from
-/// P's, turning the 1-D stencil P(i) = U(i-1) + U(i) heavily remote;
-/// Vienna's balanced blocks (and HPF blocks when NP ∤ N) keep it to the
-/// unavoidable ghost boundary.
-#[test]
-fn s811_footnote_block_definitions() {
-    let np = 4usize;
-    let stencil_remote = |n: i64, fmt: FormatSpec| -> u64 {
-        let mut ds = DataSpace::new(np);
-        let p = ds.declare("P", IndexDomain::standard(&[(1, n)]).unwrap()).unwrap();
-        let u = ds.declare("U", IndexDomain::standard(&[(0, n)]).unwrap()).unwrap();
-        ds.distribute(p, &DistributeSpec::new(vec![fmt.clone()])).unwrap();
-        ds.distribute(u, &DistributeSpec::new(vec![fmt])).unwrap();
-        let maps = vec![ds.effective(p).unwrap(), ds.effective(u).unwrap()];
-        let doms: Vec<&IndexDomain> = maps.iter().map(|m| m.domain()).collect();
-        // P(1:N) = U(0:N-1) + U(1:N)
-        let stmt = Assignment::new(
-            0,
-            Section::from_triplets(vec![span(1, n)]),
-            vec![
-                Term::new(1, Section::from_triplets(vec![span(0, n - 1)])),
-                Term::new(1, Section::from_triplets(vec![span(1, n)])),
-            ],
-            Combine::Sum,
-            &doms,
-        )
-        .unwrap();
-        comm_analysis(&maps, np, &stmt).remote_reads
-    };
-    let hpf_divisible = stencil_remote(16, FormatSpec::Block); // NP | N
-    let hpf_coprime = stencil_remote(15, FormatSpec::Block); // NP ∤ N
-    let vienna_divisible = stencil_remote(16, FormatSpec::BlockBalanced);
-    assert!(
-        hpf_divisible > hpf_coprime,
-        "HPF BLOCK must degrade exactly when NP | N: {hpf_divisible} vs {hpf_coprime}"
-    );
-    assert!(
-        hpf_divisible > vienna_divisible,
-        "Vienna BLOCK avoids the NP | N problem: {hpf_divisible} vs {vienna_divisible}"
-    );
-    // scale check: the drift grows with NP | N across sizes
-    for n in [32i64, 64, 128] {
-        assert!(
-            stencil_remote(n, FormatSpec::Block) > stencil_remote(n - 1, FormatSpec::Block),
-            "N = {n}"
-        );
-    }
-}
-
 /// §8.1.2: the dummy inheriting `A(2:996:2)` from `A(1000) CYCLIC(3)`;
 /// inheritance is free, the alternative `ALIGN X(I) WITH A(2*I)` rendering
 /// describes the same mapping.

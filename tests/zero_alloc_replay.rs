@@ -63,7 +63,7 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A 2-statement iterated program: a 2-D 5-point-flavored stencil sweep
 /// plus a 1-D-sectioned copy-back, over block-distributed arrays on a
-/// 2 × 2 grid — the `b12`/`b13` warm-replay shape. At `n = 24` every
+/// 2 × 2 grid — the `b13` warm-replay shape. At `n = 24` every
 /// processor's column runs are 11–12 elements, so all operands are staged;
 /// [`DIRECT_N`] makes them long enough to be read in place.
 fn stencil_program(n: i64) -> Program {
