@@ -2,9 +2,8 @@
 //!
 //! Every entry is the ratio of two measurements taken in this process on
 //! this machine, so the gate needs no committed baseline and means the
-//! same on any runner. The workloads come from [`hpf_bench::replay`], the
-//! builders the `b13`–`b16` benches use, so the gate polices exactly what
-//! the benches report:
+//! same on any runner. The workloads come from [`hpf_bench::replay`]; the
+//! entry sets keep the names of the claims that introduced them:
 //!
 //! * `b13` — warm one-statement `Session` steps on the `SharedMem`
 //!   backend: the cyclic against the block shift, compressed against
@@ -25,7 +24,7 @@
 //! cargo run --release -p hpf-bench --bin bench_gate
 //! ```
 //!
-//! `CRITERION_SMOKE=1` shortens the measurement windows.
+//! Each timed rate is the best of three 120 ms windows after one warm-up.
 
 use hpf_bench::replay::{
     arrays_1d, arrays_2d, cyclic_transpose, dense_stencil_step, replay_elements, shift_1d,
@@ -156,8 +155,7 @@ fn measure_b14(budget: Duration, reps: usize) -> Vec<Entry> {
 
 /// The b15 set: the whole-timestep fusion workload through the fused
 /// program plan against the per-statement path — the fusion layer's
-/// payoff (coalesced messages, clean cyclic ghosts never re-sent; the
-/// `b15_program_fusion` bench asserts the ghosts are skipped).
+/// payoff (coalesced messages, clean cyclic ghosts never re-sent).
 fn measure_b15(budget: Duration, reps: usize) -> Vec<Entry> {
     use hpf_bench::replay::fusion_timestep;
     use hpf_runtime::{Program, Session};
@@ -183,6 +181,11 @@ fn measure_b15(budget: Duration, reps: usize) -> Vec<Entry> {
     let unfused_rate = measure(elems, budget, reps, || {
         unfused.run(1).unwrap();
     });
+    let fs = fused.program().fusion_stats();
+    assert!(
+        fs.ghost_bytes_avoided() > 0,
+        "warm fused timesteps must skip the clean cyclic ghosts: {fs}"
+    );
 
     // warm fused replay must beat the per-statement path by a clear
     // margin or the fusion layer is not paying for itself
@@ -240,9 +243,7 @@ fn render_json(bench: &str, entries: &[Entry]) -> String {
 }
 
 fn main() {
-    let smoke = std::env::var_os("CRITERION_SMOKE").is_some();
-    let (budget, reps) =
-        if smoke { (Duration::from_millis(40), 2) } else { (Duration::from_millis(120), 3) };
+    let (budget, reps) = (Duration::from_millis(120), 3);
     let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| ".".into());
 
     let sets = [

@@ -1,6 +1,7 @@
-//! Shared experiment scenarios for the benchmark harness, and the paper's
-//! tables E1–E10 with their claims checked ([`paper`], printed by the
-//! `repro` binary). Each function builds one of the DESIGN.md §E workloads.
+//! The paper's tables E1–E10 with their claims checked ([`paper`], printed
+//! by the `repro` binary), the mappings and statements they are built from,
+//! and the replay workloads the `bench_gate` perf gate measures
+//! ([`replay`]).
 
 #![forbid(unsafe_code)]
 
@@ -109,9 +110,8 @@ pub fn random_weights(n: usize, max_w: u64, seed: u64) -> Vec<u64> {
     (0..n).map(|_| rng.random_range(1..=max_w)).collect()
 }
 
-/// The b13/b14 replay workload set, shared by `b13_replay_throughput`,
-/// `b14_backend_exchange`, and the `bench_gate` CI harness so the gate
-/// always measures exactly what the benches report.
+/// The replay workloads the `bench_gate` perf gate measures: its b13–b16
+/// entry sets are built from these and nothing else.
 pub mod replay {
     use hpf_core::{DataSpace, DistributeSpec, FormatSpec};
     use hpf_index::{span, IndexDomain, Section};

@@ -612,7 +612,9 @@ pub fn e6() -> Table {
 
 // ---------------------------------------------------------------- E7
 
-/// E7 (§8.2): the two language problems of templates, executed.
+/// E7 (§8.2): the two language problems of templates, executed, and the
+/// structural cost behind them: a template model resolves an owner through
+/// an align chain of any height, the paper's forest through one level.
 pub fn e7() -> Table {
     let mut tm = TemplateModel::new(4);
     let allocatable_template = tm.allocatable_template("T").err().map(|e| e.to_string());
@@ -641,6 +643,32 @@ pub fn e7() -> Table {
     let histogram: Vec<usize> =
         inquiry::ownership_histogram(local, x).unwrap().iter().map(|&(_, n)| n).collect();
 
+    // A(I) → B(2I) → T(2I) in the template model; the forest composes it
+    // into the one alignment A(I) → TB(4I). Same CYCLIC(3) target.
+    let n = 10_000i64;
+    let by = |k: i64| AlignSpec::with_exprs(1, vec![AlignExpr::dummy(0) * k]);
+    let cyclic3 = DistributeSpec::new(vec![FormatSpec::Cyclic(3)]);
+    let mut chained = TemplateModel::new(8);
+    let ct = chained.template("T", IndexDomain::standard(&[(1, 4 * n)]).unwrap()).unwrap();
+    let cb = chained.array("B", IndexDomain::standard(&[(1, 2 * n)]).unwrap()).unwrap();
+    let ca = chained.array("A", IndexDomain::standard(&[(1, n)]).unwrap()).unwrap();
+    chained.align(cb, ct, &by(2)).unwrap();
+    chained.align(ca, cb, &by(2)).unwrap();
+    chained.distribute(ct, &cyclic3).unwrap();
+    let (root, chain_depth) = chained.ultimate_target(ca);
+    let root = chained.name(root);
+    let chain = chained.resolve(ca).unwrap();
+    let mut ds = DataSpace::new(8);
+    let tb = declare(&mut ds, "TB", &[(1, 4 * n)]);
+    let af = declare(&mut ds, "A", &[(1, n)]);
+    ds.distribute(tb, &cyclic3).unwrap();
+    ds.align(af, tb, &by(4)).unwrap();
+    let forest_depth = std::iter::successors(ds.base_of(af), |&x| ds.base_of(x)).count();
+    let flat = ds.effective(af).unwrap();
+    let indices: Vec<i64> = (1..=n).collect();
+    let same_owners = |&i: &i64| chain.owners(&Idx::d1(i)) == flat.owners(&Idx::d1(i));
+    let differing = indices.iter().filter(|i| !same_owners(i)).count();
+
     let said = |e: &Option<String>| e.clone().unwrap_or_else(|| "accepted".into());
     let shapes: Vec<usize> = allocations.iter().map(|a| a.0).collect();
     let lines = vec![
@@ -650,6 +678,10 @@ pub fn e7() -> Table {
         "\nproblem 2: templates cannot be passed across procedure boundaries".into(),
         format!("  template model: {}", said(&template_dummy)),
         format!("  paper's model: X's mapping inside SUB is {kind:?}, {histogram:?} on P1..P4"),
+        format!("\nresolution: A({n}) CYCLIC(3) over 8 processors"),
+        format!("  template model: A → B → T resolves at depth {chain_depth}, to {root}"),
+        format!("  paper's model: A → TB resolves at depth {forest_depth}"),
+        format!("  owners differ at {differing} of {n} indices"),
     ];
     Table {
         title: "E7 — §8.2: \"Language Problems with Templates\", executed",
@@ -674,6 +706,16 @@ pub fn e7() -> Table {
                 "the paper's model does: X inherits A(2:996:2)'s mapping, all 498 elements",
                 &[(kind, histogram.iter().sum::<usize>())],
                 |&(kind, total)| kind == MappingKind::Inherited && total == 498,
+            ),
+            every(
+                "an owner lookup walks 2 ALIGN levels to the template, 1 in the forest (§8.2)",
+                &[(root, chain_depth, forest_depth)],
+                |&(root, chain, forest)| root == "T" && chain == 2 && forest == 1,
+            ),
+            every(
+                "both resolve A to the same owners, at every index",
+                &indices,
+                same_owners,
             ),
         ],
     }

@@ -30,7 +30,8 @@
 //! `--checkpoint-dir` the session writes distributed snapshots on a
 //! cadence, and on an exchange fault (injected via `--inject` or real)
 //! performs restore-and-replay recovery with bounded retries.
-//! `--resume` restores the newest snapshot first and runs only the
+//! `--resume` restores the newest snapshot that verifies first (a newer,
+//! torn one is skipped with a note on stderr) and runs only the
 //! remaining timesteps — even under a different `--np` or distribution
 //! than the checkpoint was written with. `--adapt` arms the adaptive
 //! redistribution controller: between timesteps it watches the
@@ -91,8 +92,9 @@ fn usage() -> ! {
          \x20            state into D (restore-and-replay on exchange faults)\n\
          --checkpoint-every N checkpoint cadence in timesteps (default 1;\n\
          \x20            0 = only the baseline and final snapshots)\n\
-         --resume     restore the newest checkpoint under D first and run\n\
-         \x20            only the remaining timesteps (any --np/distribution)\n\
+         --resume     restore the newest checkpoint under D that verifies\n\
+         \x20            first and run only the remaining timesteps (any\n\
+         \x20            --np/distribution)\n\
          --inject SPEC        arm deterministic fault injection, e.g.\n\
          \x20            'kill:rank=1,step=2' or 'drop:from=0,to=2,step=1';\n\
          \x20            repeatable\n\
@@ -292,6 +294,9 @@ fn main() -> ExitCode {
             if args.resume {
                 match session.program_mut().restore_latest(Path::new(dir)) {
                     Ok(r) => {
+                        for (snapshot, why) in &r.skipped {
+                            eprintln!("hpfrun: skipped checkpoint {}: {why}", snapshot.display());
+                        }
                         writeln!(out,
                             "resumed from checkpoint at timestep {} ({} array(s), {})",
                             r.timestep,

@@ -117,6 +117,34 @@ impl Elaborator {
     }
 }
 
+/// Storage below this many bytes is not probed. Releasing a probe of
+/// 128 KiB to 32 MiB raises glibc's mmap threshold, which moves later
+/// allocations from `mmap` to the heap and raises a small program's peak
+/// RSS; an allocation this small fails only when the process is out of
+/// memory altogether.
+const PROBE_MIN_BYTES: usize = 64 << 20;
+
+/// Refuse an array whose storage cannot be allocated, at its declaration
+/// or `ALLOCATE` — before any statement is evaluated over it. Lowering
+/// needs at least one `f64` per element: reserving that much, and
+/// releasing it unused, proves the byte count fits `isize` and the
+/// allocator grants it.
+fn check_storage(name: &str, dom: &IndexDomain) -> Result<(), FrontendError> {
+    if dom.size().saturating_mul(std::mem::size_of::<f64>()) < PROBE_MIN_BYTES {
+        return Ok(());
+    }
+    let mut probe = Vec::<f64>::new();
+    probe.try_reserve_exact(dom.size()).map_err(|e| {
+        FrontendError::Eval(format!(
+            "`{name}{dom}` needs {} element(s) of storage: {e}",
+            dom.size()
+        ))
+    })?;
+    // the reservation must happen, not be folded into a known success
+    std::hint::black_box(&probe);
+    Ok(())
+}
+
 struct Ctx {
     space: DataSpace,
     env: Env,
@@ -193,9 +221,11 @@ impl Ctx {
                         self.space.redistribute(id, &spec)?;
                         let after = self.space.effective(id).map_err(FrontendError::Semantic)?;
                         let moved = before.remap_volume(&after);
-                        self.report
-                            .events
-                            .push(Event::Redistributed { name: name.clone(), moved });
+                        self.report.events.push(Event::Redistributed {
+                            name: name.clone(),
+                            moved,
+                            span: s.span,
+                        });
                     } else {
                         self.space.distribute(id, &spec)?;
                         self.report.events.push(Event::Distributed {
@@ -219,6 +249,7 @@ impl Ctx {
                         alignee: alignee.clone(),
                         base: base.clone(),
                         moved,
+                        span: s.span,
                     });
                 } else {
                     self.space.align(a, b, &spec)?;
@@ -241,6 +272,7 @@ impl Ctx {
                 for (name, dims) in allocs {
                     let id = self.array(name, line)?;
                     let dom = self.env.eval_shape(dims)?;
+                    check_storage(name, &dom)?;
                     self.env.array_bounds.insert(
                         name.clone(),
                         dom.dims().iter().map(|t| (t.lower(), t.upper())).collect(),
@@ -610,6 +642,7 @@ impl Ctx {
             }
             Some(ds) => {
                 let dom = self.env.eval_shape(ds)?;
+                check_storage(name, &dom)?;
                 self.env.array_bounds.insert(
                     name.to_string(),
                     dom.dims().iter().map(|t| (t.lower(), t.upper())).collect(),
@@ -766,7 +799,9 @@ impl Ctx {
 
     /// Elaborate a `CALL`: build the §7 procedure definition from the
     /// subroutine's specification part, enter the frame, execute the body's
-    /// dynamic directives, and exit (restoring distributions).
+    /// dynamic directives, and exit (restoring distributions). The body's
+    /// executable statements are recorded as [`Event::CallBody`], not
+    /// executed.
     fn call(&mut self, name: &str, args: &[ArrayRef], line: usize) -> Result<(), FrontendError> {
         let unit = self
             .subroutines
@@ -967,6 +1002,22 @@ impl Ctx {
 
         let report = frame.exit()?;
         self.report.events.push(Event::Call(report));
+        for s in &unit.stmts {
+            if matches!(
+                s.stmt,
+                Stmt::ArrayAssign { .. }
+                    | Stmt::ScalarAssign { .. }
+                    | Stmt::Forall { .. }
+                    | Stmt::Call { .. }
+                    | Stmt::Allocate(_)
+                    | Stmt::Deallocate(_)
+                    | Stmt::Read(_)
+            ) {
+                self.report
+                    .events
+                    .push(Event::CallBody { procedure: name.to_string(), span: s.span });
+            }
+        }
         Ok(())
     }
 }

@@ -210,7 +210,10 @@ impl Env {
         }
     }
 
-    /// Evaluate a declaration shape to an index domain.
+    /// Evaluate a declaration shape to an index domain. Each extent and
+    /// the element count are checked arithmetic: a shape whose extent
+    /// overflows `i64`, or whose element count overflows `usize`, is an
+    /// error, never a wrapped size.
     pub fn eval_shape(&self, dims: &[DimDecl]) -> Result<IndexDomain, FrontendError> {
         let mut bounds = Vec::with_capacity(dims.len());
         for d in dims {
@@ -226,12 +229,22 @@ impl Env {
                         None => 1,
                     };
                     let up = self.eval(upper)?;
+                    if up >= lo {
+                        checked(up.checked_sub(lo).and_then(|n| n.checked_add(1)))?;
+                    }
                     bounds.push((lo, up));
                 }
             }
         }
-        IndexDomain::standard(&bounds)
-            .map_err(|e| FrontendError::Eval(e.to_string()))
+        let dom =
+            IndexDomain::standard(&bounds).map_err(|e| FrontendError::Eval(e.to_string()))?;
+        let counted = dom.dims().iter().try_fold(1usize, |n, t| n.checked_mul(t.len()));
+        if counted.is_none() && !dom.is_empty() {
+            return Err(FrontendError::Eval(format!(
+                "shape {dom} has more than usize::MAX elements"
+            )));
+        }
+        Ok(dom)
     }
 
     /// Evaluate a section reference against its parent domain, applying
@@ -403,5 +416,22 @@ mod tests {
             .unwrap();
         assert_eq!(sec.rank(), 1);
         assert_eq!(sec.size(), 65);
+    }
+
+    #[test]
+    fn shapes_whose_size_overflows_are_errors() {
+        let e = env();
+        let dim = |lo: &str, up: &str| DimDecl::Explicit {
+            lower: Some(expr_of(lo)),
+            upper: expr_of(up),
+        };
+        let extent = e.eval_shape(&[dim("-9223372036854775807", "9223372036854775807")]);
+        assert_eq!(extent.unwrap_err().to_string(), "specification expression: integer overflow");
+        let huge = dim("1", "100000000000");
+        let count = e.eval_shape(&[huge.clone(), huge.clone()]);
+        assert!(count.unwrap_err().to_string().contains("more than usize::MAX"));
+        // an empty dimension makes the whole shape empty, however large the rest
+        let empty = e.eval_shape(&[huge.clone(), huge, dim("1", "0")]);
+        assert_eq!(empty.unwrap().size(), 0);
     }
 }

@@ -11,10 +11,14 @@
 //! unchanged.
 //!
 //! Lowering is total in the same way the recovering frontend is: every
-//! problem (a non-conforming assignment, a fill after the timestep
-//! statements began, a scalar in an array statement) is reported as a
-//! span-carrying [`SourceDiagnostic`] and the rest of the program is still
-//! built, so a driver can render all defects in one run.
+//! problem (a non-conforming assignment, a fill or a remap after the
+//! timestep statements began, a statement in a called subroutine's body,
+//! a scalar in an array statement) is reported as a span-carrying
+//! [`SourceDiagnostic`] and the rest of the program is still built, so a
+//! tool such as `hpfrun` can render all defects in one run. A statement
+//! lowering cannot run where it stands is refused, never dropped: every
+//! array is built under its final mapping, and only the main unit's
+//! assignments run.
 
 use crate::elaborate::Elaboration;
 use crate::error::FrontendError;
@@ -216,6 +220,31 @@ impl Lowerer {
                         )),
                     }
                 }
+                Event::Redistributed { span, .. } | Event::Realigned { span, .. }
+                    if !statements.is_empty() =>
+                {
+                    diags.push(SourceDiagnostic::new(
+                        FrontendError::Parse {
+                            line: span.line,
+                            what: "remap after an array assignment — every statement runs \
+                                   under the final mapping and the remap itself never \
+                                   runs; remaps must precede the timestep statements"
+                                .into(),
+                        },
+                        *span,
+                    ));
+                }
+                Event::CallBody { procedure, span } => diags.push(SourceDiagnostic::new(
+                    FrontendError::Parse {
+                        line: span.line,
+                        what: format!(
+                            "executable statement in the body of SUBROUTINE {procedure} — \
+                             a CALL applies only the body's specification part and \
+                             mapping directives, so this statement would never run"
+                        ),
+                    },
+                    *span,
+                )),
                 _ => {}
             }
         }
@@ -329,5 +358,36 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].to_string().contains("fill of `B` after"), "{}", diags[0]);
         assert_eq!(diags[0].span.line, 5);
+    }
+
+    #[test]
+    fn specification_only_calls_and_early_remaps_still_lower() {
+        let src = "\
+      PROGRAM DEMO
+      PARAMETER (N = 16)
+      REAL A(N), B(N)
+!HPF$ DYNAMIC A
+!HPF$ DISTRIBUTE (BLOCK) :: A, B
+      FORALL (I = 1:N) A(I) = I
+!HPF$ REDISTRIBUTE A(CYCLIC)
+      CALL SUB(A)
+      B(2:N) = A(1:N-1)
+!HPF$ REDISTRIBUTE A(CYCLIC(2))
+      CALL SUB(A)
+      END
+
+      SUBROUTINE SUB(X)
+      REAL X(16)
+!HPF$ DISTRIBUTE X(CYCLIC(3))
+      END
+";
+        let (_, diags) = lower_src(src);
+        assert_eq!(diags.len(), 1, "only the remap after the assignment: {diags:?}");
+        assert_eq!(diags[0].span.line, 10);
+        let clean = src.replace("!HPF$ REDISTRIBUTE A(CYCLIC(2))\n", "");
+        let (mut low, diags) = lower_src(&clean);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(low.statements.len(), 1);
+        low.run_verified(2, Backend::SharedMem).unwrap();
     }
 }

@@ -61,6 +61,8 @@ pub enum Event {
         name: String,
         /// Elements whose owner changed.
         moved: usize,
+        /// Source span of the directive.
+        span: Span,
     },
     /// A `REALIGN` executed.
     Realigned {
@@ -70,6 +72,8 @@ pub enum Event {
         base: String,
         /// Elements whose owner changed.
         moved: usize,
+        /// Source span of the directive.
+        span: Span,
     },
     /// A `READ` bound an input value.
     Read {
@@ -80,6 +84,15 @@ pub enum Event {
     },
     /// A `CALL` completed, with its §7 remap accounting.
     Call(CallReport),
+    /// An executable statement in the body of a called subroutine. A
+    /// `CALL` applies the body's specification part and mapping
+    /// directives only, so the statement is recorded, not executed.
+    CallBody {
+        /// The subroutine.
+        procedure: String,
+        /// Source span of the statement.
+        span: Span,
+    },
     /// An array assignment was recognized (to be executed by the runtime).
     Assignment(AssignEvent),
     /// A scalar-valued fill was resolved (to initialize runtime storage).
@@ -177,15 +190,18 @@ impl fmt::Display for Event {
                 }
                 Ok(())
             }
-            Event::Redistributed { name, moved } => {
+            Event::Redistributed { name, moved, .. } => {
                 write!(f, "REDISTRIBUTE {name} ({moved} elements moved)")
             }
-            Event::Realigned { alignee, base, moved } => {
+            Event::Realigned { alignee, base, moved, .. } => {
                 write!(f, "REALIGN {alignee} WITH {base} ({moved} elements moved)")
             }
             Event::Read { name, value } => write!(f, "READ {name} = {value}"),
             Event::Call(r) => {
                 write!(f, "CALL {} ({} elements moved across boundary)", r.procedure, r.total_volume())
+            }
+            Event::CallBody { procedure, span } => {
+                write!(f, "CALL {procedure}: line {} of the body not executed", span.line)
             }
             Event::Assignment(a) => {
                 write!(f, "{}{} = ", a.lhs_name, a.lhs_section)?;

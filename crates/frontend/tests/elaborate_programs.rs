@@ -146,7 +146,7 @@ fn section6_allocatable_program_verbatim() {
         .report
         .events
         .iter()
-        .any(|e| matches!(e, Event::Redistributed { name, moved } if name == "C" && *moved > 0)));
+        .any(|e| matches!(e, Event::Redistributed { name, moved, .. } if name == "C" && *moved > 0)));
 }
 
 #[test]

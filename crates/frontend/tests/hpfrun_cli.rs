@@ -65,6 +65,22 @@ fn usage_errors_exit_two_before_anything_runs() {
 }
 
 #[test]
+fn a_fault_report_counts_ranks_as_inject_does() {
+    let out = hpfrun(&[
+        &program("relaxation"),
+        "--backend",
+        "channels",
+        "--steps",
+        "4",
+        "--inject",
+        "kill:rank=1,step=2",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{}{err}", stdout(&out));
+    assert!(err.contains("SPMD worker rank 1 died mid-superstep (superstep 2)"), "{err}");
+}
+
+#[test]
 fn integer_overflow_is_a_located_diagnostic() {
     let path = format!("{}/hpfrun_cli_overflow.hpf", env!("CARGO_TARGET_TMPDIR"));
     std::fs::write(
@@ -107,4 +123,103 @@ fn a_closed_pipe_is_not_an_error() {
         assert_eq!(code, Some(0), "{exe} {args:?}: the unpiped status; stderr: {err}");
         assert!(err.is_empty(), "{exe} {args:?} said: {err}");
     }
+}
+
+/// Write `text` to a scratch `.hpf` file named after `tag`.
+fn source(tag: &str, text: &str) -> String {
+    let path = format!("{}/hpfrun_cli_{tag}.hpf", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// `hpfrun` refused the source: exit 1, a diagnostic at `line` saying
+/// `says`, and no timestep ran.
+fn assert_refused(out: &Output, line: usize, says: &str) {
+    let err = stderr(out);
+    assert_eq!(out.status.code(), Some(1), "{}{err}", stdout(out));
+    assert!(err.contains(&format!("--> {line}:")), "names line {line}: {err}");
+    assert!(err.contains(says), "{err}");
+    assert!(!stdout(out).contains("sum"), "nothing ran: {}", stdout(out));
+}
+
+/// Run `hpfrun` on `args`, failing the test if it has not exited within
+/// `limit`.
+fn hpfrun_within(args: &[&str], limit: std::time::Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hpfrun"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("hpfrun runs");
+    let start = std::time::Instant::now();
+    while child.try_wait().expect("hpfrun status").is_none() {
+        if start.elapsed() > limit {
+            child.kill().expect("kill hpfrun");
+            let _ = child.wait();
+            panic!("hpfrun {args:?} still running after {limit:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("hpfrun exits")
+}
+
+#[test]
+fn a_statement_in_a_called_subroutine_body_is_refused() {
+    let path = source(
+        "call_body",
+        "      PROGRAM CALLS\n      REAL A(16), B(16)\n!HPF$ PROCESSORS P(4)\n\
+         !HPF$ DISTRIBUTE (BLOCK) TO P :: A, B\n      FORALL (I = 1:16) A(I) = I\n\
+         \x20     CALL SUB(A)\n      B(2:16) = A(1:15)\n      END\n\n\
+         \x20     SUBROUTINE SUB(X)\n      REAL X(16)\n!HPF$ DISTRIBUTE X(CYCLIC)\n\
+         \x20     X(2:16) = X(1:15)\n      END\n",
+    );
+    let out = hpfrun(&[&path, "--verify"]);
+    assert_refused(&out, 13, "body of SUBROUTINE SUB");
+}
+
+#[test]
+fn a_remap_after_an_assignment_is_refused() {
+    let path = source(
+        "late_remap",
+        "      PROGRAM REMAP\n      PARAMETER (N = 32)\n      REAL X(N), Y(N)\n\
+         !HPF$ PROCESSORS P(4)\n!HPF$ DYNAMIC X\n!HPF$ DISTRIBUTE X(BLOCK) TO P\n\
+         !HPF$ DISTRIBUTE Y(BLOCK) TO P\n      FORALL (I = 1:N) X(I) = I\n\
+         \x20     Y(2:N) = X(1:N-1)\n!HPF$ REDISTRIBUTE X(CYCLIC) TO P\n\
+         \x20     X(2:N) = Y(1:N-1)\n      END\n",
+    );
+    let out = hpfrun(&[&path, "--verify"]);
+    assert_refused(&out, 10, "remap after an array assignment");
+}
+
+const HUGE: &str = "      PROGRAM HUGE\n      REAL A(4000000000000000000)\n\
+                    !HPF$ DISTRIBUTE A(BLOCK)\n      END\n";
+
+#[test]
+fn a_declaration_too_large_to_address_is_a_located_diagnostic() {
+    let out = hpfrun(&[&source("huge", HUGE)]);
+    assert_refused(&out, 2, "capacity exceeded");
+}
+
+#[test]
+fn a_fill_of_a_huge_array_is_refused_before_it_is_evaluated() {
+    let path = source("huge_fill", &HUGE.replace("      END", "      A = 1\n      END"));
+    let out = hpfrun_within(&[&path], std::time::Duration::from_secs(10));
+    assert_refused(&out, 2, "capacity exceeded");
+}
+
+#[test]
+fn storage_the_allocator_refuses_is_a_located_diagnostic() {
+    let path = source(
+        "big",
+        "      PROGRAM BIG\n      REAL A(400000000000)\n!HPF$ DISTRIBUTE A(BLOCK)\n\
+         \x20     A(1:2) = 1\n      END\n",
+    );
+    // a 4 GB address-space limit on this one process: 3.2 TB of storage
+    // cannot be granted
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$1\""])
+        .args([env!("CARGO_BIN_EXE_hpfrun"), &path])
+        .output()
+        .expect("sh runs");
+    assert_refused(&out, 2, "memory allocation failed");
 }

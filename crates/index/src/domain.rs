@@ -83,8 +83,12 @@ impl IndexDomain {
         self.dims[d].len()
     }
 
-    /// Total number of indices (product of extents; 1 for rank 0).
+    /// Total number of indices (product of extents; 1 for rank 0, and 0
+    /// whenever an extent is, however large the others).
     pub fn size(&self) -> usize {
+        if self.is_empty() {
+            return 0;
+        }
         self.dims.iter().map(Triplet::len).product()
     }
 

@@ -125,14 +125,16 @@ impl ExchangeError {
     }
 }
 
+/// Ranks print zero-based, as `--inject` and [`ExchangeError::rank`] take
+/// them, and `step` prints as what it counts: the backend's superstep.
 impl std::fmt::Display for ExchangeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             ExchangeError::WorkerDied { rank, step } => {
-                write!(f, "SPMD worker {} died mid-superstep (step {step})", rank + 1)
+                write!(f, "SPMD worker rank {rank} died mid-superstep (superstep {step})")
             }
             ExchangeError::FleetDied { step } => {
-                write!(f, "every SPMD worker died mid-superstep (step {step})")
+                write!(f, "every SPMD worker died mid-superstep (superstep {step})")
             }
             ExchangeError::Wedged { step, waited_ms } => write!(
                 f,
@@ -142,17 +144,14 @@ impl std::fmt::Display for ExchangeError {
             ExchangeError::CorruptMessage { sender, receiver, step, got, expected } => {
                 write!(
                     f,
-                    "worker {}: message from {} at step {step} has {got} element(s), \
-                     schedule says {expected}",
-                    receiver + 1,
-                    sender + 1
+                    "worker rank {receiver}: message from rank {sender} in superstep {step} \
+                     has {got} element(s), schedule says {expected}"
                 )
             }
             ExchangeError::Misrouted { rank, step } => write!(
                 f,
-                "worker {}: received a message its schedule has no entry for \
-                 (step {step})",
-                rank + 1
+                "worker rank {rank}: received a message its schedule has no entry for \
+                 (superstep {step})"
             ),
         }
     }
@@ -180,7 +179,7 @@ impl From<ExchangeError> for HpfError {
 /// resolves the plan and brackets each `step` with the dirty-tracking
 /// state's begin/finish.
 pub trait ExchangeBackend {
-    /// Human-readable backend name (for reports and benches).
+    /// Human-readable backend name (for reports).
     fn name(&self) -> &'static str;
 
     /// Get ready to run a timestep over `np` simulated processors and say

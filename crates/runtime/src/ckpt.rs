@@ -36,7 +36,9 @@
 //! recovery loop the fault-injection suite exercises: run timesteps,
 //! checkpoint on a cadence ([`CheckpointSpec`]), and on an
 //! [`HpfError::Exchange`] fault restore the
-//! newest checkpoint and replay forward — with bounded retries, backoff,
+//! newest checkpoint that verifies
+//! ([`Program::restore_latest`](crate::Program::restore_latest)) and
+//! replay forward — with bounded retries, backoff,
 //! and graceful degradation from `Channels` to `SharedMem` when the
 //! worker fleet keeps dying ([`RecoveryPolicy`]).
 
@@ -97,6 +99,15 @@ pub enum CkptError {
         /// Directory that was scanned.
         dir: PathBuf,
     },
+    /// Every checkpoint under a directory failed to restore.
+    Unrestorable {
+        /// The newest snapshot (its `step-<T>` directory).
+        newest: PathBuf,
+        /// Why the newest failed.
+        cause: Box<CkptError>,
+        /// Snapshots tried, the newest included.
+        tried: usize,
+    },
 }
 
 impl fmt::Display for CkptError {
@@ -114,6 +125,13 @@ impl fmt::Display for CkptError {
             CkptError::Mismatch { detail } => write!(f, "{detail}"),
             CkptError::NoCheckpoint { dir } => {
                 write!(f, "no checkpoint found under {}", dir.display())
+            }
+            CkptError::Unrestorable { newest, cause, tried } => {
+                write!(f, "newest checkpoint {} does not restore: {cause}", newest.display())?;
+                if *tried > 1 {
+                    write!(f, " (nor does any of the {} older one(s))", tried - 1)?;
+                }
+                Ok(())
             }
         }
     }
@@ -143,7 +161,7 @@ pub struct CkptReport {
 }
 
 /// What [`restore_checkpoint`] installed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestoreReport {
     /// Timestep the restored snapshot captures.
     pub timestep: u64,
@@ -157,6 +175,10 @@ pub struct RestoreReport {
     pub remapped: usize,
     /// Elements written into distributed storage.
     pub elements: u64,
+    /// Newer snapshots skipped because they failed to restore (see
+    /// [`Program::restore_latest`](crate::Program::restore_latest)): each
+    /// `step-<T>` directory with the reason, newest first.
+    pub skipped: Vec<(PathBuf, String)>,
 }
 
 /// FNV-1a (64-bit) — the checksum of shard payloads and the layout
@@ -628,6 +650,7 @@ pub fn restore_checkpoint(
         fast: 0,
         remapped: 0,
         elements: 0,
+        skipped: Vec::new(),
     };
     let mut staged = Vec::with_capacity(arrays.len());
     for arr in arrays.iter() {
@@ -782,12 +805,19 @@ fn read_image(
 /// directory with a manifest — half-written snapshots (no manifest
 /// yet) are invisible by construction.
 pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, CkptError> {
+    Ok(checkpoints(dir)?.into_iter().next())
+}
+
+/// Every complete checkpoint under `dir` (its `step-<T>` directories),
+/// newest first; empty if the directory is missing. Like
+/// [`latest_checkpoint`], it lists only directories with a manifest.
+pub(crate) fn checkpoints(dir: &Path) -> Result<Vec<PathBuf>, CkptError> {
     let rd = match fs::read_dir(dir) {
         Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(io_err(dir, "scan", e)),
     };
-    let mut best: Option<(u64, PathBuf)> = None;
+    let mut found: Vec<(u64, PathBuf)> = Vec::new();
     for entry in rd {
         let entry = entry.map_err(|e| io_err(dir, "scan", e))?;
         let name = entry.file_name();
@@ -799,14 +829,12 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, CkptError> {
             continue;
         };
         let path = entry.path();
-        if !path.join(MANIFEST).is_file() {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(bt, _)| t > *bt) {
-            best = Some((t, path));
+        if path.join(MANIFEST).is_file() {
+            found.push((t, path));
         }
     }
-    Ok(best.map(|(_, p)| p))
+    found.sort_by_key(|&(t, _)| std::cmp::Reverse(t));
+    Ok(found.into_iter().map(|(_, p)| p).collect())
 }
 
 /// Checkpoint cadence of a [`Session`](crate::Session).

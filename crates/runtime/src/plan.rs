@@ -778,12 +778,11 @@ impl ExecPlan {
         if chunk >= self.per_proc.len() {
             return stage(&self.per_proc, bufs);
         }
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (pps, bufss) in self.per_proc.chunks(chunk).zip(bufs.chunks_mut(chunk)) {
-                scope.spawn(move |_| stage(pps, bufss));
+                scope.spawn(move || stage(pps, bufss));
             }
-        })
-        .expect("worker thread panicked");
+        });
     }
 
     /// Compute phase over every processor, from packed operand buffers
@@ -823,7 +822,7 @@ impl ExecPlan {
             crate::verify::workers_disjoint(&self.per_proc),
             "two workers drive the same processor: store sets would race"
         );
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (((pps, bufss), locs), ns) in self
                 .per_proc
                 .chunks(chunk)
@@ -831,18 +830,18 @@ impl ExecPlan {
                 .zip(locals.chunks_mut(chunk))
                 .zip(rank_ns.chunks_mut(chunk))
             {
-                scope.spawn(move |_| compute(pps, bufss, locs, ns));
+                scope.spawn(move || compute(pps, bufss, locs, ns));
             }
-        })
-        .expect("worker thread panicked");
+        });
     }
 
     /// Replay through the *uncompressed* per-element schedule (expanding
     /// every run back into `(src, offset)` loads and per-element combine
     /// calls, with per-replay buffer allocation). Semantically identical
     /// to a replay of the compressed schedule; exists as the reference the
-    /// `b13_replay_throughput` benchmark measures the compression win
-    /// against — never as a way to drive a program.
+    /// `bench_gate` perf gate measures the compression win against
+    /// (`stencil_2d_block_compress_speedup`) — never as a way to drive a
+    /// program.
     ///
     /// # Panics
     /// Panics if the plan is stale for `arrays` (see

@@ -204,8 +204,8 @@ impl Program {
     /// supersteps, same-pair messages coalesce, and ghost units whose
     /// receiver-side data is still current are skipped entirely; with
     /// `fused = false` every statement is its own superstep with a full
-    /// ghost exchange — the pre-fusion baseline the `b15_program_fusion`
-    /// bench and the fusion equivalence suite compare against. `threads`
+    /// ghost exchange — the pre-fusion baseline the `bench_gate` fusion
+    /// entry and the fusion equivalence suite compare against. `threads`
     /// bounds the scoped threads the `SharedMem` backend spreads stage and
     /// compute over (`<= 1`: inline, allocation-free when warm); the
     /// `Channels` backend's SPMD worker fleet — one worker per simulated
@@ -424,11 +424,34 @@ impl Program {
         ckpt::restore_checkpoint(&mut self.arrays, step_dir)
     }
 
-    /// Restore from the newest `step-<T>` checkpoint under `dir`.
+    /// Restore from the newest `step-<T>` checkpoint under `dir` that
+    /// reads and verifies. A newer snapshot that fails — a torn or
+    /// corrupt shard, a bad manifest, a layout that does not fit — is
+    /// skipped and listed in [`RestoreReport::skipped`] with the reason.
+    /// Each attempt is all-or-nothing, so a skipped snapshot leaves every
+    /// array as it was. When every snapshot fails, the error is
+    /// [`CkptError::Unrestorable`], naming the newest and why it failed.
     pub fn restore_latest(&mut self, dir: &Path) -> Result<RestoreReport, CkptError> {
-        let step = ckpt::latest_checkpoint(dir)?
-            .ok_or_else(|| CkptError::NoCheckpoint { dir: dir.to_path_buf() })?;
-        ckpt::restore_checkpoint(&mut self.arrays, &step)
+        let snapshots = ckpt::checkpoints(dir)?;
+        let mut skipped = Vec::new();
+        let mut newest_failure = None;
+        for step in &snapshots {
+            match ckpt::restore_checkpoint(&mut self.arrays, step) {
+                Ok(report) => return Ok(RestoreReport { skipped, ..report }),
+                Err(e) => {
+                    skipped.push((step.clone(), e.to_string()));
+                    newest_failure.get_or_insert(e);
+                }
+            }
+        }
+        match newest_failure {
+            Some(cause) => Err(CkptError::Unrestorable {
+                newest: snapshots[0].clone(),
+                cause: Box::new(cause),
+                tried: snapshots.len(),
+            }),
+            None => Err(CkptError::NoCheckpoint { dir: dir.to_path_buf() }),
+        }
     }
 
     /// Bytes the exchange backends have moved between simulated

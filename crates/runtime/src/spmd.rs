@@ -68,8 +68,8 @@ use crate::fault::{FaultPlan, FaultSwitch, SendAction};
 use crate::fuse::{BufferDomain, FusedState, ProgramPlan};
 use crate::plan::{compute_pieces, copy_strided, pack_staged_runs, ExecPlan, ProcPlan};
 use crate::workspace::FusedWorkspace;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -486,16 +486,16 @@ impl ChannelsBackend {
         }
         self.shutdown();
         self.shutdown = Arc::new(AtomicBool::new(false));
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         let mut inbox_rxs = Vec::with_capacity(np);
         let mut peer_txs = Vec::with_capacity(np);
         for _ in 0..np {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             peer_txs.push(tx);
             inbox_rxs.push(rx);
         }
         for (me, inbox) in inbox_rxs.into_iter().enumerate() {
-            let (cmd_tx, cmd_rx) = unbounded();
+            let (cmd_tx, cmd_rx) = channel();
             let ctx = WorkerCtx {
                 me,
                 inbox,

@@ -478,8 +478,6 @@ fn corrupted_checkpoints_are_rejected_with_diagnostics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `restore_latest` on an empty directory is the precise
-/// "nothing to restore" diagnostic, not a panic or a silent no-op.
 /// The manifest's rects are its word for where a shard's values go when
 /// the layout changed; a manifest that lies is rejected with an error
 /// that says where, nothing panics, and no array changes.
@@ -534,11 +532,73 @@ fn hostile_manifests_are_rejected_with_located_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `restore_latest` on an empty directory is the precise
+/// "nothing to restore" diagnostic, not a panic or a silent no-op.
 #[test]
 fn restore_latest_reports_missing_checkpoints() {
     let dir = tmpdir("none");
     let mut prog = build_program((0, 1), 25, 4);
     let err = prog.restore_latest(&dir.join("empty")).unwrap_err();
     assert!(matches!(err, CkptError::NoCheckpoint { .. }), "got {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checkpoints of one trajectory at timesteps 3 and 4, the dense state
+/// at 3, and the shard of array `A` on processor 0 in each snapshot.
+fn two_snapshots(dir: &std::path::Path) -> (Vec<Vec<f64>>, [PathBuf; 2]) {
+    let mut sess = Session::new(build_program((0, 1), 25, 4));
+    sess.run(3).unwrap();
+    let at3 = sess.program().checkpoint(dir, 3).unwrap().dir;
+    let want: Vec<Vec<f64>> = sess.program().arrays.iter().map(DistArray::to_dense).collect();
+    sess.run(1).unwrap();
+    let at4 = sess.program().checkpoint(dir, 4).unwrap().dir;
+    (want, [at4.join("A.p0.shard"), at3.join("A.p0.shard")])
+}
+
+/// Cut a shard file inside its 24-byte header, as a crash mid-write can.
+fn tear(shard: &std::path::Path) {
+    std::fs::OpenOptions::new().write(true).open(shard).unwrap().set_len(20).unwrap();
+}
+
+/// A torn shard in the newest snapshot does not block a restore: the
+/// newest snapshot that verifies is restored, and the report names the
+/// one it skipped and why.
+#[test]
+fn torn_newest_snapshot_restores_the_previous_one() {
+    let dir = tmpdir("torn-newest");
+    let (want, [newest, _]) = two_snapshots(&dir);
+    tear(&newest);
+    let mut prog = build_program((0, 1), 25, 4);
+    let report = prog.restore_latest(&dir).unwrap();
+    assert_eq!(report.timestep, 3);
+    assert_eq!(report.skipped.len(), 1, "{report:?}");
+    assert_eq!(report.skipped[0].0, newest.parent().unwrap());
+    assert!(report.skipped[0].1.contains("truncated shard"), "{report:?}");
+    let got: Vec<Vec<f64>> = prog.arrays.iter().map(DistArray::to_dense).collect();
+    assert_eq!(got, want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// When every snapshot is torn, the restore fails, names the newest
+/// snapshot and why it failed, and writes nothing.
+#[test]
+fn all_torn_snapshots_name_the_newest() {
+    let dir = tmpdir("torn-all");
+    let (_, shards) = two_snapshots(&dir);
+    shards.iter().for_each(|s| tear(s));
+    let mut prog = build_program((0, 1), 25, 4);
+    let before: Vec<Vec<f64>> = prog.arrays.iter().map(DistArray::to_dense).collect();
+    let err = prog.restore_latest(&dir).unwrap_err();
+    match &err {
+        CkptError::Unrestorable { newest, tried, .. } => {
+            assert_eq!(newest, shards[0].parent().unwrap());
+            assert_eq!(*tried, 2);
+        }
+        other => panic!("got {other:?}"),
+    }
+    let text = err.to_string();
+    assert!(text.contains("step-00000004") && text.contains("truncated shard"), "{text}");
+    let after: Vec<Vec<f64>> = prog.arrays.iter().map(DistArray::to_dense).collect();
+    assert_eq!(after, before, "a failed restore must not write anything");
     let _ = std::fs::remove_dir_all(&dir);
 }
